@@ -1,17 +1,18 @@
 """Lifting reports and certified anodyne towers.
 
-Two verification engines live here.  ``rlp_report`` checks a stratified set
-against the elementary horn and thinness extensions by exhaustive search:
-every horn map is enumerated and a thin filler is looked up, and every
-thinness-compatible simplex is checked for the extra thin face.
+One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
+instance with its lifting problems, and one filler search, ``_fillers``,
+yields the thin n-simplices with given faces.  ``rlp_report`` and the
+relative ``enriched.local_fibration_check`` both consume these two.
 
-``verify_certificate`` replays an ordered tower of elementary-anodyne
-pushout steps inside a fixed ambient set, maintaining the pair
-(members, thin flags).  A horn step glues a thin top cell along a horn that
-must already be present; a thinness step upgrades one face to thin.  The
-side conditions are exactly those making the inclusion of the enlarged
-subset a genuine pushout of the corresponding elementary extension, so a
-passing certificate is a machine-checked anodyne decomposition.
+One replayer, ``_apply_step``, checks an elementary-anodyne pushout step
+against the pair (members, thin flags) inside a fixed ambient set and
+applies it; ``replay_states``, ``verify_certificate`` and ``search_tower``
+run on it.  A horn step glues a thin top cell along a horn that must already
+be present; a thinness step upgrades one face to thin.  The side conditions
+are exactly those making the enlarged subset a genuine pushout of the
+elementary extension, so a passing certificate is a machine-checked anodyne
+decomposition.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import StepViolation, UnknownCell
-from .operators import Operator, all_injections, delta
+from .errors import BadParams, ParseError, StepViolation, UnknownCell
+from .operators import Operator, admissible_vertices, all_injections, delta
 from .stratified import (
     FiniteStratifiedSet,
     Simplex,
@@ -52,12 +53,12 @@ def _ks_for_mode(n: int, mode: str) -> list[int]:
         return list(range(1, n))
     if mode == "all":
         return list(range(n + 1))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise BadParams(f"unknown mode {mode!r}")
 
 
 def _admissible_proper_faces(n: int, k: int) -> list[Operator]:
     """Injective proper faces of [n] whose image covers k-1, k, k+1."""
-    needed = {k - 1, k, k + 1} & set(range(n + 1))
+    needed = admissible_vertices(n, k)
     out = []
     for m in range(n):
         for alpha in all_injections(m, n):
@@ -80,7 +81,7 @@ def _horn_faces(n: int, k: int) -> list[Operator]:
 def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     """Enumerate horn maps as tuples of the n-1 face images, backtracking."""
     face_idx = [j for j in range(n + 1) if j != k]
-    admissible = {k - 1, k, k + 1} & set(range(n + 1))
+    admissible = admissible_vertices(n, k)
     cells = list(X.simplices_of_dim(n - 1))
     deep_thin = [
         alpha
@@ -91,9 +92,8 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     assignment: dict[int, Simplex] = {}
 
     def compatible(j: int, s: Simplex) -> bool:
-        # thinness of the horn: admissible faces must land on thin simplices
-        img = set(range(n + 1)) - {j}
-        if admissible <= img and not X.is_thin(s):
+        # thinness of the horn: face j is admissible unless vertex j is
+        if j not in admissible and not X.is_thin(s):
             return False
         # simplicial compatibility with already assigned faces
         for i, t in assignment.items():
@@ -132,18 +132,9 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     yield from search(0)
 
 
-def _horn_filler_exists(X: FiniteStratifiedSet, n: int, k: int, faces: dict[int, Simplex]) -> bool:
-    for z in X.simplices_of_dim(n):
-        if not X.is_thin(z):
-            continue
-        if all(X.act(z, delta(n, j)) == s for j, s in faces.items()):
-            return True
-    return False
-
-
 def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simplex]:
     """Simplices carrying a map from the primed complicial simplex."""
-    primed = [j for j in (k - 1, k + 1) if 0 <= j <= n]
+    primed = admissible_vertices(n, k) - {k}
     admissible = _admissible_proper_faces(n, k)
     for z in X.simplices_of_dim(n):
         if not X.is_thin(z):
@@ -155,6 +146,27 @@ def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simpl
         yield z
 
 
+def _fillers(X: FiniteStratifiedSet, n: int, faces: dict[int, Simplex]) -> Iterator[Simplex]:
+    """The thin n-simplices of X whose jth face is faces[j] for every given j."""
+    for z in X.simplices_of_dim(n):
+        if X.is_thin(z) and all(X.act(z, delta(n, j)) == s for j, s in faces.items()):
+            yield z
+
+
+def _instances(X: FiniteStratifiedSet, dmax: int, mode: str) -> Iterator[tuple]:
+    """Every lifting instance up to dmax as (name, n, k, problems), in report order.
+
+    A horn problem is a horn map, as face index -> simplex; a thinness
+    problem is a simplex carrying a map from the primed complicial simplex.
+    """
+    for n in range(1, dmax + 1):
+        for k in _ks_for_mode(n, mode):
+            yield f"horn[{n},{k}]", n, k, _horn_problems(X, n, k)
+    for n in range(2, dmax + 1):
+        for k in _ks_for_mode(n, mode):
+            yield f"thinness[{n},{k}]", n, k, _thinness_problems(X, n, k)
+
+
 def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> LiftingReport:
     """Check the right lifting property against the elementary extensions.
 
@@ -164,35 +176,30 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
     there is a degeneracy of a stored cell.
     """
     report = LiftingReport()
-    for n in range(1, dmax + 1):
-        for k in _ks_for_mode(n, mode):
-            count = 0
-            for problem in _horn_problems(X, n, k):
-                count += 1
-                if not _horn_filler_exists(X, n, k, problem):
+    for name, n, k, problems in _instances(X, dmax, mode):
+        horn = name.startswith("horn")
+        count = 0
+        for problem in problems:
+            count += 1
+            if horn:
+                if next(_fillers(X, n, problem), None) is None:
                     report.failures.append(
                         {
-                            "instance": f"horn[{n},{k}]",
+                            "instance": name,
                             "faces": {
                                 str(j): {"cell": s.cell, "word": list(s.word)}
                                 for j, s in sorted(problem.items())
                             },
                         }
                     )
-            report.checked.append((f"horn[{n},{k}]", count))
-    for n in range(2, dmax + 1):
-        for k in _ks_for_mode(n, mode):
-            count = 0
-            for z in _thinness_problems(X, n, k):
-                count += 1
-                if not X.is_thin(X.act(z, delta(n, k))):
-                    report.failures.append(
-                        {
-                            "instance": f"thinness[{n},{k}]",
-                            "simplex": {"cell": z.cell, "word": list(z.word)},
-                        }
-                    )
-            report.checked.append((f"thinness[{n},{k}]", count))
+            elif not X.is_thin(X.act(problem, delta(n, k))):
+                report.failures.append(
+                    {
+                        "instance": name,
+                        "simplex": {"cell": problem.cell, "word": list(problem.word)},
+                    }
+                )
+        report.checked.append((name, count))
     return report
 
 
@@ -245,10 +252,10 @@ class _State:
         self.members = set(members)
         self.flags = set(flags)
 
-    def simplex_present(self, Z: FiniteStratifiedSet, s: Simplex) -> bool:
+    def simplex_present(self, s: Simplex) -> bool:
         return s.cell in self.members
 
-    def simplex_thin(self, Z: FiniteStratifiedSet, s: Simplex) -> bool:
+    def simplex_thin(self, s: Simplex) -> bool:
         return s.is_degenerate or s.cell in self.flags
 
 
@@ -264,12 +271,12 @@ def _check_horn_step(Z: FiniteStratifiedSet, state: _State, step) -> str | None:
     for alpha in _admissible_proper_faces(n, k):
         if not Z.is_thin(Z.act(top, alpha)):
             return f"admissible face {list(alpha.values)} lands on a non-thin simplex"
-    admissible = {k - 1, k, k + 1} & set(range(n + 1))
+    admissible = admissible_vertices(n, k)
     for alpha in _horn_faces(n, k):
         img = Z.act(top, alpha)
-        if not state.simplex_present(Z, img):
+        if not state.simplex_present(img):
             return f"horn face {list(alpha.values)} not inside the current subset"
-        if admissible <= set(alpha.values) and not state.simplex_thin(Z, img):
+        if admissible <= set(alpha.values) and not state.simplex_thin(img):
             return f"thin horn face {list(alpha.values)} lacks its thin flag"
     if step.attach in state.members:
         return "top cell image already present"
@@ -296,30 +303,53 @@ def _check_thinness_step(Z: FiniteStratifiedSet, state: _State, step) -> str | N
     kface = Z.act(top, delta(n, k))
     if not Z.is_thin(kface):
         return "face through k is not thin in the ambient"
-    if not state.simplex_thin(Z, top):
+    if not state.simplex_thin(top):
         return "top cell lacks its thin flag"
-    primed = [j for j in (k - 1, k + 1) if 0 <= j <= n]
+    primed = admissible_vertices(n, k) - {k}
     for alpha in _admissible_proper_faces(n, k):
         img = Z.act(top, alpha)
-        if not state.simplex_present(Z, img):
+        if not state.simplex_present(img):
             return f"face {list(alpha.values)} not inside the current subset"
-        if not state.simplex_thin(Z, img):
+        if not state.simplex_thin(img):
             return f"admissible face {list(alpha.values)} lacks its thin flag"
     for j in range(n + 1):
         img = Z.act(top, delta(n, j))
-        if not state.simplex_present(Z, img):
+        if not state.simplex_present(img):
             return f"face {j} not inside the current subset"
-        if j in primed and not state.simplex_thin(Z, img):
+        if j in primed and not state.simplex_thin(img):
             return f"primed face {j} lacks its thin flag"
     if not kface.is_degenerate:
         state.flags.add(kface.cell)
     return None
 
 
+def _apply_step(Z: FiniteStratifiedSet, state: _State, step) -> str | None:
+    """Check one step against the state and apply it; returns the violation, if any."""
+    if isinstance(step, HornPushout):
+        return _check_horn_step(Z, state, step)
+    if isinstance(step, ThinnessPushout):
+        return _check_thinness_step(Z, state, step)
+    if isinstance(step, ThinHornPushout):
+        return _check_horn_step(Z, state, step) or _check_thinness_step(Z, state, step)
+    return f"unknown step kind {step!r}"
+
+
+def replay_states(cert: AnodyneCertificate):
+    """Yield (step, members, flags) after each verified step of the tower.
+
+    Raises StepViolation at the first step that fails its side conditions.
+    """
+    state = _State(cert.start.members, cert.start.thin_members)
+    for idx, step in enumerate(cert.steps):
+        err = _apply_step(cert.ambient, state, step)
+        if err is not None:
+            raise StepViolation(idx, err)
+        yield step, frozenset(state.members), frozenset(state.flags)
+
+
 def verify_certificate(cert: AnodyneCertificate) -> list[str]:
     """Replay the tower; the empty report means the certificate is valid."""
     Z = cert.ambient
-    problems: list[str] = []
     for c in cert.start.members:
         if c not in Z.dims:
             return [f"start names unknown cell {c!r}"]
@@ -330,48 +360,18 @@ def verify_certificate(cert: AnodyneCertificate) -> list[str]:
             for s in Z.faces[c]:
                 if s.cell not in cert.start.members:
                     return [f"start is not face-closed at {c!r}"]
-    state = _State(cert.start.members, cert.start.thin_members)
-    for idx, step in enumerate(cert.steps):
-        if isinstance(step, HornPushout):
-            err = _check_horn_step(Z, state, step)
-        elif isinstance(step, ThinnessPushout):
-            err = _check_thinness_step(Z, state, step)
-        elif isinstance(step, ThinHornPushout):
-            err = _check_horn_step(Z, state, step)
-            if err is None:
-                err = _check_thinness_step(Z, state, step)
-        else:
-            err = f"unknown step kind {step!r}"
-        if err is not None:
-            problems.append(f"step {idx}: {err}")
-            return problems
-    if state.members != set(cert.finish.members):
+    members, flags = cert.start.members, cert.start.thin_members
+    try:
+        for _, members, flags in replay_states(cert):
+            pass
+    except StepViolation as exc:
+        return [str(exc)]
+    problems = []
+    if members != cert.finish.members:
         problems.append("final members differ from the stated finish")
-    if state.flags != set(cert.finish.thin_members):
+    if flags != cert.finish.thin_members:
         problems.append("final thin flags differ from the stated finish")
     return problems
-
-
-def check_certificate(cert: AnodyneCertificate) -> None:
-    problems = verify_certificate(cert)
-    if problems:
-        raise StepViolation(len(cert.steps), "; ".join(problems))
-
-
-def replay_states(cert: AnodyneCertificate):
-    """Yield (step, members, flags) after each verified step of the tower."""
-    Z = cert.ambient
-    state = _State(cert.start.members, cert.start.thin_members)
-    for idx, step in enumerate(cert.steps):
-        if isinstance(step, (HornPushout, ThinHornPushout)):
-            err = _check_horn_step(Z, state, step)
-            if err is not None:
-                raise StepViolation(idx, err)
-        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
-            err = _check_thinness_step(Z, state, step)
-            if err is not None:
-                raise StepViolation(idx, err)
-        yield step, frozenset(state.members), frozenset(state.flags)
 
 
 def replay_members(cert: AnodyneCertificate) -> tuple[frozenset[str], frozenset[str]]:
@@ -521,20 +521,11 @@ def search_tower(
                     yield ThinnessPushout(d, k, cell)
 
     def admissible(state: _State, step) -> _State | None:
-        trial = _State(frozenset(state.members), frozenset(state.flags))
-        if isinstance(step, HornPushout):
-            err = _check_horn_step(Z, trial, step)
-        elif isinstance(step, ThinnessPushout):
-            before = set(trial.flags)
-            err = _check_thinness_step(Z, trial, step)
-            if err is None and trial.flags == before:
-                err = "no-op"
-        else:
-            err = _check_horn_step(Z, trial, step)
-            if err is None:
-                err = _check_thinness_step(Z, trial, step)
-        if err is not None:
+        trial = _State(state.members, state.flags)
+        if _apply_step(Z, trial, step) is not None:
             return None
+        if isinstance(step, ThinnessPushout) and trial.flags == state.flags:
+            return None  # a thinness step that flags nothing new is a no-op
         if not trial.members <= target_members or not trial.flags <= target_flags:
             return None
         return trial
@@ -595,6 +586,9 @@ def certificate_from_json(data: dict) -> AnodyneCertificate:
 
     Z = set_from_json(data["ambient"])
     kinds = {"horn": HornPushout, "thinness": ThinnessPushout, "thin-horn": ThinHornPushout}
+    for s in data["steps"]:
+        if s["kind"] not in kinds:
+            raise ParseError(f"unknown step kind {s['kind']!r}; choose from {sorted(kinds)}")
     steps = tuple(
         kinds[s["kind"]](s["n"], s["k"], s["attach"]) for s in data["steps"]
     )

@@ -97,7 +97,7 @@ def _enriched_from_json(data: dict):
     comp = {}
     for key, table in data["comp"].items():
         a, b, c = key.split(";")
-        P = gray_product(homs[(b, c)], homs[(a, b)], cap=data["dim_cap"])
+        P, _ = gray_product(homs[(b, c)], homs[(a, b)], cap=data["dim_cap"])
         assignment = {
             cid: Simplex(entry["cell"], tuple(entry["word"]))
             for cid, entry in table.items()

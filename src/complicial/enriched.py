@@ -61,7 +61,7 @@ class EnrichedCategory:
     def compose(self, a: str, b: str, c: str, z_bc: Simplex, z_ab: Simplex) -> Simplex:
         """Image of the pair under the composition map hom(b,c) (*) hom(a,b)."""
         cmap = self.comp[(a, b, c)]
-        pair = product_pair_simplex(cmap.source, self.hom(b, c), self.hom(a, b), z_bc, z_ab)
+        pair = product_pair_simplex(self.hom(b, c), self.hom(a, b), z_bc, z_ab)
         if pair.cell not in cmap.assignment:
             raise CapExceeded(
                 f"composition at {(a, b, c)} undefined beyond the dimension cap"
@@ -140,12 +140,15 @@ def _collapse_map(P: FiniteStratifiedSet, target: FiniteStratifiedSet, cell: str
 
 
 def _unit_map(
-    P: FiniteStratifiedSet, X: FiniteStratifiedSet, left_point: bool
+    P: FiniteStratifiedSet,
+    pairs: Mapping[str, tuple[Simplex, Simplex]],
+    X: FiniteStratifiedSet,
+    left_point: bool,
 ) -> StratifiedMap:
     """Identify X (*) point (or point (*) X) with X."""
     assignment = {}
     for cid in P.cells():
-        sx, sy = P.pair_components[cid]
+        sx, sy = pairs[cid]
         assignment[cid] = sy if left_point else sx
     return StratifiedMap(P, X, assignment)
 
@@ -153,7 +156,7 @@ def _unit_map(
 def terminal_enriched() -> EnrichedCategory:
     """One object whose homset is the point."""
     pt = point_set()
-    P = gray_product(pt, pt)
+    P, _ = gray_product(pt, pt)
     comp = {("*", "*", "*"): _collapse_map(P, pt, "*")}
     return make_enriched(["*"], {("*", "*"): pt}, {"*": "*"}, comp, 0)
 
@@ -173,13 +176,13 @@ def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
         for b in "01":
             for c in "01":
                 hbc, hab, hac = homs[(b, c)], homs[(a, b)], homs[(a, c)]
-                P = gray_product(hbc, hab, cap=X.dim_cap)
+                P, pairs = gray_product(hbc, hab, cap=X.dim_cap)
                 if not hbc.dims or not hab.dims:
                     comp[(a, b, c)] = StratifiedMap(P, hac, {})
                 elif (a, c) == ("0", "1") and (b, c) == ("0", "1"):
-                    comp[(a, b, c)] = _unit_map(P, X, left_point=False)
+                    comp[(a, b, c)] = _unit_map(P, pairs, X, left_point=False)
                 elif (a, c) == ("0", "1"):
-                    comp[(a, b, c)] = _unit_map(P, X, left_point=True)
+                    comp[(a, b, c)] = _unit_map(P, pairs, X, left_point=True)
                 else:
                     comp[(a, b, c)] = _collapse_map(P, hac, "*")
     return make_enriched(["0", "1"], homs, identities, comp, X.dim_cap)
@@ -338,10 +341,10 @@ def one_object_group_enriched(order: int, dim_cap: int) -> EnrichedCategory:
     """One object, hom the group nerve, composition by pointwise products."""
     cat = cyclic_group_category(order)
     hom = from_category(cat, dim_cap)
-    P = gray_product(hom, hom, cap=dim_cap)
+    P, pairs = gray_product(hom, hom, cap=dim_cap)
     assignment = {}
     for cid in P.cells():
-        sx, sy = P.pair_components[cid]
+        sx, sy = pairs[cid]
         assignment[cid] = _pointwise_product(cat, order, sx, sy)
     comp = {("*", "*", "*"): StratifiedMap(P, hom, assignment)}
     return make_enriched(["*"], {("*", "*"): hom}, {"*": "*:"}, comp, dim_cap)
@@ -436,8 +439,12 @@ class EnrichedFunctor:
 
 
 def local_fibration_check(F: EnrichedFunctor, dmax: int) -> dict:
-    """RLP of every hom component against the elementary anodyne extensions."""
-    from .anodyne import _horn_problems, _ks_for_mode, _thinness_problems
+    """RLP of every hom component against the elementary anodyne extensions.
+
+    Each filler of p(u) in the target is one check, passed by a filler of u
+    mapping onto it; a thinness problem z is checked when p(z) has a thin k-face.
+    """
+    from .anodyne import _fillers, _instances
 
     problems = F.validate()
     if problems:
@@ -449,35 +456,16 @@ def local_fibration_check(F: EnrichedFunctor, dmax: int) -> dict:
             continue
         p = F.hom_maps[(a, b)]
         X, Y = p.source, p.target
-        d = min(dmax, X.dim_cap)
-        for n in range(1, d + 1):
-            for k in _ks_for_mode(n, "all"):
-                for u in _horn_problems(X, n, k):
-                    down = {j: p(s) for j, s in u.items()}
-                    for zy in Y.simplices_of_dim(n):
-                        if not Y.is_thin(zy):
-                            continue
-                        if any(Y.act(zy, delta(n, j)) != s for j, s in down.items()):
-                            continue
+        for name, n, k, lifting_problems in _instances(X, min(dmax, X.dim_cap), "all"):
+            horn = name.startswith("horn")
+            for u in lifting_problems:
+                if horn:
+                    for zy in _fillers(Y, n, {j: p(s) for j, s in u.items()}):
                         checked += 1
-                        lifted = any(
-                            X.is_thin(zx)
-                            and all(X.act(zx, delta(n, j)) == s for j, s in u.items())
-                            and p(zx) == zy
-                            for zx in X.simplices_of_dim(n)
-                        )
-                        if not lifted:
-                            failures.append(
-                                {"hom": (a, b), "instance": f"horn[{n},{k}]"}
-                            )
-        for n in range(2, d + 1):
-            for k in _ks_for_mode(n, "all"):
-                for zx in _thinness_problems(X, n, k):
-                    if not Y.is_thin(Y.act(p(zx), delta(n, k))):
-                        continue
+                        if not any(p(zx) == zy for zx in _fillers(X, n, u)):
+                            failures.append({"hom": (a, b), "instance": name})
+                elif Y.is_thin(Y.act(p(u), delta(n, k))):
                     checked += 1
-                    if not X.is_thin(X.act(zx, delta(n, k))):
-                        failures.append(
-                            {"hom": (a, b), "instance": f"thinness[{n},{k}]"}
-                        )
+                    if not X.is_thin(X.act(u, delta(n, k))):
+                        failures.append({"hom": (a, b), "instance": name})
     return {"pass": not failures, "checked": checked, "failures": failures}

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInterval, DimensionMismatch, ObjectMismatch, OutOfRange
-from .operators import (
-    MINUS,
-    PLUS,
-    CubeCoordinate,
-    Operator,
-    delta,
-    ez_factorize,
-    rho_precompose,
-)
+from .operators import MINUS, PLUS, CubeCoordinate, Operator, ez_factorize
 from .shapes import (
+    cube,
     cube_cell_id,
+    cube_dim,
     cube_normal_form,
     cube_thin,
     is_integer_surjective,
@@ -83,53 +77,37 @@ def arrow_thin(a: PathArrow) -> bool:
 
 @lru_cache(maxsize=None)
 def hom_set(r: int, s: int) -> FiniteStratifiedSet:
-    """The stratified homset from r to s: a point, or a cube one step down."""
+    """The stratified homset from r to s: a point, or a cube one step down.
+
+    For r < s it is cube(s - r - 1) with the constant-0 top coordinate appended.
+    """
     if r > s:
         raise BadInterval(f"hom({r},{s}) is empty")
     if r == s:
         return FiniteStratifiedSet(0, {"": 0}, {})
-    from itertools import product
 
-    n = s - r
-    dims = {}
-    faces = {}
-    thin = []
-    for m in range(max(n - 1, 0) + 1):
-        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
-        for body in product(alphabet, repeat=n - 1):
-            w = body + (MINUS,)
-            if not is_integer_surjective(w, m):
-                continue
-            cid = cube_cell_id(w)
-            dims[cid] = m
-            if m >= 1:
-                faces[cid] = tuple(_hom_face(w, m, j) for j in range(m + 1))
-                if cube_thin(w, m):
-                    thin.append(cid)
-    return FiniteStratifiedSet(max(n - 1, 0), dims, faces, thin)
+    def top(cid: str) -> str:
+        return cube_cell_id(parse_cube_cell(cid) + (MINUS,))
 
-
-def _hom_face(w, m, j):
-    d = delta(m, j)
-    return cube_normal_form(tuple(rho_precompose(v, d) for v in w), m - 1)
+    C = cube(s - r - 1)
+    faces = {
+        top(c): tuple(Simplex(top(f.cell), f.word) for f in fs) for c, fs in C.faces.items()
+    }
+    return FiniteStratifiedSet(
+        C.dim_cap, {top(c): d for c, d in C.dims.items()}, faces, map(top, C.thin)
+    )
 
 
 def arrow_of_cell(r: int, s: int, cid: str) -> PathArrow:
-    w = parse_cube_cell(cid) if cid else ()
-    m = max((v for v in w if v not in (MINUS, PLUS)), default=0)
-    return PathArrow(r, s, m, w)
+    w = parse_cube_cell(cid)
+    return PathArrow(r, s, cube_dim(w), w)
 
 
 def arrow_normal_form(a: PathArrow) -> tuple[PathArrow, tuple[int, ...]]:
     """Nondegenerate core and degeneracy word of an arrow."""
     nf = cube_normal_form(a.w, a.m)
-    core_w = parse_cube_cell(nf.cell) if nf.cell else ()
+    core_w = parse_cube_cell(nf.cell)
     return PathArrow(a.r, a.s, a.m - len(nf.word), core_w), nf.word
-
-
-def arrow_simplex(a: PathArrow) -> Simplex:
-    """The arrow as a simplex of hom_set(a.r, a.s)."""
-    return cube_normal_form(a.w, a.m)
 
 
 def compose_path(b: PathArrow, a: PathArrow) -> PathArrow:

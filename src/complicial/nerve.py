@@ -26,7 +26,7 @@ from .operators import (
     delta,
     ez_factorize,
     identity,
-    rho_operator,
+    is_admissible,
     sigma,
     word_operator as _wop,
 )
@@ -41,6 +41,7 @@ from .hcpath import (
     split_at_zeros,
     top_special_arrow,
 )
+from .shapes import comparison_simplex, cube_face
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -143,7 +144,8 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
             face_imgs = []
             ok = True
             for j in range(d + 1) if d >= 1 else ():
-                img = _eval_partial(E, obj, assigned, _arrow_face(a, j))
+                face = PathArrow(r, s, d - 1, cube_face(a.w, d, j))
+                img = _eval_partial(E, obj, assigned, face)
                 if img is None:
                     ok = False
                     break
@@ -172,14 +174,6 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
 
         search(0)
     return results
-
-
-def _arrow_face(a: PathArrow, j: int) -> PathArrow:
-    """The jth face of an arrow inside its homset (coordinatewise action)."""
-    from .operators import rho_precompose
-
-    d = delta(a.m, j)
-    return PathArrow(a.r, a.s, a.m - 1, tuple(rho_precompose(v, d) for v in a.w))
 
 
 def _finalize(E, n, obj, assigned) -> NerveSimplex | None:
@@ -330,10 +324,9 @@ def classify_complicial(f: NerveSimplex, k: int) -> bool:
     """Whether every k-admissible face sends its top special simplex to thin."""
     if not 0 < k < f.n:
         raise OutOfRange(f"inner index needed, got k={k} at dimension {f.n}")
-    needed = {k - 1, k, k + 1}
     for m in range(1, f.n + 1):
         for alpha in all_injections(m, f.n):
-            if not needed <= set(alpha.values):
+            if not is_admissible(alpha, k):
                 continue
             arrow = path_act(alpha, top_special_arrow(0, m))
             img = f.eval_arrow(arrow)
@@ -359,18 +352,7 @@ class SigmaFunctor:
 
     def delta_image(self, a: PathArrow) -> Simplex:
         """Image of a crossing arrow, as a simplex of the standard n-simplex."""
-        from .shapes import simplex_of_operator
-
-        n = self.n
-        values = []
-        for t in range(a.m + 1):
-            zeros = [
-                n - i
-                for i in range(a.r + 1, n + 1)
-                if rho_operator(a.value(i), a.m).values[t] == 0
-            ]
-            values.append(min([n] + zeros))
-        return simplex_of_operator(Operator(a.m, n, tuple(values)))
+        return comparison_simplex(a.w, a.r, self.n, a.m)
 
     def eval_arrow(self, a: PathArrow, target: EnrichedCategory) -> Simplex:
         if self.crossing(a):
@@ -380,12 +362,6 @@ class SigmaFunctor:
 
 def sigma_functor(n: int) -> SigmaFunctor:
     return SigmaFunctor(n)
-
-
-def sigma_as_nerve_simplex(n: int) -> NerveSimplex:
-    """The comparison functor as an (n+1)-simplex of the suspended simplex."""
-    E = suspension_of_standard(n)
-    return yoneda_composite(E, Simplex(".".join(map(str, range(n + 1)))), n)
 
 
 def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
@@ -414,18 +390,6 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
                     table[cid] = hom01.act(x, beta)
             maps[(r, s)] = table
     return NerveSimplex(E, n + 1, obj, maps)
-
-
-_SUSPENDED_STANDARD: dict[int, EnrichedCategory] = {}
-
-
-def suspension_of_standard(n: int) -> EnrichedCategory:
-    from .enriched import suspension
-    from .shapes import standard
-
-    if n not in _SUSPENDED_STANDARD:
-        _SUSPENDED_STANDARD[n] = suspension(standard(n))
-    return _SUSPENDED_STANDARD[n]
 
 
 def recover_arrow(f: NerveSimplex) -> Simplex:

@@ -164,12 +164,16 @@ def rho_precompose(v: CubeCoordinate, alpha: Operator) -> CubeCoordinate:
     return MINUS
 
 
+def admissible_vertices(n: int, k: int) -> frozenset[int]:
+    """The vertices k-1, k, k+1 of [n]: a face is k-admissible iff it holds them all."""
+    return frozenset({k - 1, k, k + 1} & set(range(n + 1)))
+
+
 def is_admissible(alpha: Operator, k: int) -> bool:
     """Whether an injective face contains the three vertices around k."""
     if not alpha.is_injective:
         raise NotInjective(f"{alpha} is not injective")
-    needed = {k - 1, k, k + 1} & set(range(alpha.m + 1))
-    return needed <= set(alpha.values)
+    return admissible_vertices(alpha.m, k) <= set(alpha.values)
 
 
 def all_operators(n: int, m: int) -> Iterator[Operator]:

@@ -28,6 +28,7 @@ from .operators import (
     PLUS,
     CubeCoordinate,
     Operator,
+    admissible_vertices,
     delta,
     rho_operator,
     rho_precompose,
@@ -115,17 +116,13 @@ def standard_thin(n: int) -> FiniteStratifiedSet:
 # -- complicial simplices and horns ----------------------------------------
 
 
-def _admissible_vertices(n: int, k: int) -> frozenset[int]:
-    return frozenset({k - 1, k, k + 1} & set(range(n + 1)))
-
-
 @lru_cache(maxsize=None)
 def complicial(n: int, k: int) -> FiniteStratifiedSet:
     """The k-complicial n-simplex: thin faces are the k-admissible ones."""
     if n < 1 or not 0 <= k <= n:
         raise OutOfRange(f"complicial simplex needs n >= 1, k in [n]; got {(n, k)}")
     X = standard(n)
-    needed = _admissible_vertices(n, k)
+    needed = admissible_vertices(n, k)
     thin = [
         c for c in X.cells() if X.dims[c] >= 1 and needed <= set(_vertex_tuple(c))
     ]
@@ -138,8 +135,7 @@ def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
     X = complicial(n, k)
     extra = [
         _simplex_cell(tuple(v for v in range(n + 1) if v != j))
-        for j in (k - 1, k + 1)
-        if 0 <= j <= n
+        for j in sorted(admissible_vertices(n, k) - {k})
     ]
     return make_thin(X, extra)
 
@@ -158,16 +154,6 @@ def horn(n: int, k: int) -> FiniteStratifiedSet:
         if j != k
     ]
     return subset_to_set(regular_generated(X, seeds))
-
-
-def horn_handle(n: int, k: int) -> SubsetHandle:
-    X = complicial(n, k)
-    seeds = [
-        _simplex_cell(tuple(v for v in range(n + 1) if v != j))
-        for j in range(n + 1)
-        if j != k
-    ]
-    return regular_generated(X, seeds)
 
 
 # -- cube cells -------------------------------------------------------------
@@ -247,11 +233,10 @@ def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
     return False
 
 
-def cube_face(w: tuple[CubeCoordinate, ...], m: int, j: int) -> Simplex:
-    """Normal form of the jth face of the cube cell w."""
+def cube_face(w: tuple[CubeCoordinate, ...], m: int, j: int) -> tuple[CubeCoordinate, ...]:
+    """The jth face of the m-simplex w of a cube, coordinatewise (not in normal form)."""
     d = delta(m, j)
-    w2 = tuple(rho_precompose(v, d) for v in w)
-    return cube_normal_form(w2, m - 1)
+    return tuple(rho_precompose(v, d) for v in w)
 
 
 def cube_normal_form(w: tuple[CubeCoordinate, ...], q: int) -> Simplex:
@@ -282,7 +267,9 @@ def cube(n: int) -> FiniteStratifiedSet:
             cid = cube_cell_id(w)
             dims[cid] = m
             if m >= 1:
-                faces[cid] = tuple(cube_face(w, m, j) for j in range(m + 1))
+                faces[cid] = tuple(
+                    cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1)
+                )
                 if cube_thin(w, m):
                     thin.append(cid)
     return FiniteStratifiedSet(n, dims, faces, thin)
@@ -350,24 +337,32 @@ def parse_vertex_chain(text: str) -> str:
 # -- the comparison map onto the standard simplex ----------------------------
 
 
+def comparison_simplex(
+    w: tuple[CubeCoordinate, ...], lower: int, n: int, m: int
+) -> Simplex:
+    """The m-simplex of the standard n-simplex that a cube function on (lower, ...] names.
+
+    Vertex t goes to the least n - i over the positions lower < i <= n whose
+    coordinate is 0 at t, or to n when there is none.
+    """
+    values = []
+    for t in range(m + 1):
+        zeros = [
+            n - i
+            for i in range(lower + 1, n + 1)
+            if rho_operator(w[i - lower - 1], m).values[t] == 0
+        ]
+        values.append(min([n] + zeros))
+    return simplex_of_operator(Operator(m, n, tuple(values)))
+
+
 def c_map(n: int) -> StratifiedMap:
     """The stratified comparison map from the n-cube to the standard n-simplex."""
     C = cube(n)
-    D = standard(n)
-    assignment = {}
-    for cid in C.cells():
-        w = parse_cube_cell(cid)
-        m = C.dims[cid]
-        values = []
-        for t in range(m + 1):
-            zeros = [
-                n - i
-                for i in range(1, n + 1)
-                if rho_operator(w[i - 1], m).values[t] == 0
-            ]
-            values.append(min([n] + zeros))
-        assignment[cid] = simplex_of_operator(Operator(m, n, tuple(values)))
-    return StratifiedMap(C, D, assignment)
+    assignment = {
+        cid: comparison_simplex(parse_cube_cell(cid), 0, n, C.dims[cid]) for cid in C.cells()
+    }
+    return StratifiedMap(C, standard(n), assignment)
 
 
 # -- the C / H family ---------------------------------------------------------

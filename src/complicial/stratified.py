@@ -171,10 +171,6 @@ class FiniteStratifiedSet:
         return problems
 
 
-def validate_set(X: FiniteStratifiedSet) -> list[str]:
-    return X.validate()
-
-
 def empty_set(dim_cap: int = 0) -> FiniteStratifiedSet:
     return FiniteStratifiedSet(dim_cap, {}, {})
 
@@ -223,11 +219,6 @@ class SubsetHandle:
     ambient: FiniteStratifiedSet
     members: frozenset[str]
     thin_members: frozenset[str]
-
-
-def regular_handle(X: FiniteStratifiedSet, members: Iterable[str]) -> SubsetHandle:
-    members = frozenset(members)
-    return SubsetHandle(X, members, members & X.thin)
 
 
 def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[str]) -> SubsetHandle:
@@ -324,8 +315,11 @@ def pair_normal_form(
 
 def gray_product(
     X: FiniteStratifiedSet, Y: FiniteStratifiedSet, cap: int | None = None
-) -> FiniteStratifiedSet:
-    """Cartesian product in Strat: thin iff both components are thin."""
+) -> tuple[FiniteStratifiedSet, dict[str, tuple[Simplex, Simplex]]]:
+    """Cartesian product in Strat: thin iff both components are thin.
+
+    Returns the product and its components, cell id -> (simplex of X, simplex of Y).
+    """
     if cap is None:
         cap = X.dim_cap + Y.dim_cap
     dims: dict[str, int] = {}
@@ -356,19 +350,16 @@ def gray_product(
             entries.append(Simplex(pair_id(cx, cy), word))
         faces[cid] = tuple(entries)
     thin -= {c for c in thin if dims[c] == 0}
-    P = FiniteStratifiedSet(cap, dims, faces, thin)
-    P.pair_components = pairs  # cell id -> (simplex of X, simplex of Y)
-    return P
+    return FiniteStratifiedSet(cap, dims, faces, thin), pairs
 
 
 def product_pair_simplex(
-    P: FiniteStratifiedSet,
     X: FiniteStratifiedSet,
     Y: FiniteStratifiedSet,
     sx: Simplex,
     sy: Simplex,
 ) -> Simplex:
-    """The simplex of the product P = X (*) Y holding a given pair."""
+    """The simplex of the product X (*) Y holding a given pair."""
     cx, cy, word = pair_normal_form(X, Y, sx, sy)
     return Simplex(pair_id(cx, cy), word)
 

@@ -26,7 +26,6 @@ from .hcpath import arrow_of_cell, hom_set, path_act
 from .nerve import build_nerve, recover_arrow, yoneda_composite
 from .operators import all_operators, compose_ops
 from .shapes import c_map, cube, special_top, standard
-from .stratified import validate_set
 
 
 @dataclass
@@ -145,7 +144,7 @@ def check_nerve_censuses(report: SuiteReport) -> None:
     }
     for name, N in desk_nerves():
         census = N.count_nondegenerate()
-        ok = census == expected[name] and not validate_set(N)
+        ok = census == expected[name] and not N.validate()
         report.add(f"nerve-census[{name}]", ok, str(census))
 
 

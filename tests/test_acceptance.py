@@ -9,10 +9,9 @@ from itertools import product
 
 from complicial.anodyne import (
     AnodyneCertificate,
-    HornPushout,
-    ThinHornPushout,
     ThinnessPushout,
     builtin_certificates,
+    replay_states,
     rlp_report,
     search_tower,
     verify_certificate,
@@ -41,7 +40,7 @@ from complicial.shapes import (
     parse_vertex_chain,
     standard,
 )
-from complicial.stratified import SubsetHandle, regular_generated, validate_set
+from complicial.stratified import SubsetHandle, regular_generated
 from complicial.suite import desk_examples, desk_nerves, functoriality_sample
 
 
@@ -103,20 +102,11 @@ def test_criterion_3_builtin_certificates():
         parse_vertex_chain(c) for c in paper_chains
     ]
     # intermediate subsets are the regular subsets on the generator lists
-    from complicial.anodyne import _State, _check_horn_step, _check_thinness_step
-
-    Z = tower.ambient
-    state = _State(tower.start.members, tower.start.thin_members)
     acc = list(tower.start.members)
-    for step in tower.steps:
-        if isinstance(step, (HornPushout, ThinHornPushout)):
-            ok = ok and _check_horn_step(Z, state, step) is None
-        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
-            ok = ok and _check_thinness_step(Z, state, step) is None
+    for step, members, flags in replay_states(tower):
         acc.append(step.attach)
-        expect = regular_generated(Z, acc)
-        ok = ok and state.members == set(expect.members)
-        ok = ok and state.flags == set(expect.thin_members)
+        expect = regular_generated(tower.ambient, acc)
+        ok = ok and members == expect.members and flags == expect.thin_members
 
     # a single thinness pushout upgrades the cube; the attach instance is the
     # one whose middle face is the paper's square special (0,0,0)<(0,1,0)<(1,1,1)
@@ -228,7 +218,7 @@ def test_criterion_8_nerve_identities():
     N = build_nerve(suspension(point_set()), 3)
     D1 = standard(1)
     ok = N.count_nondegenerate() == D1.count_nondegenerate()
-    ok = ok and validate_set(N) == []
+    ok = ok and N.validate() == []
     ok = ok and sum(1 for _ in N.simplices_of_dim(2)) == 4
     edges = N.cells_of_dim(1)
     ok = ok and len(edges) == 1 and edges[0] not in N.thin

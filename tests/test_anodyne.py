@@ -5,18 +5,18 @@ import pytest
 from complicial.anodyne import (
     AnodyneCertificate,
     HornPushout,
-    ThinHornPushout,
-    ThinnessPushout,
     builtin_certificates,
     certificate_from_json,
     certificate_to_json,
     hatted_C23,
     replay_members,
+    replay_states,
     rlp_report,
     search_tower,
     v_tower_generators,
     verify_certificate,
 )
+from complicial.errors import BadParams, StepViolation
 from complicial.shapes import (
     big_C,
     big_H,
@@ -70,6 +70,11 @@ def test_rlp_beyond_cap_is_exact():
     assert rlp_report(standard(1), 3, mode="all").ok
 
 
+def test_rlp_unknown_mode_is_bad_params():
+    with pytest.raises(BadParams):
+        rlp_report(standard(1), 1, mode="outer")
+
+
 def test_rlp_monotone_in_stratification():
     # upgrading thinness never breaks a passing thinness instance
     X = complicial(3, 1)
@@ -117,21 +122,28 @@ def test_v_tower_matches_paper_generators():
 
 
 def test_v_tower_intermediate_subsets_are_regular():
-    from complicial.anodyne import _State, _check_horn_step, _check_thinness_step
-
     cert = builtin_certificates()[2]
-    Z = cert.ambient
-    state = _State(cert.start.members, cert.start.thin_members)
     acc = list(cert.start.members)
-    for step in cert.steps:
-        if isinstance(step, (HornPushout, ThinHornPushout)):
-            assert _check_horn_step(Z, state, step) is None
-        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
-            assert _check_thinness_step(Z, state, step) is None
+    for step, members, flags in replay_states(cert):
         acc.append(step.attach)
-        expect = regular_generated(Z, acc)
-        assert state.members == set(expect.members)
-        assert state.flags == set(expect.thin_members)
+        expect = regular_generated(cert.ambient, acc)
+        assert members == expect.members
+        assert flags == expect.thin_members
+
+
+def test_replay_states_raises_the_verify_problem():
+    # one engine replays towers: the violation replay_states raises is, word
+    # for word, the single problem verify_certificate reports
+    cert = builtin_certificates()[2]
+    steps = list(cert.steps)
+    bad = steps[3]
+    steps[3] = type(bad)(bad.n, (bad.k + 1) % (bad.n + 1), bad.attach)
+    mutant = AnodyneCertificate(cert.ambient, cert.start, cert.finish, tuple(steps))
+    problems = verify_certificate(mutant)
+    with pytest.raises(StepViolation) as exc:
+        list(replay_states(mutant))
+    assert exc.value.index == 3
+    assert problems == [str(exc.value)]
 
 
 def test_hatted_cube_extra_thin_cell():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from complicial.anodyne import builtin_certificates, certificate_to_json
@@ -85,6 +86,17 @@ def test_verify_cert_roundtrip(tmp_path, capsys):
     assert json.loads(out)["pass"]
 
 
+def test_verify_cert_unknown_step_kind_is_parse_error(tmp_path, capsys):
+    data = certificate_to_json(builtin_certificates()[0])
+    data["steps"][0]["kind"] = "outer-horn"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(data))
+    code = main(["verify-cert", str(cert_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown step kind 'outer-horn'" in err
+
+
 def test_search_tower_cli(tmp_path, capsys):
     from complicial.shapes import big_C, big_H
     from complicial.stratified import set_to_json
@@ -109,6 +121,10 @@ def test_paper_suite_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert json.loads(out_file.read_text())["pass"]
+    # the seed-0 report is byte-stable across refactors
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "8aac1947a318e3828db3b5a8f94c32abdfd6b71de9072dc2970f2bab3fc3d593"
+    )
 
 
 def test_from_category_cli(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import pytest
 
+from complicial.anodyne import rlp_report
 from complicial.errors import IllFormedCategory, IllFormedFunctor, LawViolation
 from complicial.enriched import (
     EnrichedFunctor,
     FiniteCategory,
     cyclic_group_category,
+    degenerate_word,
     from_category,
     make_enriched,
     one_object_group_enriched,
@@ -15,12 +17,11 @@ from complicial.enriched import (
     walking_arrow,
     walking_iso,
 )
-from complicial.shapes import standard
+from complicial.shapes import complicial, horn, standard
 from complicial.stratified import (
     Simplex,
     StratifiedMap,
     empty_set,
-    validate_set,
 )
 
 
@@ -98,7 +99,7 @@ def test_from_category_walking_iso():
     N = from_category(walking_iso(), 4)
     assert N.count_nondegenerate() == {0: 2, 1: 2, 2: 2, 3: 2, 4: 2}
     assert all(c in N.thin for c in N.cells() if N.dims[c] >= 1)
-    assert validate_set(N) == []
+    assert N.validate() == []
 
 
 def test_from_category_rejects_bad_table():
@@ -137,43 +138,49 @@ def test_local_fibration_identity_passes():
     assert rep["pass"]
 
 
+def to_suspended_point(E):
+    """The functor from a suspension onto the suspension of the point."""
+    T = suspension(point_set())
+    hom_maps = {
+        key: StratifiedMap(
+            h, T.homs[key], {c: Simplex("*", degenerate_word(h.dims[c])) for c in h.cells()}
+        )
+        for key, h in E.homs.items()
+    }
+    return EnrichedFunctor(E, T, {"0": "0", "1": "1"}, hom_maps)
+
+
 def test_local_fibration_to_terminal_passes():
     E = suspension(from_category(walking_iso(), 3))
-    T = suspension(point_set())
-    hom_maps = {}
-    for key, h in E.homs.items():
-        target = T.homs[(key[0], key[1])]
-        hom_maps[key] = StratifiedMap(
-            h,
-            target,
-            {
-                c: Simplex("*", tuple(range(h.dims[c] - 1, -1, -1)))
-                for c in h.cells()
-            },
-        )
-    F = EnrichedFunctor(E, T, {"0": "0", "1": "1"}, hom_maps)
-    rep = local_fibration_check(F, 2)
+    rep = local_fibration_check(to_suspended_point(E), 2)
     assert rep["pass"]
 
 
 def test_local_fibration_catches_nonfibrant_corner():
-    E = suspension(standard(2))
-    T = suspension(point_set())
-    hom_maps = {}
-    for key, h in E.homs.items():
-        target = T.homs[(key[0], key[1])]
-        hom_maps[key] = StratifiedMap(
-            h,
-            target,
-            {
-                c: Simplex("*", tuple(range(h.dims[c] - 1, -1, -1)))
-                for c in h.cells()
-            },
-        )
-    F = EnrichedFunctor(E, T, {"0": "0", "1": "1"}, hom_maps)
-    rep = local_fibration_check(F, 2)
+    rep = local_fibration_check(to_suspended_point(suspension(standard(2))), 2)
     assert not rep["pass"]
     assert any(f["instance"] == "horn[2,1]" for f in rep["failures"])
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        standard(2),
+        horn(2, 1),
+        complicial(2, 1),
+        standard(3),
+        horn(3, 1),
+        from_category(walking_iso(), 2),
+    ],
+    ids=["delta2", "horn2-1", "complicial2-1", "delta3", "horn3-1", "iso-cap2"],
+)
+def test_relative_check_over_the_point_is_rlp_report(X):
+    # the absolute lifting property is the relative one over the terminal set
+    rep = rlp_report(X, X.dim_cap, "all")
+    rel = local_fibration_check(to_suspended_point(suspension(X)), X.dim_cap)
+    assert [f["instance"] for f in rel["failures"]] == [f["instance"] for f in rep.failures]
+    assert {f["hom"] for f in rel["failures"]} <= {("0", "1")}
+    assert rel["checked"] == sum(n for _, n in rep.checked)
 
 
 def test_ill_formed_functor_raises():
@@ -190,8 +197,6 @@ def test_cyclic_group_category_is_groupoid():
 
 
 def test_suspension_gray_iff_hom_passes():
-    from complicial.anodyne import rlp_report
-
     for X in (standard(1), standard(2), from_category(walking_iso(), 3)):
         E = suspension(X)
         hom_ok = rlp_report(X, min(2, X.dim_cap), mode="all").ok

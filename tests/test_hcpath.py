@@ -26,7 +26,6 @@ from complicial.hcpath import (
     top_special_arrow,
 )
 from complicial.shapes import cube
-from complicial.stratified import validate_set
 
 
 def all_arrows(n, max_dim=3):
@@ -49,7 +48,7 @@ def test_hom_set_is_cube_one_down():
     H = hom_set(0, 3)
     assert H.count_nondegenerate() == cube(2).count_nondegenerate()
     assert sum(H.count_nondegenerate().values()) == 11
-    assert validate_set(H) == []
+    assert H.validate() == []
 
 
 def test_hom_set_bad_interval():

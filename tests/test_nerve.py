@@ -25,7 +25,7 @@ from complicial.nerve import (
 )
 from complicial.operators import MINUS
 from complicial.shapes import standard
-from complicial.stratified import Simplex, validate_set
+from complicial.stratified import Simplex
 
 
 def test_counts_susp_point():
@@ -119,7 +119,7 @@ def test_group_identity_edge_thin_by_witness():
 def test_build_nerve_of_susp_point_is_interval():
     N = build_nerve(suspension(point_set()), 3)
     assert N.count_nondegenerate() == {0: 2, 1: 1}
-    assert validate_set(N) == []
+    assert N.validate() == []
     D1 = standard(1)
     assert N.count_nondegenerate() == D1.count_nondegenerate()
     edge = N.cells_of_dim(1)[0]
@@ -131,7 +131,7 @@ def test_build_nerve_of_susp_point_is_interval():
 def test_build_nerve_validates():
     for E in (suspension(standard(1)), one_object_group_enriched(2, 3)):
         N = build_nerve(E, 3)
-        assert validate_set(N) == []
+        assert N.validate() == []
 
 
 def test_classify_complicial_maximal_target():
@@ -248,7 +248,7 @@ def test_build_nerve_interval_every_cap():
     for D in (1, 2, 3):
         N = build_nerve(E, D)
         assert N.count_nondegenerate() == {0: 2, 1: 1}
-        assert validate_set(N) == []
+        assert N.validate() == []
 
 
 def test_nerve_hom_tables_are_stratified_maps():

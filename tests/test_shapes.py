@@ -28,7 +28,7 @@ from complicial.shapes import (
     standard_thin,
     vertex_chain,
 )
-from complicial.stratified import is_subset_kind, validate_set
+from complicial.stratified import is_subset_kind
 
 
 def test_standard_census():
@@ -67,7 +67,7 @@ def test_complicial_primed_variants():
 def test_horn_census():
     X = horn(2, 1)
     assert set(X.dims) == {"0", "1", "2", "0.1", "1.2"}
-    assert validate_set(X) == []
+    assert X.validate() == []
 
 
 def test_complicial_out_of_range():
@@ -107,7 +107,7 @@ def test_cube_diagonal_edge_plain():
 
 def test_cube_validates():
     for n in range(4):
-        assert validate_set(cube(n)) == []
+        assert cube(n).validate() == []
 
 
 def test_classify_examples():

@@ -16,12 +16,11 @@ from complicial.stratified import (
     set_to_json,
     subset_to_set,
     union_regular,
-    validate_set,
 )
 
 
 def test_validate_standard_passes():
-    assert validate_set(standard(2)) == []
+    assert standard(2).validate() == []
 
 
 def test_validate_catches_swapped_face():
@@ -166,13 +165,13 @@ def test_subset_kinds():
 
 def test_gray_product_unit():
     X = standard(2)
-    P = gray_product(standard(0), X)
+    P, _ = gray_product(standard(0), X)
     assert P.count_nondegenerate() == X.count_nondegenerate()
-    assert validate_set(P) == []
+    assert P.validate() == []
 
 
 def test_gray_product_square_census():
-    P = gray_product(standard(1), standard(1))
+    P, _ = gray_product(standard(1), standard(1))
     assert P.count_nondegenerate() == {0: 4, 1: 5, 2: 2}
     # no edge has both components thin, so none of the five is thin; the two
     # nondegenerate 2-cells pair degenerate components and are thin
@@ -182,7 +181,7 @@ def test_gray_product_square_census():
 
 def test_gray_product_thin_rule():
     T = standard_thin(1)
-    P = gray_product(T, T)
+    P, _ = gray_product(T, T)
     # every positive-dimensional pair has both components thin or degenerate
     for c in P.cells():
         if P.dims[c] >= 1:
@@ -190,8 +189,8 @@ def test_gray_product_thin_rule():
 
 
 def test_gray_product_validates():
-    P = gray_product(standard(1), standard(2))
-    assert validate_set(P) == []
+    P, _ = gray_product(standard(1), standard(2))
+    assert P.validate() == []
 
 
 def test_enumerate_maps_from_point():
@@ -247,4 +246,4 @@ def test_subset_to_set_keeps_ids():
     h = regular_generated(X, ["0.1"])
     Y = subset_to_set(h)
     assert set(Y.dims) == {"0", "1", "0.1"}
-    assert validate_set(Y) == []
+    assert Y.validate() == []
