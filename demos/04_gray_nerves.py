@@ -6,8 +6,6 @@ the stratified nerves, and runs the inner lifting report that realises the
 main theorem at this scale.  Ends with the faithfulness probe.
 """
 
-import time
-
 from complicial import rlp_report, standard
 from complicial.enriched import (
     from_category,
@@ -34,7 +32,6 @@ for name, E in examples:
 print()
 print("== nerves and the main theorem at desk scale ==")
 for name, E in examples:
-    started = time.time()
     N = build_nerve(E, 3)
     rep = rlp_report(N, 3, mode="inner")
     thin_census = {
@@ -43,8 +40,7 @@ for name, E in examples:
     }
     print(f"{name}:")
     print(f"  census {N.count_nondegenerate()}, thin {thin_census}")
-    print(f"  inner lifting report: {'PASS' if rep.ok else 'FAIL'}"
-          f" in {time.time() - started:.1f}s")
+    print(f"  inner lifting report: {'PASS' if rep.ok else 'FAIL'}")
 
 print()
 print("== faithfulness probe ==")

@@ -26,6 +26,12 @@ from .stratified import (
     FiniteStratifiedSet,
     Simplex,
     SubsetHandle,
+    json_field,
+    set_from_json,
+    set_to_json,
+    simplex_to_json,
+    subset_from_json,
+    subset_to_json,
 )
 
 # -- lifting reports ---------------------------------------------------------
@@ -183,22 +189,10 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
             count += 1
             if horn:
                 if next(_fillers(X, n, problem), None) is None:
-                    report.failures.append(
-                        {
-                            "instance": name,
-                            "faces": {
-                                str(j): {"cell": s.cell, "word": list(s.word)}
-                                for j, s in sorted(problem.items())
-                            },
-                        }
-                    )
+                    faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
+                    report.failures.append({"instance": name, "faces": faces})
             elif not X.is_thin(X.act(problem, delta(n, k))):
-                report.failures.append(
-                    {
-                        "instance": name,
-                        "simplex": {"cell": problem.cell, "word": list(problem.word)},
-                    }
-                )
+                report.failures.append({"instance": name, "simplex": simplex_to_json(problem)})
         report.checked.append((name, count))
     return report
 
@@ -561,18 +555,10 @@ def search_tower(
 
 
 def certificate_to_json(cert: AnodyneCertificate) -> dict:
-    from .stratified import set_to_json
-
     return {
         "ambient": set_to_json(cert.ambient),
-        "start": {
-            "members": sorted(cert.start.members),
-            "thin": sorted(cert.start.thin_members),
-        },
-        "finish": {
-            "members": sorted(cert.finish.members),
-            "thin": sorted(cert.finish.thin_members),
-        },
+        "start": subset_to_json(cert.start),
+        "finish": subset_to_json(cert.finish),
         "steps": [
             {"kind": s.kind, "n": s.n, "k": s.k, "attach": s.attach}
             for s in cert.steps
@@ -581,21 +567,29 @@ def certificate_to_json(cert: AnodyneCertificate) -> dict:
     }
 
 
-def certificate_from_json(data: dict) -> AnodyneCertificate:
-    from .stratified import set_from_json
+def tower_problem_from_json(data, path: str) -> tuple[SubsetHandle, SubsetHandle]:
+    """The start and finish subsets of {ambient, start, finish}, in one ambient set."""
+    Z = set_from_json(json_field(data, "ambient", dict, path), f"{path}.ambient")
+    start = subset_from_json(Z, json_field(data, "start", dict, path), f"{path}.start")
+    return start, subset_from_json(Z, json_field(data, "finish", dict, path), f"{path}.finish")
 
-    Z = set_from_json(data["ambient"])
-    kinds = {"horn": HornPushout, "thinness": ThinnessPushout, "thin-horn": ThinHornPushout}
-    for s in data["steps"]:
-        if s["kind"] not in kinds:
-            raise ParseError(f"unknown step kind {s['kind']!r}; choose from {sorted(kinds)}")
+
+_STEP_KINDS = {"horn": HornPushout, "thinness": ThinnessPushout, "thin-horn": ThinHornPushout}
+
+
+def _step_from_json(data, path: str) -> Step:
+    kind = json_field(data, "kind", str, path)
+    if kind not in _STEP_KINDS:
+        raise ParseError(f"{path}: unknown step kind {kind!r}; choose from {sorted(_STEP_KINDS)}")
+    n, k = json_field(data, "n", int, path), json_field(data, "k", int, path)
+    return _STEP_KINDS[kind](n, k, json_field(data, "attach", str, path))
+
+
+def certificate_from_json(data) -> AnodyneCertificate:
+    start, finish = tower_problem_from_json(data, "certificate")
     steps = tuple(
-        kinds[s["kind"]](s["n"], s["k"], s["attach"]) for s in data["steps"]
+        _step_from_json(s, f"certificate.steps[{i}]")
+        for i, s in enumerate(json_field(data, "steps", list, "certificate"))
     )
-    start = SubsetHandle(
-        Z, frozenset(data["start"]["members"]), frozenset(data["start"]["thin"])
-    )
-    finish = SubsetHandle(
-        Z, frozenset(data["finish"]["members"]), frozenset(data["finish"]["thin"])
-    )
-    return AnodyneCertificate(Z, start, finish, steps, data.get("note", ""))
+    note = json_field(data, "note", str, "certificate", "")
+    return AnodyneCertificate(start.ambient, start, finish, steps, note)

@@ -1,7 +1,9 @@
 """Batch front door: build shapes, run reports, verify certificates.
 
 Exit status is 0 on pass, 1 on a verification failure, and 2 on usage or
-parse errors.  All file I/O uses the JSON interchange format.
+parse errors.  Each JSON input is read once by the checked reader of its format
+(``set_from_json``, ``certificate_from_json``, ``tower_problem_from_json``, and
+the enriched and category readers below); malformed input exits 2.
 """
 
 from __future__ import annotations
@@ -9,72 +11,57 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 
+from . import shapes
 from .anodyne import (
     certificate_from_json,
     certificate_to_json,
     rlp_report,
     search_tower,
+    tower_problem_from_json,
     verify_certificate,
 )
 from .errors import BadParams, ComplicialError, ParseError, UnknownShape
 from .stratified import (
-    SubsetHandle,
+    json_field,
     set_from_json,
     set_to_json,
+    simplex_from_json,
+    simplex_to_json,
     subset_to_set,
 )
 
+# name -> (constructor, least n, least k or None when the shape takes no k); k <= n
 SHAPES = {
-    "delta",
-    "boundary",
-    "delta-thin",
-    "complicial",
-    "horn",
-    "cube",
-    "bigC",
-    "bigH",
-    "Cdot",
-    "Cddot",
+    "delta": (lambda n, k: shapes.standard(n), 0, None),
+    "boundary": (lambda n, k: shapes.boundary(n), 0, None),
+    "delta-thin": (lambda n, k: shapes.standard_thin(n), 1, None),
+    "complicial": (lambda n, k: shapes.complicial(n, k), 1, 0),
+    "horn": (lambda n, k: shapes.horn(n, k), 1, 0),
+    "cube": (lambda n, k: shapes.cube(n), 0, None),
+    "bigC": (lambda n, k: shapes.big_C(n, k), 2, 1),
+    "bigH": (lambda n, k: subset_to_set(shapes.big_H(n, k)), 2, 1),
+    "Cdot": (lambda n, k: shapes.C_dot(n, k), 2, 1),
+    "Cddot": (lambda n, k: shapes.C_ddot(n, k), 2, 1),
 }
 
 
-def _build_shape(name: str, n: int | None, k: int | None):
-    from . import shapes
-
+def _build_shape(name: str, n: int, k: int | None):
     if name not in SHAPES:
         raise UnknownShape(f"unknown shape {name!r}; choose from {sorted(SHAPES)}")
-    if n is None:
-        raise BadParams("--n is required")
-    needs_k = name in {"complicial", "horn", "bigC", "bigH", "Cdot", "Cddot"}
-    if needs_k and k is None:
-        raise BadParams(f"shape {name!r} needs --k")
-    if name == "delta":
-        return shapes.standard(n)
-    if name == "boundary":
-        return shapes.boundary(n)
-    if name == "delta-thin":
-        return shapes.standard_thin(n)
-    if name == "complicial":
-        return shapes.complicial(n, k)
-    if name == "horn":
-        return shapes.horn(n, k)
-    if name == "cube":
-        return shapes.cube(n)
-    if name == "bigC":
-        return shapes.big_C(n, k)
-    if name == "bigH":
-        return subset_to_set(shapes.big_H(n, k))
-    if name == "Cdot":
-        return shapes.C_dot(n, k)
-    return shapes.C_ddot(n, k)
+    build, least_n, least_k = SHAPES[name]
+    if n < least_n or (least_k is not None and (k is None or not least_k <= k <= n)):
+        ks = "" if least_k is None else f" and --k with {least_k} <= k <= n"
+        raise BadParams(f"shape {name!r} needs --n >= {least_n}{ks}")
+    return build(n, k)
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -87,25 +74,33 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _enriched_from_json(data: dict):
+def _enriched_from_json(data):
+    """An enriched category: a hom for every ordered pair of objects and a composition
+    table for every triple, keyed "a;b" and "a;b;c"; ParseError unless the laws hold."""
     from .enriched import make_enriched
-    from .stratified import Simplex, StratifiedMap, gray_product
+    from .errors import LawViolation
+    from .stratified import StratifiedMap, gray_product
 
-    homs = {
-        tuple(key.split(";")): set_from_json(val) for key, val in data["homs"].items()
-    }
-    comp = {}
-    for key, table in data["comp"].items():
-        a, b, c = key.split(";")
-        P, _ = gray_product(homs[(b, c)], homs[(a, b)], cap=data["dim_cap"])
-        assignment = {
-            cid: Simplex(entry["cell"], tuple(entry["word"]))
-            for cid, entry in table.items()
-        }
+    path = "enriched"
+    objects = json_field(data, "objects", [str], path)
+    ids = json_field(data, "identities", dict, path)
+    identities = {a: json_field(ids, a, str, f"{path}.identities") for a in objects}
+    cap = json_field(data, "dim_cap", int, path)
+    homs_json, homs = json_field(data, "homs", dict, path), {}
+    for a, b in product(objects, repeat=2):
+        hom = json_field(homs_json, f"{a};{b}", dict, f"{path}.homs")
+        homs[(a, b)] = set_from_json(hom, f"{path}.homs.{a};{b}")
+    comp_json, comp = json_field(data, "comp", dict, path), {}
+    for a, b, c in product(objects, repeat=3):
+        at = f"{path}.comp.{a};{b};{c}"
+        table = json_field(comp_json, f"{a};{b};{c}", dict, f"{path}.comp")
+        P, _ = gray_product(homs[(b, c)], homs[(a, b)], cap=cap)
+        assignment = {cid: simplex_from_json(s, f"{at}.{cid}") for cid, s in table.items()}
         comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
-    return make_enriched(
-        data["objects"], homs, data["identities"], comp, data["dim_cap"]
-    )
+    try:
+        return make_enriched(objects, homs, identities, comp, cap)
+    except LawViolation as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def enriched_to_json(E) -> dict:
@@ -115,76 +110,83 @@ def enriched_to_json(E) -> dict:
         "identities": dict(E.identities),
         "homs": {f"{a};{b}": set_to_json(h) for (a, b), h in E.homs.items()},
         "comp": {
-            f"{a};{b};{c}": {
-                cid: {"cell": s.cell, "word": list(s.word)}
-                for cid, s in cmap.assignment.items()
-            }
+            f"{a};{b};{c}": {cid: simplex_to_json(s) for cid, s in cmap.assignment.items()}
             for (a, b, c), cmap in E.comp.items()
         },
     }
 
 
+def _category_from_json(data):
+    """A finite category: arrows as name -> [source, target], an identity arrow
+    per object and composites keyed "g;f"; ParseError unless it is a category."""
+    from .enriched import FiniteCategory
+    from .errors import IllFormedCategory
+
+    path = "category"
+    objects = json_field(data, "objects", [str], path)
+    ids = json_field(data, "identities", dict, path)
+    identities = {a: json_field(ids, a, str, f"{path}.identities") for a in objects}
+    arrows_json = json_field(data, "arrows", dict, path)
+    arrows = {f: tuple(json_field(arrows_json, f, [str], f"{path}.arrows")) for f in arrows_json}
+    table_json, table = json_field(data, "table", dict, path), {}
+    for key in table_json:
+        if key.count(";") != 1:
+            raise ParseError(f"{path}.table.{key}: expected a key g;f")
+        table[tuple(key.split(";"))] = json_field(table_json, key, str, f"{path}.table")
+    cat = FiniteCategory(tuple(objects), arrows, identities, table)
+    try:
+        cat.validate()
+    except IllFormedCategory as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return cat
+
+
+# verb -> (help, positional argument, least --dmax or None for a verb without it)
+VERBS = {
+    "shape": ("emit a named stratified set", "name", None),
+    "check": ("lifting report on a stratified set", "input", 1),
+    "nerve": ("nerve of an enriched category", "input", 0),
+    "verify-cert": ("verify an anodyne certificate", "input", None),
+    "search-tower": ("search for a certificate", "input", None),
+    "paper-suite": ("run the verification bundle", None, None),
+    "sigma": ("suspension of a stratified set", "input", None),
+    "from-category": ("equivalence-stratified nerve", "input", 0),
+    "validate-gray": ("homwise lifting reports", "input", 1),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="complicial")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("shape", help="emit a named stratified set")
-    p.add_argument("name")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("check", help="lifting report on a stratified set")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--mode", choices=["inner", "all"], default="inner")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("nerve", help="nerve of an enriched category")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify-cert", help="verify an anodyne certificate")
-    p.add_argument("input")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("search-tower", help="search for a certificate")
-    p.add_argument("input")
-    p.add_argument("--budget", type=int, default=100)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("paper-suite", help="run the verification bundle")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("sigma", help="suspension of a stratified set")
-    p.add_argument("input")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("from-category", help="equivalence-stratified nerve")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("validate-gray", help="homwise lifting reports")
-    p.add_argument("input")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--out", default=None)
+    verbs = {}
+    for verb, (text, positional, least_dmax) in VERBS.items():
+        p = verbs[verb] = sub.add_parser(verb, help=text)
+        if positional:
+            p.add_argument(positional)
+        if least_dmax is not None:
+            p.add_argument("--dmax", type=int, required=True)
+        p.add_argument("--out", default=None)
+    verbs["shape"].add_argument("--n", type=int, required=True)
+    verbs["shape"].add_argument("--k", type=int)
+    verbs["check"].add_argument("--mode", choices=["inner", "all"], default="inner")
+    verbs["search-tower"].add_argument("--budget", type=int, default=100)
+    verbs["paper-suite"].add_argument("--seed", type=int, default=0)
 
     try:
         args = parser.parse_args(argv)
+        least_dmax = VERBS[args.verb][2]
+        if least_dmax is not None and args.dmax < least_dmax:
+            verbs[args.verb].error(f"--dmax must be at least {least_dmax}")
+        if getattr(args, "budget", 0) < 0:
+            verbs[args.verb].error("--budget must be at least 0")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     try:
         return _dispatch(args)
-    except (ParseError, UnknownShape, BadParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ComplicialError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, UnknownShape, BadParams)) else 1
 
 
 def _dispatch(args) -> int:
@@ -222,16 +224,7 @@ def _dispatch(args) -> int:
         return 0 if not problems else 1
 
     if args.verb == "search-tower":
-        data = _load_json(args.input)
-        from .stratified import set_from_json as loads
-
-        Z = loads(data["ambient"])
-        start = SubsetHandle(
-            Z, frozenset(data["start"]["members"]), frozenset(data["start"]["thin"])
-        )
-        finish = SubsetHandle(
-            Z, frozenset(data["finish"]["members"]), frozenset(data["finish"]["thin"])
-        )
+        start, finish = tower_problem_from_json(_load_json(args.input), "problem")
         cert = search_tower(start, finish, args.budget)
         if cert is None:
             _write_json(args.out, {"found": False})
@@ -260,15 +253,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "from-category":
-        from .enriched import FiniteCategory, from_category
+        from .enriched import from_category
 
-        data = _load_json(args.input)
-        cat = FiniteCategory(
-            objects=tuple(data["objects"]),
-            arrows={k: tuple(v) for k, v in data["arrows"].items()},
-            identities=data["identities"],
-            table={tuple(k.split(";")): v for k, v in data["table"].items()},
-        )
+        cat = _category_from_json(_load_json(args.input))
         _write_json(args.out, set_to_json(from_category(cat, args.dmax)))
         return 0
 

@@ -19,6 +19,7 @@ from .stratified import (
     FiniteStratifiedSet,
     Simplex,
     StratifiedMap,
+    empty_set,
     gray_product,
     product_pair_simplex,
 )
@@ -26,10 +27,6 @@ from .stratified import (
 
 def point_set() -> FiniteStratifiedSet:
     return FiniteStratifiedSet(0, {"*": 0}, {})
-
-
-def empty_hom() -> FiniteStratifiedSet:
-    return FiniteStratifiedSet(0, {}, {})
 
 
 def degenerate_word(m: int) -> tuple[int, ...]:
@@ -108,13 +105,13 @@ def _check_units(E: EnrichedCategory) -> None:
 def _check_associativity(E: EnrichedCategory) -> None:
     for a in E.objects:
         for b in E.objects:
-            if not E.homs.get((a, b), empty_hom()).dims:
+            if not E.homs.get((a, b), empty_set()).dims:
                 continue
             for c in E.objects:
-                if not E.homs.get((b, c), empty_hom()).dims:
+                if not E.homs.get((b, c), empty_set()).dims:
                     continue
                 for d in E.objects:
-                    if not E.homs.get((c, d), empty_hom()).dims:
+                    if not E.homs.get((c, d), empty_set()).dims:
                         continue
                     for m in range(E.dim_cap + 1):
                         for z3 in E.hom(c, d).simplices_of_dim(m):
@@ -168,7 +165,7 @@ def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
         ("0", "0"): pt,
         ("1", "1"): pt,
         ("0", "1"): X,
-        ("1", "0"): empty_hom(),
+        ("1", "0"): empty_set(),
     }
     identities = {"0": "*", "1": "*"}
     comp = {}
@@ -199,10 +196,15 @@ class FiniteCategory:
     table: Mapping[tuple[str, str], str]  # (g, f) -> g after f
 
     def validate(self) -> None:
-        for obj, e in self.identities.items():
-            if self.arrows.get(e, (None, None)) != (obj, obj):
+        for f, ends in self.arrows.items():
+            if len(ends) != 2 or not set(ends) <= set(self.objects):
+                raise IllFormedCategory(f"arrow {f} does not run between declared objects")
+        for obj in self.objects:
+            if self.arrows.get(self.identities.get(obj), (None, None)) != (obj, obj):
                 raise IllFormedCategory(f"identity of {obj!r} ill-typed")
         for (g, f), h in self.table.items():
+            if not {g, f, h} <= self.arrows.keys():
+                raise IllFormedCategory(f"composite {g} . {f} names an undeclared arrow")
             fs, ft = self.arrows[f]
             gs, gt = self.arrows[g]
             hs, ht = self.arrows[h]
@@ -212,7 +214,7 @@ class FiniteCategory:
             for g, (gs, gt) in self.arrows.items():
                 if ft == gs and (g, f) not in self.table:
                     raise IllFormedCategory(f"missing composite {g} . {f}")
-            if self.table[(f, self.identities[fs])] != f:
+            if self.table.get((f, self.identities[fs])) != f:
                 raise IllFormedCategory(f"right unit fails at {f}")
             if self.table[(self.identities[ft], f)] != f:
                 raise IllFormedCategory(f"left unit fails at {f}")

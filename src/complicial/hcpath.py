@@ -211,20 +211,3 @@ def top_special_arrow(r: int, s: int) -> PathArrow:
     n = s - r
     w = tuple(n - p for p in range(1, n)) + (MINUS,)
     return PathArrow(r, s, n - 1, w)
-
-
-def arrow_to_json(a: PathArrow) -> dict:
-    return {
-        "r": a.r,
-        "s": a.s,
-        "m": a.m,
-        "w": {str(i): a.value(i) for i in range(a.r + 1, a.s + 1)},
-    }
-
-
-def arrow_from_json(data: dict) -> PathArrow:
-    w = []
-    for i in range(data["r"] + 1, data["s"] + 1):
-        v = data["w"][str(i)]
-        w.append(v if v in (MINUS, PLUS) else int(v))
-    return PathArrow(data["r"], data["s"], data["m"], tuple(w))

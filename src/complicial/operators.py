@@ -43,10 +43,6 @@ class Operator:
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
 
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.values) == set(range(self.m + 1))
-
     def image(self) -> frozenset[int]:
         return frozenset(self.values)
 
@@ -198,11 +194,3 @@ def surjection_words(q: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(sorted(flat, reverse=True)) for flat in combinations(range(q), q - d)
     )
-
-
-def operator_to_json(op: Operator) -> dict:
-    return {"n": op.n, "m": op.m, "values": list(op.values)}
-
-
-def operator_from_json(data: dict) -> Operator:
-    return make_operator(data["n"], data["m"], data["values"])

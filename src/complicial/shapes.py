@@ -177,13 +177,6 @@ class CubeFunction:
             raise OutOfRange(f"position {i} outside ({self.lower},{self.upper}]")
         return self.w[i - self.lower - 1]
 
-    def integer_positions(self) -> dict[int, list[int]]:
-        pos: dict[int, list[int]] = {}
-        for i, v in enumerate(self.w, start=self.lower + 1):
-            if v not in (MINUS, PLUS):
-                pos.setdefault(v, []).append(i)
-        return pos
-
 
 def cube_cell_id(w: tuple[CubeCoordinate, ...]) -> str:
     return ",".join(str(v) for v in w)

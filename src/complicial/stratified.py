@@ -17,6 +17,7 @@ from .errors import (
     AmbientMismatch,
     CapExceeded,
     DimensionMismatch,
+    ParseError,
     UnknownCell,
     ZeroDimensional,
 )
@@ -83,6 +84,12 @@ class FiniteStratifiedSet:
     def simplex_dim(self, s: Simplex) -> int:
         return self.dim(s.cell) + len(s.word)
 
+    def is_simplex(self, s: Simplex, q: int) -> bool:
+        """Whether s is a q-simplex in normal form: its word is in surjection_words."""
+        d, w = self.dims.get(s.cell), s.word
+        chain = zip((q,) + w, w + (-1,))  # q > w[0] > w[1] > ... > w[-1] >= 0
+        return d is not None and len(w) == q - d and all(a > b for a, b in chain)
+
     def is_thin(self, s: Simplex) -> bool:
         """Thin as a simplex: degenerate, or a flagged cell."""
         return s.is_degenerate or s.cell in self.thin
@@ -125,9 +132,6 @@ class FiniteStratifiedSet:
         self._act_cache[key] = out
         return out
 
-    def face(self, cell: str, j: int) -> Simplex:
-        return self.faces[cell][j]
-
     # -- validation -----------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -138,19 +142,16 @@ class FiniteStratifiedSet:
                 problems.append(f"cell {c}: negative dimension")
             if d > self.dim_cap:
                 problems.append(f"cell {c}: dimension {d} exceeds cap {self.dim_cap}")
-            if d == 0:
-                if c in self.faces and self.faces[c]:
-                    problems.append(f"cell {c}: 0-cell with face entries")
-                continue
-            fs = self.faces.get(c)
-            if fs is None or len(fs) != d + 1:
-                problems.append(f"cell {c}: expected {d + 1} faces")
+            fs = self.faces.get(c, ())
+            want = d + 1 if d >= 1 else 0
+            if len(fs) != want:
+                problems.append(f"cell {c}: expected {want} faces, got {len(fs)}")
                 continue
             for j, s in enumerate(fs):
                 if s.cell not in self.dims:
                     problems.append(f"cell {c}: face {j} names unknown cell {s.cell}")
-                elif self.simplex_dim(s) != d - 1:
-                    problems.append(f"cell {c}: face {j} has wrong dimension")
+                elif not self.is_simplex(s, d - 1):
+                    problems.append(f"cell {c}: face {j} is not a {d - 1}-simplex in normal form")
         if problems:
             return problems
         for c in self.thin:
@@ -192,15 +193,15 @@ class StratifiedMap:
         return self.target.act(img, word_operator(q, s.word))
 
     def validate(self) -> list[str]:
-        problems = []
+        problems = [
+            f"image of {c} is missing or not a {d}-simplex of the target"
+            for c, d in self.source.dims.items()
+            if c not in self.assignment or not self.target.is_simplex(self.assignment[c], d)
+        ]
+        if problems:
+            return problems
         for c, d in self.source.dims.items():
-            img = self.assignment.get(c)
-            if img is None:
-                problems.append(f"no image for cell {c}")
-                continue
-            if self.target.simplex_dim(img) != d:
-                problems.append(f"image of {c} has wrong dimension")
-                continue
+            img = self.assignment[c]
             if c in self.source.thin and not self.target.is_thin(img):
                 problems.append(f"thin cell {c} maps to non-thin simplex")
             for j in range(d + 1) if d >= 1 else ():
@@ -407,6 +408,38 @@ def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[Strat
 
 # -- JSON interchange ------------------------------------------------------
 
+_KIND_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"}
+
+
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_kind(v, kind[0]) for v in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def json_field(data, key: str, kind, path: str, default=None):
+    """data[key] of loaded JSON, checked to be of kind (int, str, bool, list, dict, [int]
+    or [str]); a missing key yields default unless that is None.  ParseError names the
+    path, as in ``set.cells[6].faces[0].word: expected a list of int``."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected an object")
+    value = data.get(key, default)
+    if value is None:
+        raise ParseError(f"{path}.{key}: missing or null")
+    if not _has_kind(value, kind):
+        name = f"a list of {kind[0].__name__}" if isinstance(kind, list) else _KIND_NAMES[kind]
+        raise ParseError(f"{path}.{key}: expected {name}")
+    return value
+
+
+def simplex_to_json(s: Simplex) -> dict:
+    return {"cell": s.cell, "word": list(s.word)}
+
+
+def simplex_from_json(data, path: str) -> Simplex:
+    word = json_field(data, "word", [int], path)
+    return Simplex(json_field(data, "cell", str, path), tuple(word))
+
 
 def set_to_json(X: FiniteStratifiedSet) -> dict:
     cells = []
@@ -416,25 +449,45 @@ def set_to_json(X: FiniteStratifiedSet) -> dict:
             "id": c,
             "dim": d,
             "thin": c in X.thin,
-            "faces": [
-                {"cell": s.cell, "word": list(s.word)} for s in (X.faces[c] if d >= 1 else ())
-            ],
+            "faces": [simplex_to_json(s) for s in (X.faces[c] if d >= 1 else ())],
         }
         cells.append(entry)
     return {"dim_cap": X.dim_cap, "cells": cells}
 
 
-def set_from_json(data: dict) -> FiniteStratifiedSet:
+def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:
+    """The stratified set a JSON document describes; ParseError unless it is valid."""
+    dim_cap = json_field(data, "dim_cap", int, path)
     dims = {}
     faces = {}
     thin = []
-    for entry in data["cells"]:
-        cid = entry["id"]
-        dims[cid] = entry["dim"]
-        if entry["dim"] >= 1:
-            faces[cid] = tuple(
-                Simplex(f["cell"], tuple(f["word"])) for f in entry["faces"]
-            )
-        if entry.get("thin"):
+    for i, entry in enumerate(json_field(data, "cells", list, path)):
+        at = f"{path}.cells[{i}]"
+        cid = json_field(entry, "id", str, at)
+        if cid in dims:
+            raise ParseError(f"{at}.id: duplicate cell id {cid!r}")
+        dims[cid] = json_field(entry, "dim", int, at)
+        fs = json_field(entry, "faces", list, at, [])
+        if fs:
+            faces[cid] = tuple(simplex_from_json(f, f"{at}.faces[{j}]") for j, f in enumerate(fs))
+        if json_field(entry, "thin", bool, at, False):
             thin.append(cid)
-    return FiniteStratifiedSet(data["dim_cap"], dims, faces, thin)
+    X = FiniteStratifiedSet(dim_cap, dims, faces, thin)
+    problems = X.validate()
+    if problems:
+        raise ParseError(f"{path}: {problems[0]}")
+    return X
+
+
+def subset_to_json(h: SubsetHandle) -> dict:
+    return {"members": sorted(h.members), "thin": sorted(h.thin_members)}
+
+
+def subset_from_json(X: FiniteStratifiedSet, data, path: str) -> SubsetHandle:
+    """A subset of X given by its member and thin cell ids."""
+    members = frozenset(json_field(data, "members", [str], path))
+    thin = frozenset(json_field(data, "thin", [str], path))
+    unknown = sorted((members | thin) - X.dims.keys())
+    if unknown:
+        raise ParseError(f"{path}: unknown cell {unknown[0]!r}")
+    return SubsetHandle(X, members, thin)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 
+import pytest
+
 from complicial.anodyne import builtin_certificates, certificate_to_json
 from complicial.cli import enriched_to_json, main
 from complicial.enriched import point_set, suspension
-from complicial.stratified import set_from_json
+from complicial.shapes import big_C, big_H, standard
+from complicial.stratified import set_from_json, set_to_json, subset_to_json
 
 
 def run(argv, capsys):
@@ -48,7 +51,7 @@ def test_shape_missing_param(capsys):
 def test_check_point_passes(tmp_path, capsys):
     shape_file = tmp_path / "pt.json"
     run(["shape", "delta", "--n", "0", "--out", str(shape_file)], capsys)
-    code, out = run(["check", str(shape_file), "--dmax", "0", "--mode", "all"], capsys)
+    code, out = run(["check", str(shape_file), "--dmax", "1", "--mode", "all"], capsys)
     assert code == 0
     assert json.loads(out)["pass"]
 
@@ -159,3 +162,171 @@ def test_sigma_cli(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert set(data["objects"]) == {"0", "1"}
+
+
+# -- malformed input exits 2 and names the offending field -------------------
+
+WALKING_ARROW = {
+    "objects": ["x", "y"],
+    "arrows": {"ix": ["x", "x"], "iy": ["y", "y"], "f": ["x", "y"]},
+    "identities": {"x": "ix", "y": "iy"},
+    "table": {"ix;ix": "ix", "iy;iy": "iy", "f;ix": "f", "iy;f": "f"},
+}
+
+
+def delta2(cell=None, **fields):
+    """The standard 2-simplex as JSON, with the given fields of cells[cell] replaced.
+
+    Its cells are the vertices 0, 1, 2, the edges 0.1, 0.2, 1.2 and the 2-cell 0.1.2.
+    """
+    doc = set_to_json(standard(2))
+    if cell is not None:
+        doc["cells"][cell].update(fields)
+    return doc
+
+
+def edge_faces(word):
+    """Faces of the edge 0.1 (cells[3]) whose d_0 carries the given word."""
+    return [{"cell": "1", "word": word}, {"cell": "0", "word": []}]
+
+
+def tower_problem():
+    X, h = big_C(2, 1), big_H(2, 1)
+    finish = {"members": sorted(X.dims), "thin": sorted(X.thin)}
+    return {"ambient": set_to_json(X), "start": subset_to_json(h), "finish": finish}
+
+
+def without(doc, *path):
+    """doc with the key at the end of path removed."""
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return doc
+
+
+def suspended_point():
+    return enriched_to_json(suspension(point_set()))
+
+
+def with_duplicate_cell():
+    doc = delta2()
+    doc["cells"].append(dict(doc["cells"][0]))
+    return doc
+
+
+def walking_arrow_json():
+    return json.loads(json.dumps(WALKING_ARROW))
+
+
+def without_right_unit():
+    """The walking arrow without f . ix, with f listed before the identities."""
+    doc = walking_arrow_json()
+    doc["arrows"] = {"f": ["x", "y"], "ix": ["x", "x"], "iy": ["y", "y"]}
+    return without(doc, "table", "f;ix")
+
+
+def with_unknown_composite():
+    doc = walking_arrow_json()
+    doc["table"]["g;f"] = "f"
+    return doc
+
+
+CHECK = ["check", "--dmax", "2"]
+MALFORMED = {
+    "check-one-face": (
+        CHECK, delta2(6, faces=[{"cell": "1.2", "word": []}]), "cell 0.1.2: expected 3 faces, got 1"
+    ),
+    "check-no-dim-cap": (CHECK, without(delta2(), "dim_cap"), "set.dim_cap: missing"),
+    "check-top-level-list": (CHECK, [delta2()], "set: expected an object"),
+    "check-duplicate-id": (CHECK, with_duplicate_cell(), "set.cells[7].id: duplicate cell id '0'"),
+    "check-dim-not-int": (CHECK, delta2(0, dim="x"), "set.cells[0].dim: expected an int"),
+    "check-face-unknown-cell": (
+        CHECK,
+        delta2(3, faces=[{"cell": "9", "word": []}, {"cell": "0", "word": []}]),
+        "cell 0.1: face 0 names unknown cell 9",
+    ),
+    "check-face-word-out-of-range": (
+        CHECK,
+        delta2(3, faces=edge_faces([5])),
+        "cell 0.1: face 0 is not a 0-simplex in normal form",
+    ),
+    "check-face-word-not-int": (
+        CHECK,
+        delta2(3, faces=edge_faces(["a"])),
+        "set.cells[3].faces[0].word: expected a list of int",
+    ),
+    "verify-cert-start-without-thin": (
+        ["verify-cert"],
+        without(certificate_to_json(builtin_certificates()[0]), "start", "thin"),
+        "certificate.start.thin: missing",
+    ),
+    "search-tower-start-without-thin": (
+        ["search-tower"], without(tower_problem(), "start", "thin"), "problem.start.thin: missing"
+    ),
+    "from-category-unknown-arrow": (
+        ["from-category", "--dmax", "2"],
+        with_unknown_composite(),
+        "category: composite g . f names an undeclared arrow",
+    ),
+    "from-category-missing-right-unit": (
+        ["from-category", "--dmax", "2"],
+        without_right_unit(),
+        "category: right unit fails at f",
+    ),
+    "nerve-missing-composite-image": (
+        ["nerve", "--dmax", "2"],
+        without(enriched_to_json(suspension(standard(1))), "comp", "0;0;1", "(0|)(*|)"),
+        "image of (0|)(*|) is missing or not a 0-simplex of the target",
+    ),
+    "nerve-missing-comp-triple": (
+        ["nerve", "--dmax", "2"],
+        without(suspended_point(), "comp", "0;1;1"),
+        "enriched.comp.0;1;1: missing",
+    ),
+    "nerve-missing-hom-pair": (
+        ["nerve", "--dmax", "2"],
+        without(suspended_point(), "homs", "1;0"),
+        "enriched.homs.1;0: missing",
+    ),
+    "sigma-top-level-list": (["sigma"], [delta2()], "set: expected an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_parse_error(case, tmp_path, capsys):
+    args, doc, message = MALFORMED[case]
+    in_file = tmp_path / "in.json"
+    in_file.write_text(json.dumps(doc))
+    code = main([args[0], str(in_file), *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "Traceback" not in captured.err and '"pass": true' not in captured.out
+
+
+USAGE_ERRORS = {
+    "shape-delta-negative-n": (["shape", "delta", "--n", "-1"], None),
+    "shape-delta-thin-point": (["shape", "delta-thin", "--n", "0"], None),
+    "shape-horn-k-above-n": (["shape", "horn", "--n", "2", "--k", "5"], None),
+    "shape-bigC-small-n": (["shape", "bigC", "--n", "1", "--k", "1"], None),
+    "check-dmax-0": (["check", "--dmax", "0"], delta2()),
+    "validate-gray-dmax-0": (["validate-gray", "--dmax", "0"], suspended_point()),
+    "nerve-dmax-negative": (["nerve", "--dmax", "-1"], suspended_point()),
+    "from-category-dmax-negative": (["from-category", "--dmax", "-1"], WALKING_ARROW),
+    "search-tower-budget-negative": (["search-tower", "--budget", "-1"], tower_problem()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_out_of_range_argument_is_usage_error(case, tmp_path, capsys):
+    args, doc = USAGE_ERRORS[case]
+    if doc is not None:
+        in_file = tmp_path / "in.json"
+        in_file.write_text(json.dumps(doc))
+        args = [args[0], str(in_file), *args[1:]]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err

@@ -221,13 +221,6 @@ def test_indecomposability():
     assert not is_indecomposable(PathArrow(0, 2, 0, (MINUS, MINUS)))
 
 
-def test_arrow_json_round_trip():
-    from complicial.hcpath import arrow_from_json, arrow_to_json
-
-    for a in all_arrows(3):
-        assert arrow_from_json(arrow_to_json(a)) == a
-
-
 def test_compose_associative():
     a = PathArrow(0, 2, 1, (1, MINUS))
     b = PathArrow(2, 3, 1, (MINUS,))

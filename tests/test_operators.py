@@ -188,12 +188,3 @@ def test_admissible_monotone_in_image():
                         m + 1, n, tuple(sorted(alpha.values + (extra,)))
                     )
                     assert is_admissible(bigger, k)
-
-
-def test_operator_json_round_trip():
-    from complicial.operators import operator_from_json, operator_to_json
-
-    for n in range(-1, 4):
-        for m in range(4):
-            for op in all_operators(n, m):
-                assert operator_from_json(operator_to_json(op)) == op
