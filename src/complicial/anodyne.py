@@ -1,9 +1,9 @@
 """Lifting reports and certified anodyne towers.
 
 One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
-instance with its lifting problems, and one filler search, ``_fillers``,
-yields the thin n-simplices with given faces.  ``rlp_report`` and the
-relative ``enriched.local_fibration_check`` both consume these two.
+instance with its lifting problems; ``rlp_report`` and the relative
+``enriched.local_fibration_check`` both consume it, and look for thin
+fillers through ``FiniteStratifiedSet.fillers``.
 
 One replayer, ``_apply_step``, checks an elementary-anodyne pushout step
 against the pair (members, thin flags) inside a fixed ambient set and
@@ -152,13 +152,6 @@ def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simpl
         yield z
 
 
-def _fillers(X: FiniteStratifiedSet, n: int, faces: dict[int, Simplex]) -> Iterator[Simplex]:
-    """The thin n-simplices of X whose jth face is faces[j] for every given j."""
-    for z in X.simplices_of_dim(n):
-        if X.is_thin(z) and all(X.act(z, delta(n, j)) == s for j, s in faces.items()):
-            yield z
-
-
 def _instances(X: FiniteStratifiedSet, dmax: int, mode: str) -> Iterator[tuple]:
     """Every lifting instance up to dmax as (name, n, k, problems), in report order.
 
@@ -188,7 +181,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
         for problem in problems:
             count += 1
             if horn:
-                if next(_fillers(X, n, problem), None) is None:
+                if next(X.fillers(n, problem, True), None) is None:
                     faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
                     report.failures.append({"instance": name, "faces": faces})
             elif not X.is_thin(X.act(problem, delta(n, k))):

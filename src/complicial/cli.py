@@ -51,6 +51,8 @@ def _build_shape(name: str, n: int, k: int | None):
     if name not in SHAPES:
         raise UnknownShape(f"unknown shape {name!r}; choose from {sorted(SHAPES)}")
     build, least_n, least_k = SHAPES[name]
+    if least_k is None and k is not None:
+        raise BadParams(f"shape {name!r} takes no --k")
     if n < least_n or (least_k is not None and (k is None or not least_k <= k <= n)):
         ks = "" if least_k is None else f" and --k with {least_k} <= k <= n"
         raise BadParams(f"shape {name!r} needs --n >= {least_n}{ks}")
@@ -74,6 +76,15 @@ def _write_json(path: str | None, payload: dict) -> None:
             fh.write(text + "\n")
 
 
+def _distinct(objects: list[str], path: str) -> list[str]:
+    seen = set()
+    for i, a in enumerate(objects):
+        if a in seen:
+            raise ParseError(f"{path}[{i}]: duplicate object {a!r}")
+        seen.add(a)
+    return objects
+
+
 def _enriched_from_json(data):
     """An enriched category: a hom for every ordered pair of objects and a composition
     table for every triple, keyed "a;b" and "a;b;c"; ParseError unless the laws hold."""
@@ -82,7 +93,10 @@ def _enriched_from_json(data):
     from .stratified import StratifiedMap, gray_product
 
     path = "enriched"
-    objects = json_field(data, "objects", [str], path)
+    objects = _distinct(json_field(data, "objects", [str], path), f"{path}.objects")
+    for i, a in enumerate(objects):
+        if ";" in a:
+            raise ParseError(f"{path}.objects[{i}]: object {a!r} contains the key separator ';'")
     ids = json_field(data, "identities", dict, path)
     identities = {a: json_field(ids, a, str, f"{path}.identities") for a in objects}
     cap = json_field(data, "dim_cap", int, path)
@@ -104,6 +118,9 @@ def _enriched_from_json(data):
 
 
 def enriched_to_json(E) -> dict:
+    """The JSON form _enriched_from_json reads; BadParams if an object name holds ';'."""
+    if any(";" in a for a in E.objects):
+        raise BadParams("an object name contains the key separator ';'")
     return {
         "objects": list(E.objects),
         "dim_cap": E.dim_cap,
@@ -123,7 +140,7 @@ def _category_from_json(data):
     from .errors import IllFormedCategory
 
     path = "category"
-    objects = json_field(data, "objects", [str], path)
+    objects = _distinct(json_field(data, "objects", [str], path), f"{path}.objects")
     ids = json_field(data, "identities", dict, path)
     identities = {a: json_field(ids, a, str, f"{path}.identities") for a in objects}
     arrows_json = json_field(data, "arrows", dict, path)

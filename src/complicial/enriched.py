@@ -58,7 +58,7 @@ class EnrichedCategory:
     def compose(self, a: str, b: str, c: str, z_bc: Simplex, z_ab: Simplex) -> Simplex:
         """Image of the pair under the composition map hom(b,c) (*) hom(a,b)."""
         cmap = self.comp[(a, b, c)]
-        pair = product_pair_simplex(self.hom(b, c), self.hom(a, b), z_bc, z_ab)
+        pair = product_pair_simplex(z_bc, z_ab)
         if pair.cell not in cmap.assignment:
             raise CapExceeded(
                 f"composition at {(a, b, c)} undefined beyond the dimension cap"
@@ -446,7 +446,7 @@ def local_fibration_check(F: EnrichedFunctor, dmax: int) -> dict:
     Each filler of p(u) in the target is one check, passed by a filler of u
     mapping onto it; a thinness problem z is checked when p(z) has a thin k-face.
     """
-    from .anodyne import _fillers, _instances
+    from .anodyne import _instances
 
     problems = F.validate()
     if problems:
@@ -462,9 +462,9 @@ def local_fibration_check(F: EnrichedFunctor, dmax: int) -> dict:
             horn = name.startswith("horn")
             for u in lifting_problems:
                 if horn:
-                    for zy in _fillers(Y, n, {j: p(s) for j, s in u.items()}):
+                    for zy in Y.fillers(n, {j: p(s) for j, s in u.items()}, True):
                         checked += 1
-                        if not any(p(zx) == zy for zx in _fillers(X, n, u)):
+                        if not any(p(zx) == zy for zx in X.fillers(n, u, True)):
                             failures.append({"hom": (a, b), "instance": name})
                 elif Y.is_thin(Y.act(p(u), delta(n, k))):
                     checked += 1

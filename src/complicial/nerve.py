@@ -22,10 +22,7 @@ from .errors import OutOfRange
 from .operators import (
     Operator,
     all_injections,
-    compose_ops,
     delta,
-    ez_factorize,
-    identity,
     is_admissible,
     sigma,
     word_operator as _wop,
@@ -138,27 +135,13 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
 
         def candidates(r, s, cid, d):
             a = arrow_of_cell(r, s, cid)
-            hom = hom_set(r, s)
-            target = E.hom(obj[r], obj[s])
-            thin_needed = cid in hom.thin
-            face_imgs = []
-            ok = True
+            faces = {}
             for j in range(d + 1) if d >= 1 else ():
                 face = PathArrow(r, s, d - 1, cube_face(a.w, d, j))
-                img = _eval_partial(E, obj, assigned, face)
-                if img is None:
-                    ok = False
-                    break
-                face_imgs.append(img)
-            if not ok:
-                return
-            for z in target.simplices_of_dim(d):
-                if thin_needed and not target.is_thin(z):
-                    continue
-                if all(
-                    target.act(z, delta(d, j)) == face_imgs[j] for j in range(d + 1) if d >= 1
-                ):
-                    yield z
+                faces[j] = _eval_partial(E, obj, assigned, face)
+                if faces[j] is None:
+                    return ()
+            return E.hom(obj[r], obj[s]).fillers(d, faces, cid in hom_set(r, s).thin)
 
         def search(i: int):
             if i == len(gens):
@@ -220,16 +203,11 @@ def _degenerate_at(f: NerveSimplex, j: int) -> bool:
 
 
 def nerve_normal_form(f: NerveSimplex) -> tuple[NerveSimplex, tuple[int, ...]]:
-    collapse = identity(f.n)
-    while True:
-        flats = [j for j in range(f.n) if _degenerate_at(f, j)]
-        if not flats:
-            break
-        t = max(flats)
-        cur = f.n
-        f = nerve_act(f, delta(cur, t + 1))
-        collapse = compose_ops(sigma(cur - 1, t), collapse)
-    return f, ez_factorize(collapse)[1]
+    """The nondegenerate core and the word: the flats of f, stripped from the top down."""
+    word = tuple(j for j in reversed(range(f.n)) if _degenerate_at(f, j))
+    for t in word:
+        f = nerve_act(f, delta(f.n, t + 1))
+    return f, word
 
 
 def nerve_thin(

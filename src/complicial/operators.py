@@ -134,8 +134,8 @@ def recompose(n: int, m: int, faces: tuple[int, ...], degens: tuple[int, ...]) -
 
 
 def word_operator(q: int, word: tuple[int, ...]) -> Operator:
-    """The surjection [q]->[q-len(word)] named by a degeneracy word."""
-    return recompose(q, q - len(word), (), word)
+    """The surjection [q]->[q-len(word)] whose flat spots are the word: t |-> t - #{f < t}."""
+    return Operator(q, q - len(word), tuple(t - sum(f < t for f in word) for t in range(q + 1)))
 
 
 def rho_operator(v: CubeCoordinate, r: int) -> Operator:

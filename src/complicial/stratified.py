@@ -2,10 +2,15 @@
 
 A set stores only nondegenerate cells; every simplex is the pair
 (cell, degeneracy word) and all queries are answered through normal forms.
-Thinness is a flag on nondegenerate cells of positive dimension, with
-degenerate simplices implicitly thin.  The module also provides stratified
-maps, regular/entire subsets, the product tensor (componentwise thinness),
-and exhaustive enumeration of stratified maps between finite sets.
+A degeneracy word is the set of flat spots of its surjection, listed
+decreasing.  Thinness is a flag on nondegenerate cells of positive dimension,
+with degenerate simplices implicitly thin.  The module also provides
+stratified maps, regular/entire subsets, the product tensor (componentwise
+thinness), and exhaustive enumeration of stratified maps between finite sets.
+
+``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
+with given faces: map enumeration, nerve enumeration and both lifting
+checks run on it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from .operators import (
     compose_ops,
     delta,
     ez_factorize,
-    identity,
-    sigma,
     surjection_words,
     word_operator,
 )
@@ -131,6 +134,14 @@ class FiniteStratifiedSet:
             out = self.act(self.faces[cell][f], inner)
         self._act_cache[key] = out
         return out
+
+    def fillers(self, n: int, faces: Mapping[int, Simplex], thin: bool) -> Iterator[Simplex]:
+        """The n-simplices whose jth face is faces[j] for every given j, only thin
+        ones if thin, in simplices_of_dim order: the one boundary search."""
+        wanted = [(delta(n, j), s) for j, s in faces.items()]
+        for z in self.simplices_of_dim(n):
+            if (not thin or self.is_thin(z)) and all(self.act(z, d) == s for d, s in wanted):
+                yield z
 
     # -- validation -----------------------------------------------------
 
@@ -282,36 +293,26 @@ def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:
 # -- product tensor (componentwise thinness) ------------------------------
 
 
-def _flats(X: FiniteStratifiedSet, s: Simplex) -> frozenset[int]:
-    if not s.word:
-        return frozenset()
-    q = X.simplex_dim(s)
-    op = word_operator(q, s.word)
-    return frozenset(t for t in range(q) if op.values[t] == op.values[t + 1])
-
-
 def pair_id(sx: Simplex, sy: Simplex) -> str:
     wx = ".".join(map(str, sx.word))
     wy = ".".join(map(str, sy.word))
     return f"({sx.cell}|{wx})({sy.cell}|{wy})"
 
 
-def pair_normal_form(
-    X: FiniteStratifiedSet, Y: FiniteStratifiedSet, sx: Simplex, sy: Simplex
-) -> tuple[Simplex, Simplex, tuple[int, ...]]:
-    """Strip the common degeneracies of a pair; returns (core_x, core_y, word)."""
-    q = X.simplex_dim(sx)
-    collapse = identity(q)
-    while True:
-        common = _flats(X, sx) & _flats(Y, sy)
-        if not common:
-            break
-        t = max(common)
-        cur = X.simplex_dim(sx)
-        sx, sy = X.act(sx, delta(cur, t)), Y.act(sy, delta(cur, t))
-        collapse = compose_ops(sigma(cur - 1, t), collapse)
-    word = ez_factorize(collapse)[1]
-    return sx, sy, word
+def product_pair_simplex(sx: Simplex, sy: Simplex) -> Simplex:
+    """The simplex of the product X (*) Y holding a pair of q-simplices.
+
+    Its word is the common flats of the two words; its cell is the pair with
+    those flats stripped, each remaining flat f moved down by #{c common : c < f}.
+    """
+    common = set(sx.word) & set(sy.word)
+
+    def strip(s: Simplex) -> Simplex:
+        rest = (f for f in s.word if f not in common)
+        return Simplex(s.cell, tuple(f - sum(c < f for c in common) for f in rest))
+
+    word = tuple(f for f in sx.word if f in common)
+    return Simplex(pair_id(strip(sx), strip(sy)), word)
 
 
 def gray_product(
@@ -328,12 +329,11 @@ def gray_product(
     thin: set[str] = set()
     pairs: dict[str, tuple[Simplex, Simplex]] = {}
     for m in range(cap + 1):
-        xs = list(X.simplices_of_dim(m))
         ys = list(Y.simplices_of_dim(m))
-        for sx in xs:
-            fx = _flats(X, sx)
+        for sx in X.simplices_of_dim(m):
+            fx = set(sx.word)
             for sy in ys:
-                if fx & _flats(Y, sy):
+                if not fx.isdisjoint(sy.word):
                     continue
                 cid = pair_id(sx, sy)
                 dims[cid] = m
@@ -342,27 +342,11 @@ def gray_product(
                     thin.add(cid)
     for cid, (sx, sy) in pairs.items():
         m = dims[cid]
-        if m == 0:
-            continue
-        entries = []
-        for j in range(m + 1):
-            d = delta(m, j)
-            cx, cy, word = pair_normal_form(X, Y, X.act(sx, d), Y.act(sy, d))
-            entries.append(Simplex(pair_id(cx, cy), word))
-        faces[cid] = tuple(entries)
+        if m >= 1:
+            ds = [delta(m, j) for j in range(m + 1)]
+            faces[cid] = tuple(product_pair_simplex(X.act(sx, d), Y.act(sy, d)) for d in ds)
     thin -= {c for c in thin if dims[c] == 0}
     return FiniteStratifiedSet(cap, dims, faces, thin), pairs
-
-
-def product_pair_simplex(
-    X: FiniteStratifiedSet,
-    Y: FiniteStratifiedSet,
-    sx: Simplex,
-    sy: Simplex,
-) -> Simplex:
-    """The simplex of the product X (*) Y holding a given pair."""
-    cx, cy, word = pair_normal_form(X, Y, sx, sy)
-    return Simplex(pair_id(cx, cy), word)
 
 
 # -- exhaustive map enumeration -------------------------------------------
@@ -375,29 +359,15 @@ def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[Strat
     order = A.cells()
     out: list[StratifiedMap] = []
     assignment: dict[str, Simplex] = {}
-
-    def candidates(cell: str) -> Iterator[Simplex]:
-        d = A.dims[cell]
-        must_be_thin = cell in A.thin
-        for img in X.simplices_of_dim(d):
-            if must_be_thin and not X.is_thin(img):
-                continue
-            ok = True
-            for j in range(d + 1) if d >= 1 else ():
-                fs = A.faces[cell][j]
-                expected = X.act(assignment[fs.cell], word_operator(d - 1, fs.word)) if fs.word else assignment[fs.cell]
-                if X.act(img, delta(d, j)) != expected:
-                    ok = False
-                    break
-            if ok:
-                yield img
+    partial = StratifiedMap(A, X, assignment)  # the images chosen so far
 
     def search(i: int) -> None:
         if i == len(order):
             out.append(StratifiedMap(A, X, dict(assignment)))
             return
         cell = order[i]
-        for img in sorted(candidates(cell)):
+        faces = {j: partial(s) for j, s in enumerate(A.faces.get(cell, ()))}
+        for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin)):
             assignment[cell] = img
             search(i + 1)
             del assignment[cell]

@@ -5,7 +5,8 @@ import pytest
 
 from complicial.anodyne import builtin_certificates, certificate_to_json
 from complicial.cli import enriched_to_json, main
-from complicial.enriched import point_set, suspension
+from complicial.enriched import EnrichedCategory, point_set, suspension
+from complicial.errors import BadParams
 from complicial.shapes import big_C, big_H, standard
 from complicial.stratified import set_from_json, set_to_json, subset_to_json
 
@@ -290,6 +291,21 @@ MALFORMED = {
         "enriched.homs.1;0: missing",
     ),
     "sigma-top-level-list": (["sigma"], [delta2()], "set: expected an object"),
+    "nerve-object-with-separator": (
+        ["nerve", "--dmax", "2"],
+        dict(suspended_point(), objects=["a;b", "a", "b;a", "b"]),
+        "enriched.objects[0]: object 'a;b' contains the key separator ';'",
+    ),
+    "nerve-duplicate-object": (
+        ["nerve", "--dmax", "2"],
+        dict(suspended_point(), objects=["0", "1", "1"]),
+        "enriched.objects[2]: duplicate object '1'",
+    ),
+    "from-category-duplicate-object": (
+        ["from-category", "--dmax", "2"],
+        dict(walking_arrow_json(), objects=["x", "y", "x"]),
+        "category.objects[2]: duplicate object 'x'",
+    ),
 }
 
 
@@ -310,6 +326,8 @@ USAGE_ERRORS = {
     "shape-delta-thin-point": (["shape", "delta-thin", "--n", "0"], None),
     "shape-horn-k-above-n": (["shape", "horn", "--n", "2", "--k", "5"], None),
     "shape-bigC-small-n": (["shape", "bigC", "--n", "1", "--k", "1"], None),
+    "shape-cube-takes-no-k": (["shape", "cube", "--n", "1", "--k", "9"], None),
+    "shape-delta-takes-no-k": (["shape", "delta", "--n", "1", "--k", "-3"], None),
     "check-dmax-0": (["check", "--dmax", "0"], delta2()),
     "validate-gray-dmax-0": (["validate-gray", "--dmax", "0"], suspended_point()),
     "nerve-dmax-negative": (["nerve", "--dmax", "-1"], suspended_point()),
@@ -330,3 +348,9 @@ def test_out_of_range_argument_is_usage_error(case, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def test_enriched_writer_rejects_separator_in_object_names():
+    E = EnrichedCategory(["a;b"], {("a;b", "a;b"): point_set()}, {"a;b": "*"}, {}, 0)
+    with pytest.raises(BadParams):
+        enriched_to_json(E)

@@ -13,6 +13,7 @@ from complicial.enriched import (
 from complicial.hcpath import PathArrow, arrow_of_cell, hom_set
 from complicial.nerve import (
     NerveSimplex,
+    _degenerate_at,
     build_nerve,
     classify_complicial,
     nerve_act,
@@ -273,3 +274,17 @@ def test_desk_nerves_fill_outer_horns_too():
 
     for _, N in desk_nerves():
         assert rlp_report(N, 3, mode="all").ok
+
+
+def test_nerve_normal_form_strips_exactly_the_flats():
+    from complicial.operators import word_operator
+    from complicial.suite import desk_examples
+
+    for _, E in desk_examples():
+        for n in range(4):
+            for f in nerve_simplices(E, n):
+                core, word = nerve_normal_form(f)
+                assert set(word) == {j for j in range(n) if _degenerate_at(f, j)}
+                assert list(word) == sorted(word, reverse=True)
+                assert not any(_degenerate_at(core, j) for j in range(core.n))
+                assert nerve_act(core, word_operator(n, word)) == f

@@ -21,6 +21,8 @@ from complicial.operators import (
     rho_operator,
     rho_precompose,
     sigma,
+    surjection_words,
+    word_operator,
 )
 
 
@@ -100,6 +102,14 @@ def test_ez_round_trip_exhaustive():
                 assert recompose(n, m, faces, degens) == op
                 assert list(faces) == sorted(faces)
                 assert list(degens) == sorted(degens, reverse=True)
+
+
+def test_word_operator_closed_form_matches_composite():
+    for q in range(7):
+        for d in range(q + 1):
+            for w in surjection_words(q, d):
+                assert word_operator(q, w) == recompose(q, d, (), w)
+                assert ez_factorize(word_operator(q, w)) == ((), w)
 
 
 def test_associativity_exhaustive_small():

@@ -1,8 +1,26 @@
 import pytest
 
 from complicial.errors import AmbientMismatch, CapExceeded, UnknownCell, ZeroDimensional
-from complicial.operators import delta, sigma, identity, compose_ops, all_operators
-from complicial.shapes import big_C, big_H, cube, parse_vertex_chain, standard, standard_thin
+from complicial.enriched import from_category, walking_iso
+from complicial.operators import (
+    all_operators,
+    compose_ops,
+    delta,
+    ez_factorize,
+    identity,
+    recompose,
+    sigma,
+)
+from complicial.shapes import (
+    big_C,
+    big_H,
+    complicial,
+    cube,
+    horn,
+    parse_vertex_chain,
+    standard,
+    standard_thin,
+)
 from complicial.stratified import (
     FiniteStratifiedSet,
     Simplex,
@@ -11,6 +29,8 @@ from complicial.stratified import (
     gray_product,
     is_subset_kind,
     make_thin,
+    pair_id,
+    product_pair_simplex,
     regular_generated,
     set_from_json,
     set_to_json,
@@ -247,3 +267,60 @@ def test_subset_to_set_keeps_ids():
     Y = subset_to_set(h)
     assert set(Y.dims) == {"0", "1", "0.1"}
     assert Y.validate() == []
+
+
+def _reference_pair_simplex(X, Y, sx, sy):
+    """Strip one common flat at a time through act, the flats read off the
+    composite of elementary degeneracies."""
+
+    def flats(s, q):
+        op = recompose(q, q - len(s.word), (), s.word)
+        return {t for t in range(q) if op.values[t] == op.values[t + 1]}
+
+    collapse = identity(X.simplex_dim(sx))
+    while True:
+        cur = X.simplex_dim(sx)
+        common = flats(sx, cur) & flats(sy, cur)
+        if not common:
+            return Simplex(pair_id(sx, sy), ez_factorize(collapse)[1])
+        t = max(common)
+        sx, sy = X.act(sx, delta(cur, t)), Y.act(sy, delta(cur, t))
+        collapse = compose_ops(sigma(cur - 1, t), collapse)
+
+
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (cube(2), cube(2)),
+        (standard(2), complicial(3, 1)),
+        (from_category(walking_iso(), 4), cube(3)),
+    ],
+    ids=["cube2-cube2", "delta2-complicial31", "iso-nerve-cube3"],
+)
+def test_product_pair_simplex_matches_one_flat_at_a_time(X, Y):
+    for q in range(5):
+        ys = list(Y.simplices_of_dim(q))
+        for sx in X.simplices_of_dim(q):
+            for sy in ys:
+                assert product_pair_simplex(sx, sy) == _reference_pair_simplex(X, Y, sx, sy)
+
+
+@pytest.mark.parametrize("X", [standard(2), horn(3, 1), complicial(3, 1), big_C(2, 1)])
+def test_fillers_match_brute_force(X):
+    for n in range(1, 4):
+        simplices = list(X.simplices_of_dim(n))
+        boundary = {z: [X.act(z, delta(n, j)) for j in range(n + 1)] for z in simplices}
+        problems = [{}]
+        for z1, z2 in zip(simplices, reversed(simplices)):
+            problems.append(dict(enumerate(boundary[z1])))
+            problems.append({j: s for j, s in enumerate(boundary[z1]) if j != 1})
+            problems.append({0: boundary[z1][0], n: boundary[z2][n]})
+        for faces in problems:
+            for thin in (False, True):
+                expected = [
+                    z
+                    for z in simplices
+                    if (X.is_thin(z) or not thin)
+                    and all(boundary[z][j] == s for j, s in faces.items())
+                ]
+                assert list(X.fillers(n, faces, thin)) == expected
