@@ -3,7 +3,9 @@
 One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
 instance with its lifting problems; ``rlp_report`` and the relative
 ``enriched.local_fibration_check`` both consume it, and look for thin
-fillers through ``FiniteStratifiedSet.fillers``.
+fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs on
+``fillers`` too: each face of a horn map is a filler of the faces it shares
+with the faces chosen before it.
 
 One replayer, ``_apply_step``, checks an elementary-anodyne pushout step
 against the pair (members, thin flags) inside a fixed ambient set and
@@ -85,10 +87,13 @@ def _horn_faces(n: int, k: int) -> list[Operator]:
 
 
 def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
-    """Enumerate horn maps as tuples of the n-1 face images, backtracking."""
+    """Enumerate horn maps as tuples of the n-1 face images, backtracking.
+
+    Faces are assigned in increasing order, so each earlier face i fixes face i
+    of face j, and the candidates for face j are fillers of those faces.
+    """
     face_idx = [j for j in range(n + 1) if j != k]
     admissible = admissible_vertices(n, k)
-    cells = list(X.simplices_of_dim(n - 1))
     deep_thin = [
         alpha
         for alpha in _admissible_proper_faces(n, k)
@@ -96,22 +101,6 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     ]
 
     assignment: dict[int, Simplex] = {}
-
-    def compatible(j: int, s: Simplex) -> bool:
-        # thinness of the horn: face j is admissible unless vertex j is
-        if j not in admissible and not X.is_thin(s):
-            return False
-        # simplicial compatibility with already assigned faces
-        for i, t in assignment.items():
-            if i < j:
-                lhs = X.act(s, delta(n - 1, i))
-                rhs = X.act(t, delta(n - 1, j - 1))
-            else:
-                lhs = X.act(s, delta(n - 1, i - 1))
-                rhs = X.act(t, delta(n - 1, j))
-            if lhs != rhs:
-                return False
-        return True
 
     def deep_thin_ok() -> bool:
         # smaller admissible faces of the horn must land thin as well
@@ -129,11 +118,12 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
                 yield dict(assignment)
             return
         j = face_idx[pos]
-        for s in cells:
-            if compatible(j, s):
-                assignment[j] = s
-                yield from search(pos + 1)
-                del assignment[j]
+        # the horn is thin on face j unless vertex j is admissible
+        faces = {i: X.act(t, delta(n - 1, j - 1)) for i, t in assignment.items()}
+        for s in X.fillers(n - 1, faces, j not in admissible):
+            assignment[j] = s
+            yield from search(pos + 1)
+            del assignment[j]
 
     yield from search(0)
 

@@ -196,6 +196,9 @@ class FiniteCategory:
     table: Mapping[tuple[str, str], str]  # (g, f) -> g after f
 
     def validate(self) -> None:
+        for name in (*self.objects, *self.arrows):
+            if ":" in name or "|" in name:
+                raise IllFormedCategory(f"name {name!r} contains a path separator ':' or '|'")
         for f, ends in self.arrows.items():
             if len(ends) != 2 or not set(ends) <= set(self.objects):
                 raise IllFormedCategory(f"arrow {f} does not run between declared objects")

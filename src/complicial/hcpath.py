@@ -4,9 +4,10 @@ An arrow from r to s at dimension m is a function w on the half-open
 interval (r, s] valued in {-, +, 1..m}, with the top position always the
 constant-0 coordinate.  Composition is concatenation of intervals, and an
 arrow splits uniquely at its interior minus positions into indecomposables.
-Simplicial operators act through their elementary factorization: a face
-inserts a constant-1 coordinate, a degeneracy drops the lowest ordinate or
-merges two adjacent ordinates by pointwise minimum.
+A simplicial operator alpha acts fiberwise: coordinate i' of the image over
+(alpha(r), alpha(s)] is the pointwise minimum of the coordinates at the
+positions alpha sends to i', the constant-1 coordinate + when there are none;
+positions sent to alpha(r) drop out.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInterval, DimensionMismatch, ObjectMismatch, OutOfRange
-from .operators import MINUS, PLUS, CubeCoordinate, Operator, ez_factorize
+from .operators import MINUS, PLUS, CubeCoordinate, Operator
 from .shapes import (
     cube,
     cube_cell_id,
@@ -152,44 +153,22 @@ def _min_coord(u: CubeCoordinate, v: CubeCoordinate) -> CubeCoordinate:
     return max(u, v)
 
 
-def _act_delta(k: int, a: PathArrow) -> PathArrow:
-    if a.s < k:
-        return a
-    if k <= a.r:
-        return PathArrow(a.r + 1, a.s + 1, a.m, a.w)
-    # r < k <= s: insert the constant-1 coordinate at position k
-    cut = k - a.r - 1
-    return PathArrow(a.r, a.s + 1, a.m, a.w[:cut] + (PLUS,) + a.w[cut:])
-
-
-def _act_sigma(k: int, a: PathArrow) -> PathArrow:
-    if a.s <= k:
-        return a
-    if k < a.r:
-        return PathArrow(a.r - 1, a.s - 1, a.m, a.w)
-    if k == a.r:
-        # drop the rightmost ordinate
-        return PathArrow(a.r, a.s - 1, a.m, a.w[1:])
-    # r < k < s: merge ordinates k and k+1
-    cut = k - a.r - 1
-    merged = _min_coord(a.w[cut], a.w[cut + 1])
-    return PathArrow(a.r, a.s - 1, a.m, a.w[:cut] + (merged,) + a.w[cut + 2 :])
-
-
 def path_act(alpha: Operator, a: PathArrow) -> PathArrow:
     """The action of a simplicial operator [n] -> [n'] on arrows of the path.
 
-    Computed through the elementary factorization of the operator; faces
-    insert constant-1 coordinates, degeneracies drop or merge ordinates.
+    Fiberwise minimum: coordinate i' of the image over (alpha(r), alpha(s)] is
+    the pointwise minimum of the coordinates alpha sends to i', and + when
+    nothing goes there; positions sent to alpha(r) drop out.
     """
     if not (0 <= a.r and a.s <= alpha.n):
         raise OutOfRange(f"arrow ({a.r},{a.s}] does not live over [{alpha.n}]")
-    faces, degens = ez_factorize(alpha)
-    for k in degens:
-        a = _act_sigma(k, a)
-    for k in faces:
-        a = _act_delta(k, a)
-    return a
+    lo = alpha(a.r)
+    w = [PLUS] * (alpha(a.s) - lo)
+    for i, v in enumerate(a.w, a.r + 1):
+        t = alpha(i) - lo - 1
+        if t >= 0:
+            w[t] = _min_coord(w[t], v)
+    return PathArrow(lo, alpha(a.s), a.m, tuple(w))
 
 
 def hc_horn_member(n: int, k: int, a: PathArrow) -> bool:

@@ -38,7 +38,7 @@ from .hcpath import (
     split_at_zeros,
     top_special_arrow,
 )
-from .shapes import comparison_simplex, cube_face
+from .shapes import comparison_simplex, cube_face, operator_of_simplex, standard
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -145,7 +145,7 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
 
         def search(i: int):
             if i == len(gens):
-                f = _finalize(E, n, obj, assigned)
+                f = _tabulate(E, n, obj, lambda a: _eval_partial(E, obj, assigned, a))
                 if f is not None:
                     results.append(f)
                 return
@@ -159,7 +159,9 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
     return results
 
 
-def _finalize(E, n, obj, assigned) -> NerveSimplex | None:
+def _tabulate(E, n, obj, image) -> NerveSimplex | None:
+    """The functor out of the coherent n-path sending every hom cell, as an arrow,
+    to image(arrow); None if an image is missing or a thin cell lands non-thin."""
     maps: dict[tuple[int, int], dict[str, Simplex]] = {}
     for r in range(n + 1):
         for s in range(r + 1, n + 1):
@@ -167,12 +169,8 @@ def _finalize(E, n, obj, assigned) -> NerveSimplex | None:
             target = E.hom(obj[r], obj[s])
             table = {}
             for cid in H.cells():
-                a = arrow_of_cell(r, s, cid)
-                img = _eval_partial(E, obj, assigned, a)
-                if img is None:
-                    return None
-                # stratify: thin hom cells must land on thin simplices
-                if cid in H.thin and not target.is_thin(img):
+                img = image(arrow_of_cell(r, s, cid))
+                if img is None or (cid in H.thin and not target.is_thin(img)):
                     return None
                 table[cid] = img
             maps[(r, s)] = table
@@ -180,21 +178,15 @@ def _finalize(E, n, obj, assigned) -> NerveSimplex | None:
 
 
 def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
-    """Precomposition with the path functor of a simplicial operator."""
-    p, n = alpha.n, alpha.m
-    if n != f.n:
+    """Precomposition with the path functor of a simplicial operator.
+
+    The stratification check of the tabulation cannot fail here: the path
+    functor sends thin cells to thin or degenerate arrows.
+    """
+    if alpha.m != f.n:
         raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
-    obj = tuple(f.obj[alpha(t)] for t in range(p + 1))
-    maps = {}
-    for r in range(p + 1):
-        for s in range(r + 1, p + 1):
-            H = hom_set(r, s)
-            table = {}
-            for cid in H.cells():
-                a = arrow_of_cell(r, s, cid)
-                table[cid] = f.eval_arrow(path_act(alpha, a))
-            maps[(r, s)] = table
-    return NerveSimplex(f.E, p, obj, maps)
+    obj = tuple(f.obj[alpha(t)] for t in range(alpha.n + 1))
+    return _tabulate(f.E, alpha.n, obj, lambda a: f.eval_arrow(path_act(alpha, a)))
 
 
 def _degenerate_at(f: NerveSimplex, j: int) -> bool:
@@ -254,10 +246,8 @@ def _has_equivalence_inverse(e: NerveSimplex, pool: list[NerveSimplex]) -> bool:
     return False
 
 
-def build_nerve_indexed(
-    E: EnrichedCategory, D: int
-) -> tuple[FiniteStratifiedSet, dict[str, NerveSimplex]]:
-    """The truncated nerve as a stratified set plus the cell dictionary."""
+def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
+    """The nerve truncated at dimension D, as a stratified set."""
     full_layers: list[list[NerveSimplex]] = []
     layers: list[list[NerveSimplex]] = []
     for n in range(D + 1):
@@ -287,12 +277,7 @@ def build_nerve_indexed(
         for f in layer:
             if nerve_thin(f, pool2):
                 thin.append(ids[f])
-    X = FiniteStratifiedSet(D, dims, faces, thin)
-    return X, {ids[f]: f for f in ids}
-
-
-def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
-    return build_nerve_indexed(E, D)[0]
+    return FiniteStratifiedSet(D, dims, faces, thin)
 
 
 # -- complicial classification -------------------------------------------------
@@ -332,15 +317,6 @@ class SigmaFunctor:
         """Image of a crossing arrow, as a simplex of the standard n-simplex."""
         return comparison_simplex(a.w, a.r, self.n, a.m)
 
-    def eval_arrow(self, a: PathArrow, target: EnrichedCategory) -> Simplex:
-        if self.crossing(a):
-            return self.delta_image(a)
-        return target.identity_simplex(self.obj(a.r), a.m)
-
-
-def sigma_functor(n: int) -> SigmaFunctor:
-    return SigmaFunctor(n)
-
 
 def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
     """The (n+1)-simplex of the nerve classified by an n-arrow of hom(0, 1).
@@ -348,26 +324,16 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
     This is the composite of the suspension comparison functor with the
     functor out of the suspended n-simplex that names x.
     """
-    F = sigma_functor(n)
+    F = SigmaFunctor(n)
     hom01 = E.hom("0", "1")
-    maps = {}
-    obj = tuple(F.obj(r) for r in range(n + 2))
-    from .shapes import operator_of_simplex, standard
-
     Dn = standard(n)
-    for r in range(n + 2):
-        for s in range(r + 1, n + 2):
-            H = hom_set(r, s)
-            table = {}
-            for cid in H.cells():
-                a = arrow_of_cell(r, s, cid)
-                if obj[r] == obj[s]:
-                    table[cid] = E.identity_simplex(obj[r], H.dims[cid])
-                else:
-                    beta = operator_of_simplex(Dn, F.delta_image(a), H.dims[cid])
-                    table[cid] = hom01.act(x, beta)
-            maps[(r, s)] = table
-    return NerveSimplex(E, n + 1, obj, maps)
+
+    def image(a: PathArrow) -> Simplex:
+        if not F.crossing(a):
+            return E.identity_simplex(F.obj(a.r), a.m)
+        return hom01.act(x, operator_of_simplex(Dn, F.delta_image(a), a.m))
+
+    return _tabulate(E, n + 1, tuple(F.obj(r) for r in range(n + 2)), image)
 
 
 def recover_arrow(f: NerveSimplex) -> Simplex:

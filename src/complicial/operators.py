@@ -43,9 +43,6 @@ class Operator:
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.values)
-
     def __repr__(self) -> str:
         return f"Op[{self.n}]->[{self.m}]{list(self.values)}"
 

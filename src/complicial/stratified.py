@@ -9,8 +9,8 @@ stratified maps, regular/entire subsets, the product tensor (componentwise
 thinness), and exhaustive enumeration of stratified maps between finite sets.
 
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
-with given faces: map enumeration, nerve enumeration and both lifting
-checks run on it.
+with given faces: map enumeration, nerve enumeration, horn enumeration and
+both lifting checks run on it.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 from complicial.anodyne import (
     AnodyneCertificate,
     HornPushout,
+    _horn_problems,
     builtin_certificates,
     certificate_from_json,
     certificate_to_json,
@@ -16,17 +17,22 @@ from complicial.anodyne import (
     v_tower_generators,
     verify_certificate,
 )
+from complicial.enriched import from_category, walking_iso
 from complicial.errors import BadParams, StepViolation
 from complicial.shapes import (
     big_C,
     big_H,
+    boundary,
     complicial,
+    cube,
+    horn,
     parse_vertex_chain,
     standard,
     standard_thin,
 )
 from complicial.stratified import (
     SubsetHandle,
+    enumerate_maps,
     make_thin,
     regular_generated,
 )
@@ -232,3 +238,33 @@ def test_certificate_json_round_trip():
     back = certificate_from_json(data)
     assert verify_certificate(back) == []
     assert [type(s) for s in back.steps] == [type(s) for s in cert.steps]
+
+
+def test_horn_problems_are_the_maps_from_the_horn():
+    # oracle: the horn problems at (n, k) are the stratified maps horn(n, k) -> X,
+    # read on the faces j != k
+    targets = [
+        standard(2),
+        complicial(3, 1),
+        horn(3, 1),
+        cube(2),
+        boundary(3),
+        from_category(walking_iso(), 3),
+    ]
+    total = 0
+    for X in targets:
+        for n in range(1, 4):
+            for k in range(n + 1):
+                faces = [
+                    (j, ".".join(str(v) for v in range(n + 1) if v != j))
+                    for j in range(n + 1)
+                    if j != k
+                ]
+                expected = sorted(
+                    tuple((j, f.assignment[cell]) for j, cell in faces)
+                    for f in enumerate_maps(horn(n, k), X)
+                )
+                got = sorted(tuple(sorted(p.items())) for p in _horn_problems(X, n, k))
+                assert got == expected, (X.cells(), n, k)
+                total += len(got)
+    assert total > 700

@@ -233,6 +233,20 @@ def with_unknown_composite():
     return doc
 
 
+def with_separator_in_arrow_name():
+    """f: a -> b, g: b -> c and their composite named f|g, the id of the 2-cell (f, g)."""
+    ends = {"ia": "aa", "ib": "bb", "ic": "cc", "f": "ab", "g": "bc", "f|g": "ac"}
+    table = {"g;f": "f|g"}
+    for x, (s, t) in ends.items():
+        table[f"{x};i{s}"] = table[f"i{t};{x}"] = x
+    return {
+        "objects": ["a", "b", "c"],
+        "arrows": {x: list(st) for x, st in ends.items()},
+        "identities": {o: f"i{o}" for o in "abc"},
+        "table": table,
+    }
+
+
 CHECK = ["check", "--dmax", "2"]
 MALFORMED = {
     "check-one-face": (
@@ -305,6 +319,11 @@ MALFORMED = {
         ["from-category", "--dmax", "2"],
         dict(walking_arrow_json(), objects=["x", "y", "x"]),
         "category.objects[2]: duplicate object 'x'",
+    ),
+    "from-category-separator-in-arrow-name": (
+        ["from-category", "--dmax", "2"],
+        with_separator_in_arrow_name(),
+        "category: name 'f|g' contains a path separator ':' or '|'",
     ),
 }
 

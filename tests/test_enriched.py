@@ -116,6 +116,14 @@ def test_from_category_rejects_bad_table():
         from_category(broken, 2)
 
 
+def test_from_category_rejects_path_separators_in_names():
+    # nerve cell ids are start:arrow|arrow|..., so these would alias cells
+    for obj, arrow in (("x:y", "i"), ("x", "i|i"), ("x", "a:b")):
+        cat = FiniteCategory((obj,), {arrow: (obj, obj)}, {obj: arrow}, {(arrow, arrow): arrow})
+        with pytest.raises(IllFormedCategory):
+            from_category(cat, 2)
+
+
 def test_validate_gray_examples():
     assert validate_gray(suspension(from_category(walking_iso(), 3)), 3)["pass"]
     assert validate_gray(suspension(standard(1)), 3)["pass"]

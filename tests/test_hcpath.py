@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,16 @@ from complicial.errors import (
     ObjectMismatch,
     OutOfRange,
 )
-from complicial.operators import MINUS, PLUS, all_operators, compose_ops, delta, sigma
+from complicial.operators import (
+    MINUS,
+    PLUS,
+    all_operators,
+    compose_ops,
+    delta,
+    ez_factorize,
+    rho_operator,
+    sigma,
+)
 from complicial.hcpath import (
     PathArrow,
     arrow_is_degenerate,
@@ -226,3 +236,80 @@ def test_compose_associative():
     b = PathArrow(2, 3, 1, (MINUS,))
     c = PathArrow(3, 5, 1, (PLUS, MINUS))
     assert compose_path(c, compose_path(b, a)) == compose_path(compose_path(c, b), a)
+
+
+# -- the closed-form action against the elementary replay --------------------
+
+
+def _pointwise_min(u, v, m):
+    """Minimum of two coordinates as maps [m] -> [1], read back as a coordinate."""
+    vals = [min(x, y) for x, y in zip(rho_operator(u, m).values, rho_operator(v, m).values)]
+    if 1 not in vals:
+        return MINUS
+    return PLUS if vals[0] == 1 else vals.index(1)
+
+
+def _replay_act(alpha, a):
+    """The action as it used to be computed: the EZ factorization of alpha, one
+    elementary degeneracy and then one elementary face at a time."""
+    faces, degens = ez_factorize(alpha)
+    r, s, w = a.r, a.s, a.w
+    for k in degens:
+        if s <= k:
+            continue
+        if k < r:
+            r, s = r - 1, s - 1
+        elif k == r:  # drop the lowest ordinate
+            s, w = s - 1, w[1:]
+        else:  # merge ordinates k and k+1
+            cut = k - r - 1
+            w = w[:cut] + (_pointwise_min(w[cut], w[cut + 1], a.m),) + w[cut + 2 :]
+            s -= 1
+    for k in faces:
+        if s < k:
+            continue
+        if k <= r:
+            r, s = r + 1, s + 1
+        else:  # insert the constant-1 coordinate at position k
+            cut = k - r - 1
+            s, w = s + 1, w[:cut] + (PLUS,) + w[cut:]
+    return PathArrow(r, s, a.m, w)
+
+
+def every_arrow(n, max_dim=3):
+    """Every arrow over [n] up to max_dim, degenerate ones included."""
+    for m in range(max_dim + 1):
+        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        for r in range(n + 1):
+            yield identity_arrow(r, m)
+            for s in range(r + 1, n + 1):
+                for w in product(alphabet, repeat=s - r - 1):
+                    yield PathArrow(r, s, m, w + (MINUS,))
+
+
+def test_path_act_equals_elementary_replay():
+    checked = 0
+    for n in range(5):
+        arrows = list(every_arrow(n))
+        for n2 in range(5):
+            for alpha in all_operators(n, n2):
+                for a in arrows:
+                    assert path_act(alpha, a) == _replay_act(alpha, a), (alpha, a)
+                    checked += 1
+    assert checked > 100_000
+
+
+def test_path_act_sends_thin_cells_to_thin_or_degenerate_arrows():
+    # so the stratification check of a nerve simplex never fires in nerve_act
+    for n in range(5):
+        thin = [
+            arrow_of_cell(r, s, cid)
+            for r in range(n + 1)
+            for s in range(r + 1, n + 1)
+            for cid in sorted(hom_set(r, s).thin)
+        ]
+        for n2 in range(5):
+            for alpha in all_operators(n, n2):
+                for a in thin:
+                    b = path_act(alpha, a)
+                    assert arrow_thin(b) or arrow_is_degenerate(b), (alpha, a)

@@ -13,6 +13,7 @@ from complicial.enriched import (
 from complicial.hcpath import PathArrow, arrow_of_cell, hom_set
 from complicial.nerve import (
     NerveSimplex,
+    SigmaFunctor,
     _degenerate_at,
     build_nerve,
     classify_complicial,
@@ -21,7 +22,6 @@ from complicial.nerve import (
     nerve_simplices,
     nerve_thin,
     recover_arrow,
-    sigma_functor,
     yoneda_composite,
 )
 from complicial.operators import MINUS
@@ -165,7 +165,7 @@ def test_classify_complicial_needs_inner_index():
 
 
 def test_sigma_functor_zero():
-    F = sigma_functor(0)
+    F = SigmaFunctor(0)
     assert F.obj(0) == "0" and F.obj(1) == "1"
     a = PathArrow(0, 1, 0, (MINUS,))
     assert F.crossing(a)
@@ -175,7 +175,7 @@ def test_sigma_functor_zero():
 def test_sigma_restricts_to_comparison_map():
     from complicial.shapes import c_map
 
-    F = sigma_functor(1)
+    F = SigmaFunctor(1)
     cm = c_map(1)
     H = hom_set(0, 2)
     for cid in H.cells():

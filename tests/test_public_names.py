@@ -1,17 +1,22 @@
 """Dead-code guard: every public module-level function or class of the package
 is referenced somewhere in the package (outside ``__init__.py``), the tests or
-the demos."""
+the demos, and every public method or property of a public class is read as an
+attribute there.  Methods are matched by attribute name, so a method shares its
+use with any other attribute of the same name."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "complicial"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def _names_used(tree: ast.Module) -> set[str]:
-    """Identifiers a module reads or imports, a definition's own name excluded."""
+def _names_used(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Identifiers a module reads or imports, a definition's own name excluded,
+    and the attribute names among them."""
     used: set[str] = set()
+    attributes: set[str] = set()
     for stmt in tree.body:
         here = set()
         for node in ast.walk(stmt):
@@ -19,23 +24,43 @@ def _names_used(tree: ast.Module) -> set[str]:
                 here.add(node.id)
             elif isinstance(node, ast.Attribute):
                 here.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 here.add(node.name)
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(stmt, DEFINITIONS):
             here.discard(stmt.name)
         used |= here
-    return used
+    return used, attributes
+
+
+def _public(path: Path) -> tuple[list[str], list[str]]:
+    """module.name of the public definitions, module.Class.name of their public methods."""
+    definitions, methods = [], []
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_"):
+            definitions.append(f"{path.stem}.{stmt.name}")
+            if isinstance(stmt, ast.ClassDef):
+                methods += [
+                    f"{path.stem}.{stmt.name}.{member.name}"
+                    for member in stmt.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
+    return definitions, methods
 
 
 def test_every_public_name_is_used():
     sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     readers = sources + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
-    used = set().union(*(_names_used(ast.parse(p.read_text())) for p in readers))
-    public = [
-        f"{p.stem}.{stmt.name}"
-        for p in sources
-        for stmt in ast.parse(p.read_text()).body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-    ]
-    assert public
-    assert [name for name in public if name.split(".")[1] not in used] == []
+    used, attributes = set(), set()
+    for p in readers:
+        names, attrs = _names_used(ast.parse(p.read_text()))
+        used |= names
+        attributes |= attrs
+    definitions, methods = [], []
+    for p in sources:
+        d, m = _public(p)
+        definitions += d
+        methods += m
+    assert definitions and methods
+    assert [name for name in definitions if name.split(".")[1] not in used] == []
+    assert [name for name in methods if name.split(".")[2] not in attributes] == []
