@@ -18,7 +18,7 @@ from complicial import (
     rho_precompose,
     standard,
 )
-from complicial.shapes import CubeFunction, parse_cube_cell, vertex_chain
+from complicial.shapes import Coords, CubeFunction, vertex_chain
 
 print("== the arrow algebra of the ordinal category ==")
 alpha = make_operator(2, 3, [0, 2, 2])
@@ -40,7 +40,7 @@ for n in (2, 3):
     tops = X.cells_of_dim(n)
     nonthin = [c for c in tops if c not in X.thin]
     print(f"  top cells: {len(tops)}, the unique non-thin one is {nonthin[0]}")
-    print("  its vertex chain:", vertex_chain(parse_cube_cell(nonthin[0]), n))
+    print("  its vertex chain:", vertex_chain(nonthin[0].w, n))
 
 print()
 print("== classifying cube simplices ==")
@@ -57,5 +57,5 @@ print()
 print("== the comparison map onto the standard simplex ==")
 cm = c_map(3)
 print("c_map(3) is stratified:", cm.validate() == [])
-print("the special top goes to the identity simplex:", cm.assignment["3,2,1"])
-print("a thin top collapses:", cm.assignment["1,2,3"])
+print("the special top goes to the identity simplex:", cm.assignment[Coords((3, 2, 1))])
+print("a thin top collapses:", cm.assignment[Coords((1, 2, 3))])

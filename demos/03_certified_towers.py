@@ -7,7 +7,7 @@ of the subset, then lets the search engine rediscover the square tower.
 
 from complicial import big_C, big_H, search_tower, verify_certificate
 from complicial.anodyne import builtin_certificates, replay_states
-from complicial.shapes import parse_cube_cell, vertex_chain
+from complicial.shapes import vertex_chain
 from complicial.stratified import SubsetHandle
 
 for cert in builtin_certificates():
@@ -17,7 +17,7 @@ for cert in builtin_certificates():
     for i, (step, members, flags) in enumerate(replay_states(cert)):
         chain = "<".join(
             "(" + ",".join(map(str, v)) + ")"
-            for v in vertex_chain(parse_cube_cell(step.attach), Z.dims[step.attach])
+            for v in vertex_chain(step.attach.w, Z.dims[step.attach])
         )
         print(
             f"  step {i + 1}: {step.kind}[{step.n},{step.k}] at {chain}"

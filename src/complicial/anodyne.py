@@ -20,15 +20,17 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Hashable, Iterator, Union
 
 from .errors import BadParams, ParseError, StepViolation, UnknownCell
-from .operators import Operator, admissible_vertices, all_injections, delta
+from .operators import PLUS, Operator, admissible_vertices, all_injections, delta
+from .shapes import Coords, big_C, big_H
 from .stratified import (
     FiniteStratifiedSet,
     Simplex,
     SubsetHandle,
     json_field,
+    make_thin,
     set_from_json,
     set_to_json,
     simplex_to_json,
@@ -187,7 +189,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
 class HornPushout:
     n: int
     k: int
-    attach: str  # image of the top cell: a nondegenerate cell of the ambient
+    attach: Hashable  # image of the top cell: a nondegenerate cell of the ambient
 
     kind = "horn"
 
@@ -196,7 +198,7 @@ class HornPushout:
 class ThinnessPushout:
     n: int
     k: int
-    attach: str
+    attach: Hashable
 
     kind = "thinness"
 
@@ -207,7 +209,7 @@ class ThinHornPushout:
 
     n: int
     k: int
-    attach: str
+    attach: Hashable
 
     kind = "thin-horn"
 
@@ -225,7 +227,7 @@ class AnodyneCertificate:
 
 
 class _State:
-    def __init__(self, members: frozenset[str], flags: frozenset[str]):
+    def __init__(self, members: frozenset, flags: frozenset):
         self.members = set(members)
         self.flags = set(flags)
 
@@ -351,7 +353,7 @@ def verify_certificate(cert: AnodyneCertificate) -> list[str]:
     return problems
 
 
-def replay_members(cert: AnodyneCertificate) -> tuple[frozenset[str], frozenset[str]]:
+def replay_members(cert: AnodyneCertificate) -> tuple[frozenset, frozenset]:
     """Independent recount of the cells and flags a passing tower created."""
     Z = cert.ambient
     members = set(cert.start.members)
@@ -381,8 +383,6 @@ def builtin_certificates() -> list[AnodyneCertificate]:
     intermediate regular subsets V1..V7, and the single thinness step
     upgrades C^2_3 to its hatted entire superset.
     """
-    from .shapes import big_C, big_H
-
     certs: list[AnodyneCertificate] = []
 
     # square, k = 1
@@ -392,7 +392,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=C12,
             start=big_H(2, 1),
             finish=SubsetHandle(C12, frozenset(C12.dims), C12.thin),
-            steps=(HornPushout(2, 1, "2,1"), HornPushout(2, 0, "1,2")),
+            steps=(HornPushout(2, 1, Coords((2, 1))), HornPushout(2, 0, Coords((1, 2)))),
             note="square horn, k=1",
         )
     )
@@ -404,7 +404,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=C22,
             start=big_H(2, 2),
             finish=SubsetHandle(C22, frozenset(C22.dims), C22.thin),
-            steps=(HornPushout(2, 1, "1,2"), HornPushout(2, 0, "2,1")),
+            steps=(HornPushout(2, 1, Coords((1, 2))), HornPushout(2, 0, Coords((2, 1)))),
             note="square horn, k=2",
         )
     )
@@ -419,14 +419,14 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             start=start,
             finish=SubsetHandle(Chat, frozenset(Chat.dims), Chat.thin),
             steps=(
-                HornPushout(2, 1, "1,1,2"),
-                ThinHornPushout(3, 2, "1,2,3"),
-                HornPushout(3, 1, "1,3,2"),
-                HornPushout(3, 2, "2,3,1"),
-                HornPushout(3, 1, "3,2,1"),
-                HornPushout(2, 1, "1,+,2"),
-                ThinHornPushout(3, 2, "2,1,3"),
-                HornPushout(3, 0, "3,1,2"),
+                HornPushout(2, 1, Coords((1, 1, 2))),
+                ThinHornPushout(3, 2, Coords((1, 2, 3))),
+                HornPushout(3, 1, Coords((1, 3, 2))),
+                HornPushout(3, 2, Coords((2, 3, 1))),
+                HornPushout(3, 1, Coords((3, 2, 1))),
+                HornPushout(2, 1, Coords((1, PLUS, 2))),
+                ThinHornPushout(3, 2, Coords((2, 1, 3))),
+                HornPushout(3, 0, Coords((3, 1, 2))),
             ),
             note="3-cube horn via the V tower",
         )
@@ -439,7 +439,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=Chat,
             start=SubsetHandle(Chat, frozenset(Chat.dims), C23.thin),
             finish=SubsetHandle(Chat, frozenset(Chat.dims), Chat.thin),
-            steps=(ThinnessPushout(3, 2, "2,1,3"),),
+            steps=(ThinnessPushout(3, 2, Coords((2, 1, 3))),),
             note="thinness upgrade to the hatted cube",
         )
     )
@@ -448,22 +448,20 @@ def builtin_certificates() -> list[AnodyneCertificate]:
 
 def hatted_C23() -> FiniteStratifiedSet:
     """C^2_3 with the square special through (0,0,0)<(0,1,0)<(1,1,1) made thin."""
-    from .shapes import big_C, make_thin
-
-    return make_thin(big_C(3, 2), ["2,1,2"])
+    return make_thin(big_C(3, 2), [Coords((2, 1, 2))])
 
 
-def v_tower_generators() -> list[tuple[str, str]]:
-    """The generating cells of the intermediate subsets, as (name, cell id)."""
+def v_tower_generators() -> list[tuple[str, Hashable]]:
+    """The generating cells of the intermediate subsets, as (name, cell)."""
     return [
-        ("V1", "1,1,2"),
-        ("V2", "1,2,3"),
-        ("V3", "1,3,2"),
-        ("V4", "2,3,1"),
-        ("V5", "3,2,1"),
-        ("V6", "1,+,2"),
-        ("V7", "2,1,3"),
-        ("full", "3,1,2"),
+        ("V1", Coords((1, 1, 2))),
+        ("V2", Coords((1, 2, 3))),
+        ("V3", Coords((1, 3, 2))),
+        ("V4", Coords((2, 3, 1))),
+        ("V5", Coords((3, 2, 1))),
+        ("V6", Coords((1, PLUS, 2))),
+        ("V7", Coords((2, 1, 3))),
+        ("full", Coords((3, 1, 2))),
     ]
 
 
@@ -543,7 +541,7 @@ def certificate_to_json(cert: AnodyneCertificate) -> dict:
         "start": subset_to_json(cert.start),
         "finish": subset_to_json(cert.finish),
         "steps": [
-            {"kind": s.kind, "n": s.n, "k": s.k, "attach": s.attach}
+            {"kind": s.kind, "n": s.n, "k": s.k, "attach": str(s.attach)}
             for s in cert.steps
         ],
         "note": cert.note,

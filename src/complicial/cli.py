@@ -29,6 +29,7 @@ from .stratified import (
     set_to_json,
     simplex_from_json,
     simplex_to_json,
+    spellings,
     subset_to_set,
 )
 
@@ -87,7 +88,9 @@ def _distinct(objects: list[str], path: str) -> list[str]:
 
 def _enriched_from_json(data):
     """An enriched category: a hom for every ordered pair of objects and a composition
-    table for every triple, keyed "a;b" and "a;b;c"; ParseError unless the laws hold."""
+    table for every triple, keyed "a;b" and "a;b;c"; a table is keyed by the spellings
+    of the product cells.  ParseError unless every key names exactly one product cell
+    and the laws hold."""
     from .enriched import make_enriched
     from .errors import LawViolation
     from .stratified import StratifiedMap, gray_product
@@ -108,8 +111,17 @@ def _enriched_from_json(data):
     for a, b, c in product(objects, repeat=3):
         at = f"{path}.comp.{a};{b};{c}"
         table = json_field(comp_json, f"{a};{b};{c}", dict, f"{path}.comp")
-        P, _ = gray_product(homs[(b, c)], homs[(a, b)], cap=cap)
-        assignment = {cid: simplex_from_json(s, f"{at}.{cid}") for cid, s in table.items()}
+        P = gray_product(homs[(b, c)], homs[(a, b)], cap=cap)
+        cells: dict[str, list] = {}
+        for cell in P.cells():
+            cells.setdefault(str(cell), []).append(cell)
+        assignment = {}
+        for key, s in table.items():
+            named = cells.get(key, [])
+            if len(named) != 1:
+                why = "names no product cell" if not named else "names two product cells"
+                raise ParseError(f"{at}.{key}: {why}")
+            assignment[named[0]] = simplex_from_json(s, f"{at}.{key}")
         comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
     try:
         return make_enriched(objects, homs, identities, comp, cap)
@@ -118,18 +130,20 @@ def _enriched_from_json(data):
 
 
 def enriched_to_json(E) -> dict:
-    """The JSON form _enriched_from_json reads; BadParams if an object name holds ';'."""
+    """The JSON form _enriched_from_json reads; BadParams if an object name holds ';'
+    or two cells of a hom or of a product share a spelling."""
     if any(";" in a for a in E.objects):
         raise BadParams("an object name contains the key separator ';'")
+    comp = {}
+    for (a, b, c), cmap in E.comp.items():
+        text = spellings(cmap.assignment)
+        comp[f"{a};{b};{c}"] = {text[z]: simplex_to_json(s) for z, s in cmap.assignment.items()}
     return {
         "objects": list(E.objects),
         "dim_cap": E.dim_cap,
-        "identities": dict(E.identities),
+        "identities": {a: str(cell) for a, cell in E.identities.items()},
         "homs": {f"{a};{b}": set_to_json(h) for (a, b), h in E.homs.items()},
-        "comp": {
-            f"{a};{b};{c}": {cid: simplex_to_json(s) for cid, s in cmap.assignment.items()}
-            for (a, b, c), cmap in E.comp.items()
-        },
+        "comp": comp,
     }
 
 

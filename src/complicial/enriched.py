@@ -1,21 +1,25 @@
 """Finitely presented categories enriched in stratified sets.
 
 An enriched category stores a stratified homset for every ordered pair of
-objects together with composition maps out of the product tensor.  The
-constructor validates the unit and associativity laws exhaustively up to
-the dimension cap.  Gray validation runs the lifting report on every
-homset; suspensions and nerves of small categories provide the worked
-examples.
+objects together with composition maps out of the product tensor, whose
+cells are the pairs of simplices they compose.  The constructor validates
+the unit and associativity laws exhaustively, up to the dimension cap and
+the dimensions where they can fail.  Gray validation runs the lifting report
+on every homset; suspensions and nerves of small categories provide the
+worked examples.  A cell of the nerve of a finite category is its path, a
+``Path`` (start, arrows) spelled ``start:arrow|arrow``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import product
+from typing import Hashable, Mapping
 
 from .errors import CapExceeded, IllFormedCategory, IllFormedFunctor, LawViolation
 from .operators import delta
 from .stratified import (
+    Cell,
     FiniteStratifiedSet,
     Simplex,
     StratifiedMap,
@@ -38,7 +42,7 @@ class EnrichedCategory:
         self,
         objects,
         homs: Mapping[tuple[str, str], FiniteStratifiedSet],
-        identities: Mapping[str, str],
+        identities: Mapping[str, Hashable],
         comp: Mapping[tuple[str, str, str], StratifiedMap],
         dim_cap: int,
     ):
@@ -89,72 +93,61 @@ def make_enriched(
 
 
 def _check_units(E: EnrichedCategory) -> None:
-    for a in E.objects:
-        for b in E.objects:
-            hom = E.homs.get((a, b))
-            if hom is None or not hom.dims:
-                continue
-            for m in range(E.dim_cap + 1):
-                for z in hom.simplices_of_dim(m):
-                    left = E.compose(a, a, b, z, E.identity_simplex(a, m))
-                    right = E.compose(a, b, b, E.identity_simplex(b, m), z)
-                    if left != z or right != z:
-                        raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
+    """The unit laws on every m-simplex z of every hom, m <= dim_cap.
+
+    A pair whose components share a flat is a degeneracy of a lower pair, and
+    composition commutes with degeneracies; the identity m-simplex is flat
+    everywhere, so (z, id) has a lower such pair unless z is flat nowhere,
+    that is m <= hom(a, b).max_dim().  Checking only up to there is exact.
+    """
+    for a, b in product(E.objects, repeat=2):
+        hom = E.homs.get((a, b), empty_set())
+        for m in range(min(E.dim_cap, hom.max_dim()) + 1):
+            for z in hom.simplices_of_dim(m):
+                left = E.compose(a, a, b, z, E.identity_simplex(a, m))
+                right = E.compose(a, b, b, E.identity_simplex(b, m), z)
+                if left != z or right != z:
+                    raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
 
 
 def _check_associativity(E: EnrichedCategory) -> None:
-    for a in E.objects:
-        for b in E.objects:
-            if not E.homs.get((a, b), empty_set()).dims:
-                continue
-            for c in E.objects:
-                if not E.homs.get((b, c), empty_set()).dims:
-                    continue
-                for d in E.objects:
-                    if not E.homs.get((c, d), empty_set()).dims:
-                        continue
-                    for m in range(E.dim_cap + 1):
-                        for z3 in E.hom(c, d).simplices_of_dim(m):
-                            for z2 in E.hom(b, c).simplices_of_dim(m):
-                                right = E.compose(b, c, d, z3, z2)
-                                for z1 in E.hom(a, b).simplices_of_dim(m):
-                                    lhs = E.compose(a, b, d, right, z1)
-                                    rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
-                                    if lhs != rhs:
-                                        raise LawViolation(
-                                            f"associativity fails at {(z3, z2, z1)}"
-                                        )
+    """Associativity on every triple of m-simplices, m <= dim_cap.
+
+    A triple whose components all share a flat is a degeneracy of a lower
+    triple, and both composites commute with degeneracies.  An m-simplex of
+    dimension-d core has d non-flat spots, so a triple with no common flat
+    has m at most the sum of the three homs' max_dim(); checking only up to
+    there is exact.
+    """
+    for a, b, c, d in product(E.objects, repeat=4):
+        hab, hbc, hcd = (E.homs.get(key, empty_set()) for key in ((a, b), (b, c), (c, d)))
+        if not (hab.dims and hbc.dims and hcd.dims):
+            continue
+        for m in range(min(E.dim_cap, hab.max_dim() + hbc.max_dim() + hcd.max_dim()) + 1):
+            for z3 in hcd.simplices_of_dim(m):
+                for z2 in hbc.simplices_of_dim(m):
+                    right = E.compose(b, c, d, z3, z2)
+                    for z1 in hab.simplices_of_dim(m):
+                        lhs = E.compose(a, b, d, right, z1)
+                        rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
+                        if lhs != rhs:
+                            raise LawViolation(f"associativity fails at {(z3, z2, z1)}")
 
 
 # -- suspensions -------------------------------------------------------------
 
 
-def _collapse_map(P: FiniteStratifiedSet, target: FiniteStratifiedSet, cell: str) -> StratifiedMap:
+def _collapse_map(P: FiniteStratifiedSet, target: FiniteStratifiedSet, cell) -> StratifiedMap:
     assignment = {
         c: Simplex(cell, degenerate_word(P.dims[c])) for c in P.cells()
     }
     return StratifiedMap(P, target, assignment)
 
 
-def _unit_map(
-    P: FiniteStratifiedSet,
-    pairs: Mapping[str, tuple[Simplex, Simplex]],
-    X: FiniteStratifiedSet,
-    left_point: bool,
-) -> StratifiedMap:
-    """Identify X (*) point (or point (*) X) with X."""
-    assignment = {}
-    for cid in P.cells():
-        sx, sy = pairs[cid]
-        assignment[cid] = sy if left_point else sx
-    return StratifiedMap(P, X, assignment)
-
-
 def terminal_enriched() -> EnrichedCategory:
     """One object whose homset is the point."""
     pt = point_set()
-    P, _ = gray_product(pt, pt)
-    comp = {("*", "*", "*"): _collapse_map(P, pt, "*")}
+    comp = {("*", "*", "*"): _collapse_map(gray_product(pt, pt), pt, "*")}
     return make_enriched(["*"], {("*", "*"): pt}, {"*": "*"}, comp, 0)
 
 
@@ -173,13 +166,13 @@ def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
         for b in "01":
             for c in "01":
                 hbc, hab, hac = homs[(b, c)], homs[(a, b)], homs[(a, c)]
-                P, pairs = gray_product(hbc, hab, cap=X.dim_cap)
+                P = gray_product(hbc, hab, cap=X.dim_cap)
                 if not hbc.dims or not hab.dims:
                     comp[(a, b, c)] = StratifiedMap(P, hac, {})
-                elif (a, c) == ("0", "1") and (b, c) == ("0", "1"):
-                    comp[(a, b, c)] = _unit_map(P, pairs, X, left_point=False)
                 elif (a, c) == ("0", "1"):
-                    comp[(a, b, c)] = _unit_map(P, pairs, X, left_point=True)
+                    # P is X (*) point for b = 0 and point (*) X for b = 1: keep the X side
+                    side = 0 if b == "0" else 1
+                    comp[(a, b, c)] = StratifiedMap(P, X, {pair: pair[side] for pair in P.cells()})
                 else:
                     comp[(a, b, c)] = _collapse_map(P, hac, "*")
     return make_enriched(["0", "1"], homs, identities, comp, X.dim_cap)
@@ -196,9 +189,6 @@ class FiniteCategory:
     table: Mapping[tuple[str, str], str]  # (g, f) -> g after f
 
     def validate(self) -> None:
-        for name in (*self.objects, *self.arrows):
-            if ":" in name or "|" in name:
-                raise IllFormedCategory(f"name {name!r} contains a path separator ':' or '|'")
         for f, ends in self.arrows.items():
             if len(ends) != 2 or not set(ends) <= set(self.objects):
                 raise IllFormedCategory(f"arrow {f} does not run between declared objects")
@@ -240,21 +230,20 @@ class FiniteCategory:
         )
 
 
-def _path_id(arrows: tuple[str, ...], start: str) -> str:
-    return start + ":" + "|".join(arrows)
+class Path(Cell):
+    """A cell of the nerve of a category: (start, arrows), spelled start:arrow|arrow."""
 
-
-def _parse_path(cid: str) -> tuple[str, tuple[str, ...]]:
-    start, rest = cid.split(":")
-    return start, (tuple(rest.split("|")) if rest else ())
+    def __str__(self) -> str:
+        start, arrows = self
+        return start + ":" + "|".join(arrows)
 
 
 def from_category(cat: FiniteCategory, dim_cap: int) -> FiniteStratifiedSet:
     """The equivalence-stratified nerve of a finite category, truncated."""
     cat.validate()
-    dims: dict[str, int] = {}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    thin: list[str] = []
+    dims: dict[Path, int] = {}
+    faces: dict[Path, tuple[Simplex, ...]] = {}
+    thin: list[Path] = []
     idents = set(cat.identities.values())
 
     def paths(m: int):
@@ -270,12 +259,12 @@ def from_category(cat: FiniteCategory, dim_cap: int) -> FiniteStratifiedSet:
 
     for m in range(dim_cap + 1):
         for start, body in paths(m):
-            cid = _path_id(body, start)
-            dims[cid] = m
+            cell = Path((start, body))
+            dims[cell] = m
             if m >= 1:
-                faces[cid] = tuple(_path_face(cat, start, body, j) for j in range(m + 1))
+                faces[cell] = tuple(_path_face(cat, start, body, j) for j in range(m + 1))
                 if m >= 2 or cat.is_invertible(body[0]):
-                    thin.append(cid)
+                    thin.append(cell)
     return FiniteStratifiedSet(dim_cap, dims, faces, thin)
 
 
@@ -294,7 +283,7 @@ def _path_normal_form(cat: FiniteCategory, start: str, body: tuple[str, ...]) ->
     idents = set(cat.identities.values())
     core = tuple(f for f in body if f not in idents)
     word = tuple(sorted((t for t, f in enumerate(body) if f in idents), reverse=True))
-    return Simplex(_path_id(core, start), word)
+    return Simplex(Path((start, core)), word)
 
 
 # -- standard example categories ---------------------------------------------
@@ -346,30 +335,23 @@ def one_object_group_enriched(order: int, dim_cap: int) -> EnrichedCategory:
     """One object, hom the group nerve, composition by pointwise products."""
     cat = cyclic_group_category(order)
     hom = from_category(cat, dim_cap)
-    P, pairs = gray_product(hom, hom, cap=dim_cap)
-    assignment = {}
-    for cid in P.cells():
-        sx, sy = pairs[cid]
-        assignment[cid] = _pointwise_product(cat, order, sx, sy)
+    P = gray_product(hom, hom, cap=dim_cap)
+    assignment = {pair: _pointwise_product(cat, *pair) for pair in P.cells()}
     comp = {("*", "*", "*"): StratifiedMap(P, hom, assignment)}
-    return make_enriched(["*"], {("*", "*"): hom}, {"*": "*:"}, comp, dim_cap)
+    return make_enriched(["*"], {("*", "*"): hom}, {"*": Path(("*", ()))}, comp, dim_cap)
 
 
-def _expand_path(s: Simplex) -> list[str | None]:
-    """The full arrow list of a possibly degenerate path simplex."""
-    _, body = _parse_path(s.cell)
-    seq: list[str | None] = list(body)
+def _expand_path(cat: FiniteCategory, s: Simplex) -> list[str]:
+    """The full arrow list of a possibly degenerate path simplex of a one-object category."""
+    start, body = s.cell
+    seq = list(body)
     for t in sorted(s.word):
-        seq.insert(t, None)  # None marks an identity step
+        seq.insert(t, cat.identities[start])
     return seq
 
 
-def _pointwise_product(cat: FiniteCategory, order: int, sx: Simplex, sy: Simplex) -> Simplex:
-    prod = []
-    for u, v in zip(_expand_path(sx), _expand_path(sy)):
-        iu = 0 if u is None else int(u[1:])
-        iv = 0 if v is None else int(v[1:])
-        prod.append(f"g{(iu + iv) % order}")
+def _pointwise_product(cat: FiniteCategory, sx: Simplex, sy: Simplex) -> Simplex:
+    prod = (cat.compose(u, v) for u, v in zip(_expand_path(cat, sx), _expand_path(cat, sy)))
     return _path_normal_form(cat, "*", tuple(prod))
 
 

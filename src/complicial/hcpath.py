@@ -8,6 +8,9 @@ A simplicial operator alpha acts fiberwise: coordinate i' of the image over
 (alpha(r), alpha(s)] is the pointwise minimum of the coordinates at the
 positions alpha sends to i', the constant-1 coordinate + when there are none;
 positions sent to alpha(r) drop out.
+
+A cell of hom(r, s) is a ``shapes.Coords`` holding the coordinates w of the
+arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
 """
 
 from __future__ import annotations
@@ -18,13 +21,12 @@ from functools import lru_cache
 from .errors import BadInterval, DimensionMismatch, ObjectMismatch, OutOfRange
 from .operators import MINUS, PLUS, CubeCoordinate, Operator
 from .shapes import (
+    Coords,
     cube,
-    cube_cell_id,
     cube_dim,
     cube_normal_form,
     cube_thin,
     is_integer_surjective,
-    parse_cube_cell,
 )
 from .stratified import FiniteStratifiedSet, Simplex
 
@@ -52,9 +54,6 @@ class PathArrow:
     @property
     def is_identity(self) -> bool:
         return self.r == self.s
-
-    def cell_id(self) -> str:
-        return cube_cell_id(self.w)
 
 
 def identity_arrow(r: int, m: int = 0) -> PathArrow:
@@ -85,30 +84,25 @@ def hom_set(r: int, s: int) -> FiniteStratifiedSet:
     if r > s:
         raise BadInterval(f"hom({r},{s}) is empty")
     if r == s:
-        return FiniteStratifiedSet(0, {"": 0}, {})
-
-    def top(cid: str) -> str:
-        return cube_cell_id(parse_cube_cell(cid) + (MINUS,))
-
+        return FiniteStratifiedSet(0, {Coords(()): 0}, {})
     C = cube(s - r - 1)
+    top = {c: Coords(c.w + (MINUS,)) for c in C.dims}
     faces = {
-        top(c): tuple(Simplex(top(f.cell), f.word) for f in fs) for c, fs in C.faces.items()
+        top[c]: tuple(Simplex(top[f.cell], f.word) for f in fs) for c, fs in C.faces.items()
     }
     return FiniteStratifiedSet(
-        C.dim_cap, {top(c): d for c, d in C.dims.items()}, faces, map(top, C.thin)
+        C.dim_cap, {top[c]: d for c, d in C.dims.items()}, faces, (top[c] for c in C.thin)
     )
 
 
-def arrow_of_cell(r: int, s: int, cid: str) -> PathArrow:
-    w = parse_cube_cell(cid)
-    return PathArrow(r, s, cube_dim(w), w)
+def arrow_of_cell(r: int, s: int, cell: Coords) -> PathArrow:
+    return PathArrow(r, s, cube_dim(cell.w), cell.w)
 
 
 def arrow_normal_form(a: PathArrow) -> tuple[PathArrow, tuple[int, ...]]:
     """Nondegenerate core and degeneracy word of an arrow."""
-    nf = cube_normal_form(a.w, a.m)
-    core_w = parse_cube_cell(nf.cell)
-    return PathArrow(a.r, a.s, a.m - len(nf.word), core_w), nf.word
+    core, word = cube_normal_form(a.w, a.m)
+    return PathArrow(a.r, a.s, a.m - len(word), core), word
 
 
 def compose_path(b: PathArrow, a: PathArrow) -> PathArrow:

@@ -38,7 +38,7 @@ from .hcpath import (
     split_at_zeros,
     top_special_arrow,
 )
-from .shapes import comparison_simplex, cube_face, operator_of_simplex, standard
+from .shapes import Coords, comparison_simplex, cube_face, operator_of_simplex
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -49,16 +49,9 @@ class NerveSimplex:
         self.E = E
         self.n = n
         self.obj = obj
-        self.maps = maps  # (r, s) -> {hom cell id -> Simplex in E.hom(obj r, obj s)}
-        self._key = (
-            n,
-            obj,
-            tuple(
-                (rs, cid, img)
-                for rs in sorted(maps)
-                for cid, img in sorted(maps[rs].items())
-            ),
-        )
+        self.maps = maps  # (r, s) -> {coordinates w of a hom cell -> Simplex of E.hom}
+        # every functor from the n-path tabulates the same cells in the same order
+        self._key = (n, obj, tuple(img for table in maps.values() for img in table.values()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NerveSimplex) and self._key == other._key
@@ -74,23 +67,22 @@ class NerveSimplex:
         if a.r == a.s:
             return self.E.identity_simplex(self.obj[a.r], a.m)
         core, word = arrow_normal_form(a)
-        img = self.maps[(core.r, core.s)][core.cell_id()]
+        img = self.maps[(core.r, core.s)][core.w]
         if not word:
             return img
         target = self.E.hom(self.obj[a.r], self.obj[a.s])
         return target.act(img, _wop(a.m, word))
 
 
-def _generators(n: int) -> list[tuple[int, int, str, int]]:
-    """Nondegenerate indecomposable hom cells as (r, s, cell id, dim)."""
+def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
+    """Nondegenerate indecomposable hom cells as (r, s, cell, dim)."""
     gens = []
     for r in range(n + 1):
         for s in range(r + 1, n + 1):
             H = hom_set(r, s)
-            for cid in H.cells():
-                a = arrow_of_cell(r, s, cid)
-                if is_indecomposable(a):
-                    gens.append((r, s, cid, H.dims[cid]))
+            for cell in H.cells():
+                if is_indecomposable(arrow_of_cell(r, s, cell)):
+                    gens.append((r, s, cell, H.dims[cell]))
     gens.sort(key=lambda g: (g[3], g[0], g[1], g[2]))
     return gens
 
@@ -102,7 +94,7 @@ def _eval_partial(E, obj, assigned, a: PathArrow) -> Simplex | None:
     out = None
     for factor in split_at_zeros(a):
         core, word = arrow_normal_form(factor)
-        img = assigned.get((core.r, core.s, core.cell_id()))
+        img = assigned.get((core.r, core.s, core.w))
         if img is None:
             return None
         if word:
@@ -131,17 +123,18 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
         yield from rec([])
 
     for obj in object_maps():
-        assigned: dict[tuple[int, int, str], Simplex] = {}
+        assigned: dict[tuple[int, int, tuple], Simplex] = {}
 
-        def candidates(r, s, cid, d):
-            a = arrow_of_cell(r, s, cid)
+        def candidates(r, s, cell, d):
             faces = {}
             for j in range(d + 1) if d >= 1 else ():
-                face = PathArrow(r, s, d - 1, cube_face(a.w, d, j))
+                face = PathArrow(r, s, d - 1, cube_face(cell.w, d, j))
                 faces[j] = _eval_partial(E, obj, assigned, face)
                 if faces[j] is None:
                     return ()
-            return E.hom(obj[r], obj[s]).fillers(d, faces, cid in hom_set(r, s).thin)
+            target = E.hom(obj[r], obj[s])
+            fillers = target.fillers(d, faces, cell in hom_set(r, s).thin)
+            return sorted(fillers, key=target.sort_key)
 
         def search(i: int):
             if i == len(gens):
@@ -149,11 +142,11 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
                 if f is not None:
                     results.append(f)
                 return
-            r, s, cid, d = gens[i]
-            for z in sorted(candidates(r, s, cid, d)):
-                assigned[(r, s, cid)] = z
+            r, s, cell, d = gens[i]
+            for z in candidates(r, s, cell, d):
+                assigned[(r, s, cell.w)] = z
                 search(i + 1)
-                del assigned[(r, s, cid)]
+                del assigned[(r, s, cell.w)]
 
         search(0)
     return results
@@ -162,17 +155,17 @@ def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
 def _tabulate(E, n, obj, image) -> NerveSimplex | None:
     """The functor out of the coherent n-path sending every hom cell, as an arrow,
     to image(arrow); None if an image is missing or a thin cell lands non-thin."""
-    maps: dict[tuple[int, int], dict[str, Simplex]] = {}
+    maps: dict[tuple[int, int], dict[tuple, Simplex]] = {}
     for r in range(n + 1):
         for s in range(r + 1, n + 1):
             H = hom_set(r, s)
             target = E.hom(obj[r], obj[s])
             table = {}
-            for cid in H.cells():
-                img = image(arrow_of_cell(r, s, cid))
-                if img is None or (cid in H.thin and not target.is_thin(img)):
+            for cell in H.cells():
+                img = image(arrow_of_cell(r, s, cell))
+                if img is None or (cell in H.thin and not target.is_thin(img)):
                     return None
-                table[cid] = img
+                table[cell.w] = img
             maps[(r, s)] = table
     return NerveSimplex(E, n, obj, maps)
 
@@ -326,12 +319,11 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
     """
     F = SigmaFunctor(n)
     hom01 = E.hom("0", "1")
-    Dn = standard(n)
 
     def image(a: PathArrow) -> Simplex:
         if not F.crossing(a):
             return E.identity_simplex(F.obj(a.r), a.m)
-        return hom01.act(x, operator_of_simplex(Dn, F.delta_image(a), a.m))
+        return hom01.act(x, operator_of_simplex(n, F.delta_image(a), a.m))
 
     return _tabulate(E, n + 1, tuple(F.obj(r) for r in range(n + 2)), image)
 

@@ -1,10 +1,12 @@
 """Constructors for the named stratified sets: simplices, horns, and cubes.
 
-Cube cells are functions w from positions 1..n into the doubly pointed set
-{-, +, 1..m}; position i records which m-simplex of the 1-simplex sits in
-ordinate i.  Ordinates are indexed from the right, so the vertex tuple of a
-cube cell prints as (a_n, ..., a_1).  A cell is degenerate exactly when w
-misses some integer below m.
+A cell of a standard simplex is its vertex tuple, a ``Vertices`` spelled
+``0.1.3``.  Cube cells are functions w from positions 1..n into the doubly
+pointed set {-, +, 1..m}; position i records which m-simplex of the 1-simplex
+sits in ordinate i.  Ordinates are indexed from the right, so the vertex tuple
+of a cube cell prints as (a_n, ..., a_1).  A cell is degenerate exactly when w
+misses some integer below m.  A cube cell is a ``Coords``, the string
+``w(1),...,w(n)`` holding w, so callers can sort it and write it to JSON as is.
 
 Thinness of the directed cube: a nondegenerate cell is thin iff there are
 integers u < v such that every w-position carrying u lies strictly below
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import OutOfRange
 from .operators import (
@@ -29,11 +31,15 @@ from .operators import (
     CubeCoordinate,
     Operator,
     admissible_vertices,
+    compose_ops,
     delta,
+    ez_factorize,
     rho_operator,
     rho_precompose,
+    word_operator,
 )
 from .stratified import (
+    Cell,
     FiniteStratifiedSet,
     Simplex,
     StratifiedMap,
@@ -46,12 +52,11 @@ from .stratified import (
 # -- standard simplices ----------------------------------------------------
 
 
-def _vertex_tuple(cell: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in cell.split("."))
+class Vertices(Cell):
+    """A cell of a standard simplex: its increasing vertex tuple, spelled 0.1.3."""
 
-
-def _simplex_cell(vertices: tuple[int, ...]) -> str:
-    return ".".join(map(str, vertices))
+    def __str__(self) -> str:
+        return ".".join(map(str, self))
 
 
 @lru_cache(maxsize=None)
@@ -62,44 +67,29 @@ def standard(n: int) -> FiniteStratifiedSet:
     dims = {}
     faces = {}
     for d in range(n + 1):
-        for comb in _subsets(n, d + 1):
-            cid = _simplex_cell(comb)
-            dims[cid] = d
+        for comb in combinations(range(n + 1), d + 1):
+            cell = Vertices(comb)
+            dims[cell] = d
             if d >= 1:
-                faces[cid] = tuple(
-                    Simplex(_simplex_cell(comb[:j] + comb[j + 1 :])) for j in range(d + 1)
+                faces[cell] = tuple(
+                    Simplex(Vertices(comb[:j] + comb[j + 1 :])) for j in range(d + 1)
                 )
     return FiniteStratifiedSet(n, dims, faces)
 
 
-def _subsets(n: int, size: int):
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(n + 1), size)]
-
-
 def simplex_of_operator(alpha: Operator) -> Simplex:
     """The simplex of the standard target simplex named by an operator."""
-    from .operators import ez_factorize
-
     _, degens = ez_factorize(alpha)
     vs = tuple(sorted(set(alpha.values)))
-    return Simplex(_simplex_cell(vs), degens)
+    return Simplex(Vertices(vs), degens)
 
 
-def operator_of_simplex(X: FiniteStratifiedSet, s: Simplex, q: int) -> Operator:
-    """Inverse of simplex_of_operator for simplices of a standard simplex."""
-    from .operators import compose_ops, word_operator
-
-    vs = _vertex_tuple(s.cell)
-    inj = Operator(len(vs) - 1, max_vertex(X), vs)
+def operator_of_simplex(n: int, s: Simplex, q: int) -> Operator:
+    """Inverse of simplex_of_operator for q-simplices of the standard n-simplex."""
+    inj = Operator(len(s.cell) - 1, n, s.cell)
     if not s.word:
         return inj
     return compose_ops(inj, word_operator(q, s.word))
-
-
-def max_vertex(X: FiniteStratifiedSet) -> int:
-    return max(_vertex_tuple(c)[0] for c in X.cells_of_dim(0))
 
 
 def boundary(n: int) -> FiniteStratifiedSet:
@@ -110,7 +100,7 @@ def boundary(n: int) -> FiniteStratifiedSet:
 
 def standard_thin(n: int) -> FiniteStratifiedSet:
     X = standard(n)
-    return make_thin(X, [_simplex_cell(tuple(range(n + 1)))])
+    return make_thin(X, [Vertices(range(n + 1))])
 
 
 # -- complicial simplices and horns ----------------------------------------
@@ -124,7 +114,7 @@ def complicial(n: int, k: int) -> FiniteStratifiedSet:
     X = standard(n)
     needed = admissible_vertices(n, k)
     thin = [
-        c for c in X.cells() if X.dims[c] >= 1 and needed <= set(_vertex_tuple(c))
+        c for c in X.cells() if X.dims[c] >= 1 and needed <= set(c)
     ]
     return make_thin(X, thin)
 
@@ -134,7 +124,7 @@ def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
         raise OutOfRange("primed variants need n >= 2")
     X = complicial(n, k)
     extra = [
-        _simplex_cell(tuple(v for v in range(n + 1) if v != j))
+        Vertices(v for v in range(n + 1) if v != j)
         for j in sorted(admissible_vertices(n, k) - {k})
     ]
     return make_thin(X, extra)
@@ -142,14 +132,14 @@ def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
 
 def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
     X = complicial_primed(n, k)
-    return make_thin(X, [_simplex_cell(tuple(v for v in range(n + 1) if v != k))])
+    return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
 
 
 def horn(n: int, k: int) -> FiniteStratifiedSet:
     """The k-complicial horn: all faces of the complicial simplex except the kth."""
     X = complicial(n, k)
     seeds = [
-        _simplex_cell(tuple(v for v in range(n + 1) if v != j))
+        Vertices(v for v in range(n + 1) if v != j)
         for j in range(n + 1)
         if j != k
     ]
@@ -178,17 +168,14 @@ class CubeFunction:
         return self.w[i - self.lower - 1]
 
 
-def cube_cell_id(w: tuple[CubeCoordinate, ...]) -> str:
-    return ",".join(str(v) for v in w)
+class Coords(str):
+    """A cube or hom cell: the string w(1),...,w(n), spelled once, holding the
+    coordinates w; nothing parses it, and equal cells have equal w."""
 
-
-def parse_cube_cell(cid: str) -> tuple[CubeCoordinate, ...]:
-    if not cid:
-        return ()
-    out: list[CubeCoordinate] = []
-    for tok in cid.split(","):
-        out.append(tok if tok in (MINUS, PLUS) else int(tok))
-    return tuple(out)
+    def __new__(cls, w):
+        self = super().__new__(cls, ",".join(map(str, w)))
+        self.w = tuple(w)
+        return self
 
 
 def cube_dim(w: tuple[CubeCoordinate, ...]) -> int:
@@ -232,16 +219,18 @@ def cube_face(w: tuple[CubeCoordinate, ...], m: int, j: int) -> tuple[CubeCoordi
     return tuple(rho_precompose(v, d) for v in w)
 
 
-def cube_normal_form(w: tuple[CubeCoordinate, ...], q: int) -> Simplex:
-    """EZ normal form of an arbitrary cube function at dimension q."""
+def cube_normal_form(
+    w: tuple[CubeCoordinate, ...], q: int
+) -> tuple[tuple[CubeCoordinate, ...], tuple[int, ...]]:
+    """EZ normal form of an arbitrary cube function at dimension q: the
+    coordinates of its nondegenerate core and its degeneracy word."""
     present = sorted({v for v in w if v not in (MINUS, PLUS)})
     if present == list(range(1, q + 1)):
-        return Simplex(cube_cell_id(w), ())
+        return w, ()
     relabel = {v: i + 1 for i, v in enumerate(present)}
     core = tuple(v if v in (MINUS, PLUS) else relabel[v] for v in w)
     missing = [v for v in range(1, q + 1) if v not in relabel]
-    word = tuple(sorted((v - 1 for v in missing), reverse=True))
-    return Simplex(cube_cell_id(core), word)
+    return core, tuple(sorted((v - 1 for v in missing), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -249,6 +238,7 @@ def cube(n: int) -> FiniteStratifiedSet:
     """The n-fold tensor power of the 1-simplex with its directed stratification."""
     if n < 0:
         raise OutOfRange("cube needs n >= 0")
+    cells: dict[tuple[CubeCoordinate, ...], Coords] = {}
     dims = {}
     faces = {}
     thin = []
@@ -257,14 +247,13 @@ def cube(n: int) -> FiniteStratifiedSet:
         for w in product(alphabet, repeat=n):
             if not is_integer_surjective(w, m):
                 continue
-            cid = cube_cell_id(w)
-            dims[cid] = m
+            cell = cells[w] = Coords(w)
+            dims[cell] = m
             if m >= 1:
-                faces[cid] = tuple(
-                    cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1)
-                )
+                nfs = (cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1))
+                faces[cell] = tuple(Simplex(cells[core], word) for core, word in nfs)
                 if cube_thin(w, m):
-                    thin.append(cid)
+                    thin.append(cell)
     return FiniteStratifiedSet(n, dims, faces, thin)
 
 
@@ -298,8 +287,8 @@ def vertex_chain(w: tuple[CubeCoordinate, ...], m: int) -> tuple[tuple[int, ...]
     return tuple(cube_vertex_label(w, t, m) for t in range(m + 1))
 
 
-def cell_from_vertex_chain(chain) -> str:
-    """Cube cell id from its vertex tuples (a_n, ..., a_1), one per simplex vertex."""
+def cell_from_vertex_chain(chain) -> Coords:
+    """The cube cell with these vertex tuples (a_n, ..., a_1), one per simplex vertex."""
     chain = [tuple(v) for v in chain]
     n = len(chain[0])
     m = len(chain) - 1
@@ -315,11 +304,11 @@ def cell_from_vertex_chain(chain) -> str:
             if column != [0] * flip + [1] * (m + 1 - flip):
                 raise OutOfRange(f"column {column} is not a 1-simplex of dimension {m}")
             w.append(flip)
-    return cube_cell_id(tuple(w))
+    return Coords(w)
 
 
-def parse_vertex_chain(text: str) -> str:
-    """Cell id from a printed chain like '(0,0,0)<(0,1,1)<(1,1,1)'."""
+def parse_vertex_chain(text: str) -> Coords:
+    """The cube cell of a printed chain like '(0,0,0)<(0,1,1)<(1,1,1)'."""
     verts = []
     for part in text.replace(" ", "").split("<"):
         part = part.strip("()")
@@ -352,9 +341,7 @@ def comparison_simplex(
 def c_map(n: int) -> StratifiedMap:
     """The stratified comparison map from the n-cube to the standard n-simplex."""
     C = cube(n)
-    assignment = {
-        cid: comparison_simplex(parse_cube_cell(cid), 0, n, C.dims[cid]) for cid in C.cells()
-    }
+    assignment = {c: comparison_simplex(c.w, 0, n, C.dims[c]) for c in C.cells()}
     return StratifiedMap(C, standard(n), assignment)
 
 
@@ -394,15 +381,12 @@ def big_C(n: int, k: int) -> FiniteStratifiedSet:
         raise OutOfRange(f"C^k_n needs n >= 2, 1 <= k <= n; got {(n, k)}")
     X = cube(n)
     extra = []
-    for cid in X.cells():
-        m = X.dims[cid]
-        if m == 0 or cid in X.thin:
+    for c in X.cells():
+        m = X.dims[c]
+        if m == 0 or c in X.thin or not is_partial_bijection(c.w, m):
             continue
-        w = parse_cube_cell(cid)
-        if not is_partial_bijection(w, m):
-            continue
-        if _criterion_i(w) or _criterion_ii(w, n, k):
-            extra.append(cid)
+        if _criterion_i(c.w) or _criterion_ii(c.w, n, k):
+            extra.append(c)
     return make_thin(X, extra)
 
 
@@ -415,7 +399,7 @@ def in_big_H(w: tuple[CubeCoordinate, ...], k: int) -> bool:
 def big_H(n: int, k: int) -> SubsetHandle:
     """The horn-shaped regular subset of C^k_n."""
     X = big_C(n, k)
-    members = [c for c in X.cells() if in_big_H(parse_cube_cell(c), k)]
+    members = [c for c in X.cells() if in_big_H(c.w, k)]
     return SubsetHandle(X, frozenset(members), frozenset(members) & X.thin)
 
 
@@ -436,12 +420,10 @@ def special_top(n: int) -> CubeFunction:
 
 def C_dot(n: int, k: int) -> FiniteStratifiedSet:
     X = big_C(n, k)
-    extra = [
-        cube_cell_id(special_w(n, i).w) for i in (k - 1, k + 1) if 1 <= i <= n
-    ]
+    extra = [Coords(special_w(n, i).w) for i in (k - 1, k + 1) if 1 <= i <= n]
     return make_thin(X, extra)
 
 
 def C_ddot(n: int, k: int) -> FiniteStratifiedSet:
     X = C_dot(n, k)
-    return make_thin(X, [cube_cell_id(special_w(n, k).w)])
+    return make_thin(X, [Coords(special_w(n, k).w)])

@@ -8,6 +8,11 @@ with degenerate simplices implicitly thin.  The module also provides
 stratified maps, regular/entire subsets, the product tensor (componentwise
 thinness), and exhaustive enumeration of stratified maps between finite sets.
 
+A cell is a hashable value: a string in a set read from JSON, a structured
+value in a built one (a product cell is its ``Pair`` of simplices).  Its
+spelling ``str(cell)`` serves the JSON writers, which refuse two cells spelled
+alike, and the order of cells, which is the order of their spellings.
+
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
 with given faces: map enumeration, nerve enumeration, horn enumeration and
 both lifting checks run on it.
@@ -16,10 +21,12 @@ both lifting checks run on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     AmbientMismatch,
+    BadParams,
     CapExceeded,
     DimensionMismatch,
     ParseError,
@@ -36,11 +43,18 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True, order=True)
+class Cell(tuple):
+    """A structured cell; it prints as its spelling, the text JSON gives it."""
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
+@dataclass(frozen=True, slots=True)
 class Simplex:
     """EZ normal form: a nondegenerate cell plus a degeneracy word."""
 
-    cell: str
+    cell: Hashable
     word: tuple[int, ...] = ()
 
     @property
@@ -54,29 +68,38 @@ class FiniteStratifiedSet:
     def __init__(
         self,
         dim_cap: int,
-        dims: Mapping[str, int],
-        faces: Mapping[str, tuple[Simplex, ...]],
-        thin: Iterable[str] = (),
+        dims: Mapping[Hashable, int],
+        faces: Mapping[Hashable, tuple[Simplex, ...]],
+        thin: Iterable[Hashable] = (),
     ):
         self.dim_cap = dim_cap
         self.dims = dict(dims)
         self.faces = {c: tuple(fs) for c, fs in faces.items()}
         self.thin = frozenset(thin)
-        grouped: dict[int, list[str]] = {}
-        for c in sorted(self.dims):
+        grouped: dict[int, list] = {}
+        for c in sorted(self.dims, key=str):
             grouped.setdefault(self.dims[c], []).append(c)
-        self._by_dim = {d: tuple(cs) for d, cs in grouped.items()}
-        self._act_cache: dict[tuple[str, tuple[int, ...]], Simplex] = {}
+        self._by_dim = {d: tuple(grouped[d]) for d in sorted(grouped)}
+        self._act_cache: dict[tuple[Hashable, tuple[int, ...]], Simplex] = {}
 
     # -- basic queries -------------------------------------------------
 
-    def cells(self) -> tuple[str, ...]:
-        return tuple(sorted(self.dims, key=lambda c: (self.dims[c], c)))
+    def cells(self) -> tuple:
+        """Every cell, by dimension and then by spelling."""
+        return tuple(c for cs in self._by_dim.values() for c in cs)
 
-    def cells_of_dim(self, d: int) -> tuple[str, ...]:
+    def cells_of_dim(self, d: int) -> tuple:
         return self._by_dim.get(d, ())
 
-    def dim(self, cell: str) -> int:
+    @cached_property
+    def _rank(self) -> dict[Hashable, int]:
+        return {c: i for i, c in enumerate(sorted(self.dims, key=str))}
+
+    def sort_key(self, s: Simplex) -> tuple[int, tuple[int, ...]]:
+        """Orders simplices by the spelling of their cell, then by their word."""
+        return self._rank[s.cell], s.word
+
+    def dim(self, cell: Hashable) -> int:
         if cell not in self.dims:
             raise UnknownCell(cell)
         return self.dims[cell]
@@ -117,7 +140,7 @@ class FiniteStratifiedSet:
         beta = compose_ops(word_operator(q, s.word), alpha) if s.word else alpha
         return self._act_cell(s.cell, beta)
 
-    def _act_cell(self, cell: str, beta: Operator) -> Simplex:
+    def _act_cell(self, cell: Hashable, beta: Operator) -> Simplex:
         key = (cell, beta.values)
         hit = self._act_cache.get(key)
         if hit is not None:
@@ -194,7 +217,7 @@ def empty_set(dim_cap: int = 0) -> FiniteStratifiedSet:
 class StratifiedMap:
     source: FiniteStratifiedSet
     target: FiniteStratifiedSet
-    assignment: Mapping[str, Simplex]
+    assignment: Mapping[Hashable, Simplex]
 
     def __call__(self, s: Simplex) -> Simplex:
         img = self.assignment[s.cell]
@@ -229,14 +252,14 @@ class StratifiedMap:
 @dataclass(frozen=True)
 class SubsetHandle:
     ambient: FiniteStratifiedSet
-    members: frozenset[str]
-    thin_members: frozenset[str]
+    members: frozenset
+    thin_members: frozenset
 
 
-def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[str]) -> SubsetHandle:
+def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[Hashable]) -> SubsetHandle:
     """Smallest face-closed subset containing the seeds, ambient thinness."""
     todo = list(seeds)
-    members: set[str] = set()
+    members: set = set()
     while todo:
         c = todo.pop()
         if c not in X.dims:
@@ -250,7 +273,7 @@ def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[str]) -> SubsetHan
 
 
 def union_regular(X: FiniteStratifiedSet, parts: Iterable[SubsetHandle]) -> SubsetHandle:
-    members: frozenset[str] = frozenset()
+    members: frozenset = frozenset()
     for h in parts:
         if h.ambient is not X:
             raise AmbientMismatch("subset handles live in different ambient sets")
@@ -274,7 +297,7 @@ def is_subset_kind(h: SubsetHandle) -> frozenset[str]:
     return frozenset(kinds) if kinds else frozenset({"neither"})
 
 
-def make_thin(X: FiniteStratifiedSet, extra: Iterable[str]) -> FiniteStratifiedSet:
+def make_thin(X: FiniteStratifiedSet, extra: Iterable[Hashable]) -> FiniteStratifiedSet:
     extra = frozenset(extra)
     for c in extra:
         if X.dim(c) == 0:
@@ -283,7 +306,7 @@ def make_thin(X: FiniteStratifiedSet, extra: Iterable[str]) -> FiniteStratifiedS
 
 
 def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:
-    """The subset as a standalone stratified set (cell ids preserved)."""
+    """The subset as a standalone stratified set (cells preserved)."""
     dims = {c: h.ambient.dims[c] for c in h.members}
     faces = {c: h.ambient.faces[c] for c in h.members if dims[c] >= 1}
     cap = max(dims.values(), default=0)
@@ -293,10 +316,11 @@ def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:
 # -- product tensor (componentwise thinness) ------------------------------
 
 
-def pair_id(sx: Simplex, sy: Simplex) -> str:
-    wx = ".".join(map(str, sx.word))
-    wy = ".".join(map(str, sy.word))
-    return f"({sx.cell}|{wx})({sy.cell}|{wy})"
+class Pair(Cell):
+    """A cell of a product: the pair (x, y) of simplices, spelled (x|word)(y|word)."""
+
+    def __str__(self) -> str:
+        return "".join(f"({s.cell}|{'.'.join(map(str, s.word))})" for s in self)
 
 
 def product_pair_simplex(sx: Simplex, sy: Simplex) -> Simplex:
@@ -312,53 +336,52 @@ def product_pair_simplex(sx: Simplex, sy: Simplex) -> Simplex:
         return Simplex(s.cell, tuple(f - sum(c < f for c in common) for f in rest))
 
     word = tuple(f for f in sx.word if f in common)
-    return Simplex(pair_id(strip(sx), strip(sy)), word)
+    return Simplex(Pair((strip(sx), strip(sy))), word)
 
 
 def gray_product(
     X: FiniteStratifiedSet, Y: FiniteStratifiedSet, cap: int | None = None
-) -> tuple[FiniteStratifiedSet, dict[str, tuple[Simplex, Simplex]]]:
+) -> FiniteStratifiedSet:
     """Cartesian product in Strat: thin iff both components are thin.
 
-    Returns the product and its components, cell id -> (simplex of X, simplex of Y).
+    Its cells are the pairs (x, y) of m-simplices whose words share no flat.
+    The m - dim x flats of x and the m - dim y flats of y are disjoint only if
+    m <= dim x + dim y, so there are no cells above X.max_dim() + Y.max_dim().
     """
     if cap is None:
         cap = X.dim_cap + Y.dim_cap
-    dims: dict[str, int] = {}
-    faces: dict[str, tuple[Simplex, ...]] = {}
-    thin: set[str] = set()
-    pairs: dict[str, tuple[Simplex, Simplex]] = {}
-    for m in range(cap + 1):
+    dims: dict[Pair, int] = {}
+    faces: dict[Pair, tuple[Simplex, ...]] = {}
+    thin: set[Pair] = set()
+    for m in range(min(cap, X.max_dim() + Y.max_dim()) + 1):
         ys = list(Y.simplices_of_dim(m))
         for sx in X.simplices_of_dim(m):
             fx = set(sx.word)
             for sy in ys:
                 if not fx.isdisjoint(sy.word):
                     continue
-                cid = pair_id(sx, sy)
-                dims[cid] = m
-                pairs[cid] = (sx, sy)
-                if X.is_thin(sx) and Y.is_thin(sy):
-                    thin.add(cid)
-    for cid, (sx, sy) in pairs.items():
-        m = dims[cid]
-        if m >= 1:
-            ds = [delta(m, j) for j in range(m + 1)]
-            faces[cid] = tuple(product_pair_simplex(X.act(sx, d), Y.act(sy, d)) for d in ds)
-    thin -= {c for c in thin if dims[c] == 0}
-    return FiniteStratifiedSet(cap, dims, faces, thin), pairs
+                cell = Pair((sx, sy))
+                dims[cell] = m
+                if m >= 1:
+                    ds = [delta(m, j) for j in range(m + 1)]
+                    faces[cell] = tuple(
+                        product_pair_simplex(X.act(sx, d), Y.act(sy, d)) for d in ds
+                    )
+                    if X.is_thin(sx) and Y.is_thin(sy):
+                        thin.add(cell)
+    return FiniteStratifiedSet(cap, dims, faces, thin)
 
 
 # -- exhaustive map enumeration -------------------------------------------
 
 
 def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[StratifiedMap]:
-    """All stratified maps A -> X, in the order induced by (dimension, cell id)."""
+    """All stratified maps A -> X, in the order induced by (dimension, spelling)."""
     if A.max_dim() > X.dim_cap:
         raise CapExceeded(f"domain dimension {A.max_dim()} exceeds target cap")
     order = A.cells()
     out: list[StratifiedMap] = []
-    assignment: dict[str, Simplex] = {}
+    assignment: dict[Hashable, Simplex] = {}
     partial = StratifiedMap(A, X, assignment)  # the images chosen so far
 
     def search(i: int) -> None:
@@ -367,7 +390,7 @@ def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[Strat
             return
         cell = order[i]
         faces = {j: partial(s) for j, s in enumerate(A.faces.get(cell, ()))}
-        for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin)):
+        for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin), key=X.sort_key):
             assignment[cell] = img
             search(i + 1)
             del assignment[cell]
@@ -403,7 +426,7 @@ def json_field(data, key: str, kind, path: str, default=None):
 
 
 def simplex_to_json(s: Simplex) -> dict:
-    return {"cell": s.cell, "word": list(s.word)}
+    return {"cell": str(s.cell), "word": list(s.word)}
 
 
 def simplex_from_json(data, path: str) -> Simplex:
@@ -411,15 +434,28 @@ def simplex_from_json(data, path: str) -> Simplex:
     return Simplex(json_field(data, "cell", str, path), tuple(word))
 
 
+def spellings(cells: Iterable[Hashable]) -> dict[Hashable, str]:
+    """The text of each cell, as JSON spells it; BadParams if two cells share one."""
+    text, first = {}, {}
+    for c in cells:
+        text[c] = t = str(c)
+        if first.setdefault(t, c) != c:
+            raise BadParams(f"two distinct cells are both spelled {t!r}")
+    return text
+
+
 def set_to_json(X: FiniteStratifiedSet) -> dict:
+    """The JSON form set_from_json reads, every cell spelled once; BadParams if two
+    cells share a spelling."""
+    text = spellings(X.cells())
     cells = []
     for c in X.cells():
-        d = X.dims[c]
+        fs = X.faces[c] if X.dims[c] >= 1 else ()
         entry = {
-            "id": c,
-            "dim": d,
+            "id": text[c],
+            "dim": X.dims[c],
             "thin": c in X.thin,
-            "faces": [simplex_to_json(s) for s in (X.faces[c] if d >= 1 else ())],
+            "faces": [{"cell": text[s.cell], "word": list(s.word)} for s in fs],
         }
         cells.append(entry)
     return {"dim_cap": X.dim_cap, "cells": cells}
@@ -450,7 +486,7 @@ def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:
 
 
 def subset_to_json(h: SubsetHandle) -> dict:
-    return {"members": sorted(h.members), "thin": sorted(h.thin_members)}
+    return {"members": sorted(map(str, h.members)), "thin": sorted(map(str, h.thin_members))}
 
 
 def subset_from_json(X: FiniteStratifiedSet, data, path: str) -> SubsetHandle:

@@ -25,7 +25,7 @@ from .enriched import (
 from .hcpath import arrow_of_cell, hom_set, path_act
 from .nerve import build_nerve, recover_arrow, yoneda_composite
 from .operators import all_operators, compose_ops
-from .shapes import c_map, cube, special_top, standard
+from .shapes import Coords, c_map, cube, special_top, standard
 
 
 @dataclass
@@ -68,8 +68,7 @@ def check_cube_census(report: SuiteReport) -> None:
         tops = X.cells_of_dim(n)
         nonthin = [c for c in tops if c not in X.thin]
         ok = len(tops) == _factorial(n) and len(nonthin) == 1
-        expected = ",".join(str(v) for v in special_top(n).w)
-        ok = ok and nonthin == [expected]
+        ok = ok and nonthin == [Coords(special_top(n).w)]
         report.add(f"cube-census[{n}]", ok, f"{len(tops)} tops, non-thin {nonthin}")
 
 
@@ -98,10 +97,10 @@ def functoriality_sample(seed: int = 0, pairs: int = 200, max_ord: int = 5) -> i
         for r in range(a + 1):
             for s in range(r, a + 1):
                 H = hom_set(r, s)
-                for cid in H.cells():
-                    if H.dims[cid] > 3:
+                for cell in H.cells():
+                    if H.dims[cell] > 3:
                         continue
-                    arrow = arrow_of_cell(r, s, cid)
+                    arrow = arrow_of_cell(r, s, cell)
                     two = path_act(beta, path_act(alpha, arrow))
                     one = path_act(comp, arrow)
                     if one != two:

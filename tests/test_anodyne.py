@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_rlp_unknown_mode_is_bad_params():
 def test_rlp_monotone_in_stratification():
     # upgrading thinness never breaks a passing thinness instance
     X = complicial(3, 1)
-    X2 = make_thin(X, ["0.1.2"])
+    X2 = make_thin(X, [(0, 1, 2)])
     from complicial.anodyne import _thinness_problems
     from complicial.operators import delta
 
@@ -228,7 +229,7 @@ def test_search_tower_rederives_square():
 
 def test_search_tower_not_found_for_boundary():
     X = standard(1)
-    start = regular_generated(X, ["0", "1"])
+    start = regular_generated(X, [(0,), (1,)])
     assert search_tower(start, full_handle(X), 10) is None
 
 
@@ -256,15 +257,13 @@ def test_horn_problems_are_the_maps_from_the_horn():
         for n in range(1, 4):
             for k in range(n + 1):
                 faces = [
-                    (j, ".".join(str(v) for v in range(n + 1) if v != j))
-                    for j in range(n + 1)
-                    if j != k
+                    (j, tuple(v for v in range(n + 1) if v != j)) for j in range(n + 1) if j != k
                 ]
-                expected = sorted(
+                expected = Counter(
                     tuple((j, f.assignment[cell]) for j, cell in faces)
                     for f in enumerate_maps(horn(n, k), X)
                 )
-                got = sorted(tuple(sorted(p.items())) for p in _horn_problems(X, n, k))
+                got = Counter(tuple(sorted(p.items())) for p in _horn_problems(X, n, k))
                 assert got == expected, (X.cells(), n, k)
-                total += len(got)
+                total += sum(got.values())
     assert total > 700

@@ -210,6 +210,25 @@ def suspended_point():
     return enriched_to_json(suspension(point_set()))
 
 
+def with_comp_key(doc, triple, key):
+    """doc with one more entry, keyed key, in the composition table of triple."""
+    doc["comp"][triple][key] = {"cell": "nope", "word": []}
+    return doc
+
+
+def with_shared_product_spelling():
+    """One object whose hom is the 0-set {p|)(q, p, q|)(r, r}: its product with
+    itself has 16 cells, and (p|)(q, r) and (p, q|)(r) are both spelled (p|)(q|)(r|)."""
+    points = [{"id": c, "dim": 0} for c in ("p|)(q", "p", "q|)(r", "r")]
+    return {
+        "objects": ["*"],
+        "dim_cap": 0,
+        "identities": {"*": "p"},
+        "homs": {"*;*": {"dim_cap": 0, "cells": points}},
+        "comp": {"*;*;*": {"(p|)(q|)(r|)": {"cell": "p", "word": []}}},
+    }
+
+
 def with_duplicate_cell():
     doc = delta2()
     doc["cells"].append(dict(doc["cells"][0]))
@@ -234,7 +253,7 @@ def with_unknown_composite():
 
 
 def with_separator_in_arrow_name():
-    """f: a -> b, g: b -> c and their composite named f|g, the id of the 2-cell (f, g)."""
+    """f: a -> b, g: b -> c and their composite named f|g, the spelling of the 2-cell (f, g)."""
     ends = {"ia": "aa", "ib": "bb", "ic": "cc", "f": "ab", "g": "bc", "f|g": "ac"}
     table = {"g;f": "f|g"}
     for x, (s, t) in ends.items():
@@ -294,6 +313,16 @@ MALFORMED = {
         without(enriched_to_json(suspension(standard(1))), "comp", "0;0;1", "(0|)(*|)"),
         "image of (0|)(*|) is missing or not a 0-simplex of the target",
     ),
+    "nerve-comp-key-names-no-cell": (
+        ["nerve", "--dmax", "1"],
+        with_comp_key(enriched_to_json(suspension(standard(1))), "0;0;1", "(bogus|)(cell|)"),
+        "enriched.comp.0;0;1.(bogus|)(cell|): names no product cell",
+    ),
+    "nerve-comp-key-names-two-cells": (
+        ["nerve", "--dmax", "1"],
+        with_shared_product_spelling(),
+        "enriched.comp.*;*;*.(p|)(q|)(r|): names two product cells",
+    ),
     "nerve-missing-comp-triple": (
         ["nerve", "--dmax", "2"],
         without(suspended_point(), "comp", "0;1;1"),
@@ -323,7 +352,7 @@ MALFORMED = {
     "from-category-separator-in-arrow-name": (
         ["from-category", "--dmax", "2"],
         with_separator_in_arrow_name(),
-        "category: name 'f|g' contains a path separator ':' or '|'",
+        "two distinct cells are both spelled 'a:f|g'",
     ),
 }
 
@@ -373,3 +402,15 @@ def test_enriched_writer_rejects_separator_in_object_names():
     E = EnrichedCategory(["a;b"], {("a;b", "a;b"): point_set()}, {"a;b": "*"}, {}, 0)
     with pytest.raises(BadParams):
         enriched_to_json(E)
+
+
+def test_sigma_of_a_point_with_a_high_cap_is_quick(tmp_path, capsys):
+    # the law checks and the product stop at the dimensions where they can fail
+    import time
+
+    in_file = tmp_path / "p.json"
+    in_file.write_text(json.dumps({"dim_cap": 640, "cells": [{"id": "p", "dim": 0}]}))
+    start = time.perf_counter()
+    code, out = run(["sigma", str(in_file)], capsys)
+    assert code == 0 and time.perf_counter() - start < 2
+    assert json.loads(out)["comp"]["0;0;1"] == {"(p|)(*|)": {"cell": "p", "word": []}}

@@ -1,0 +1,100 @@
+"""Byte pins of the JSON edge: the sha256 of ``json.dumps(..., sort_keys=True)``
+of each writer's output on fixed structures.  Cells are values inside the
+library and are spelled only by the writers, so these digests guard both the
+spelling of every kind of cell and the order of cells, which is the order of
+their spellings (``x:fa`` before ``x:f|g``, ``0.10`` before ``0.2``)."""
+
+import hashlib
+import json
+
+import pytest
+
+from complicial.anodyne import builtin_certificates, certificate_to_json
+from complicial.cli import enriched_to_json
+from complicial.enriched import (
+    FiniteCategory,
+    from_category,
+    one_object_group_enriched,
+    suspension,
+    walking_iso,
+)
+from complicial.nerve import build_nerve
+from complicial.shapes import big_H, cube, standard
+from complicial.stratified import set_to_json, subset_to_set
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _fork_category() -> FiniteCategory:
+    """x with two arrows f, fa to y and g: y -> z; the 2-paths spell x:f|g and
+    x:fa|g, which sort the other way round as (start, arrows) tuples."""
+    arrows = {
+        "ix": ("x", "x"), "iy": ("y", "y"), "iz": ("z", "z"),
+        "f": ("x", "y"), "fa": ("x", "y"), "g": ("y", "z"), "gf": ("x", "z"),
+    }
+    identities = {"x": "ix", "y": "iy", "z": "iz"}
+    table = {(identities[t], a): a for a, (_, t) in arrows.items()}
+    table.update({(a, identities[s]): a for a, (s, _) in arrows.items()})
+    table.update({("g", "f"): "gf", ("g", "fa"): "gf"})
+    return FiniteCategory(("x", "y", "z"), arrows, identities, table)
+
+
+PINS = {
+    "cube(4)": (
+        lambda: set_to_json(cube(4)),
+        "0d4ac8f374a7ba42cb99d5e74a4349b04beb092727d3a0cb5973e29e9a32c777",
+    ),
+    "standard(10)": (
+        lambda: set_to_json(standard(10)),
+        "d5ca659a990ae7152e8423f590ed93ec66f721737bb7df4308637d3fc1ae2b57",
+    ),
+    "big_H(3,2)": (
+        lambda: set_to_json(subset_to_set(big_H(3, 2))),
+        "f9c84fa6b684fc0847c71520793b9516eb05a7a6de92f503ab0ab165a5fa69de",
+    ),
+    "walking-iso nerve": (
+        lambda: set_to_json(from_category(walking_iso(), 3)),
+        "b0689420b6ba19ad1e517f2d724e10004dbdfca9463f2a84931b09dd34a54421",
+    ),
+    "fork nerve": (
+        lambda: set_to_json(from_category(_fork_category(), 3)),
+        "a3a716cdc6255184d507c6eccb504daac809766051d3c9f675be8cedc3e4f046",
+    ),
+    "nerve of suspension(standard(2))": (
+        lambda: set_to_json(build_nerve(suspension(standard(2)), 3)),
+        "5421f6b342a003a44818439e21cdbb0cbff8d0977cc0f99c65a5bda8faa082e6",
+    ),
+    "one_object_group_enriched(2, 2)": (
+        lambda: enriched_to_json(one_object_group_enriched(2, 2)),
+        "690e09f6e3497cfee58e9a57cc4cc5cfc955f16625540c1c3c7f3d11889486ff",
+    ),
+}
+
+CERTIFICATE_PINS = {
+    "square horn, k=1": "7f4ac95f66a35286dd002446c1ea0a1c481d27350b4bfa9f7947cdb5a4839456",
+    "square horn, k=2": "9e8b668422be88d069cd923a15ed322af0b07651997f15886d03cfff688a2cd2",
+    "3-cube horn via the V tower": (
+        "addaa8760970c974d506d4ab3b0c495a560d9d857edc90e92835ba2a376d875c"
+    ),
+    "thinness upgrade to the hatted cube": (
+        "f008a6d4d3920cca6924d6c72e9fb218314d75e9be80577ace73e7a604c3d703"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_writer_bytes_are_pinned(name):
+    build, digest = PINS[name]
+    assert _digest(build()) == digest
+
+
+def test_certificate_bytes_are_pinned():
+    digests = {c.note: _digest(certificate_to_json(c)) for c in builtin_certificates()}
+    assert digests == CERTIFICATE_PINS
+
+
+def test_fork_category_hits_the_order_case():
+    X = from_category(_fork_category(), 2)
+    assert [str(c) for c in X.cells_of_dim(2)] == ["x:fa|g", "x:f|g"]

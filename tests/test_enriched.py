@@ -1,9 +1,12 @@
 import pytest
 
 from complicial.anodyne import rlp_report
-from complicial.errors import IllFormedCategory, IllFormedFunctor, LawViolation
+from complicial.errors import BadParams, IllFormedCategory, IllFormedFunctor, LawViolation
 from complicial.enriched import (
+    EnrichedCategory,
     EnrichedFunctor,
+    _check_associativity,
+    _check_units,
     FiniteCategory,
     cyclic_group_category,
     degenerate_word,
@@ -19,9 +22,11 @@ from complicial.enriched import (
 )
 from complicial.shapes import complicial, horn, standard
 from complicial.stratified import (
+    FiniteStratifiedSet,
     Simplex,
     StratifiedMap,
     empty_set,
+    set_to_json,
 )
 
 
@@ -49,8 +54,9 @@ def test_group_enrichment_valid():
     hom = E.hom("*", "*")
     assert hom.count_nondegenerate() == {0: 1, 1: 1, 2: 1, 3: 1}
     # group multiplication composes simplices pointwise
-    g = Simplex("*:g1")
-    assert E.compose("*", "*", "*", g, g) == Simplex("*:", (0,))
+    g = Simplex(("*", ("g1",)))
+    assert E.compose("*", "*", "*", g, g) == Simplex(("*", ()), (0,))
+    assert [str(c) for c in hom.cells()] == ["*:", "*:g1", "*:g1|g1", "*:g1|g1|g1"]
 
 
 def test_tampered_composition_rejected():
@@ -117,11 +123,23 @@ def test_from_category_rejects_bad_table():
 
 
 def test_from_category_rejects_path_separators_in_names():
-    # nerve cell ids are start:arrow|arrow|..., so these would alias cells
+    # a nerve cell is its path (start, arrows), so names may hold the ':' and '|'
+    # of its spelling start:arrow|arrow; only the writer refuses two cells spelled alike
     for obj, arrow in (("x:y", "i"), ("x", "i|i"), ("x", "a:b")):
         cat = FiniteCategory((obj,), {arrow: (obj, obj)}, {obj: arrow}, {(arrow, arrow): arrow})
-        with pytest.raises(IllFormedCategory):
-            from_category(cat, 2)
+        assert [c["id"] for c in set_to_json(from_category(cat, 2))["cells"]] == [f"{obj}:"]
+    # the edge f|g and the 2-cell (f, g) are both spelled a:f|g
+    arrows = {"ia": ("a", "a"), "ib": ("b", "b"), "ic": ("c", "c"),
+              "f": ("a", "b"), "g": ("b", "c"), "f|g": ("a", "c")}
+    identities = {o: f"i{o}" for o in "abc"}
+    table = {("g", "f"): "f|g"}
+    for x, (src, tgt) in arrows.items():
+        table[(x, identities[src])] = table[(identities[tgt], x)] = x
+    X = from_category(FiniteCategory(("a", "b", "c"), arrows, identities, table), 2)
+    assert len(X.dims) == 7
+    assert X.dims[("a", ("f|g",))] == 1 and X.dims[("a", ("f", "g"))] == 2
+    with pytest.raises(BadParams, match=r"'a:f\|g'"):
+        set_to_json(X)
 
 
 def test_validate_gray_examples():
@@ -227,3 +245,75 @@ def test_terminal_enriched():
 
     E = terminal_enriched()
     assert E.hom("*", "*").count_nondegenerate() == {0: 1}
+
+
+# -- the law checks stop where a violation can first appear ---------------------
+
+
+def _exhaustive_units(E):
+    for a in E.objects:
+        for b in E.objects:
+            hom = E.homs.get((a, b))
+            if hom is None or not hom.dims:
+                continue
+            for m in range(E.dim_cap + 1):
+                for z in hom.simplices_of_dim(m):
+                    left = E.compose(a, a, b, z, E.identity_simplex(a, m))
+                    right = E.compose(a, b, b, E.identity_simplex(b, m), z)
+                    if left != z or right != z:
+                        raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
+
+
+def _exhaustive_associativity(E):
+    for a in E.objects:
+        for b in E.objects:
+            for c in E.objects:
+                for d in E.objects:
+                    if not all(E.hom(*key).dims for key in ((a, b), (b, c), (c, d))):
+                        continue
+                    for m in range(E.dim_cap + 1):
+                        for z3 in E.hom(c, d).simplices_of_dim(m):
+                            for z2 in E.hom(b, c).simplices_of_dim(m):
+                                right = E.compose(b, c, d, z3, z2)
+                                for z1 in E.hom(a, b).simplices_of_dim(m):
+                                    lhs = E.compose(a, b, d, right, z1)
+                                    rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
+                                    if lhs != rhs:
+                                        raise LawViolation(
+                                            f"associativity fails at {(z3, z2, z1)}"
+                                        )
+
+
+def _outcome(check, E):
+    try:
+        check(E)
+    except LawViolation as exc:
+        return str(exc)
+    return None
+
+
+def _corrupted_suspension():
+    """The suspension of the 2-simplex, capped at 4, with the two unit maps sending
+    the top 2-cell to different degeneracies of the edge 0.1."""
+    X = standard(2)
+    E = suspension(FiniteStratifiedSet(4, X.dims, X.faces))
+    comp = dict(E.comp)
+    for key, word in ((("0", "0", "1"), (0,)), (("0", "1", "1"), (1,))):
+        cmap = comp[key]
+        (top,) = cmap.source.cells_of_dim(2)
+        assignment = dict(cmap.assignment)
+        assignment[top] = Simplex((0, 1), word)
+        comp[key] = StratifiedMap(cmap.source, cmap.target, assignment)
+    return EnrichedCategory(E.objects, E.homs, E.identities, comp, E.dim_cap)
+
+
+def test_bounded_law_checks_agree_with_the_exhaustive_loops():
+    from complicial.suite import desk_examples
+
+    examples = [E for _, E in desk_examples()] + [_corrupted_suspension()]
+    for E in examples:
+        assert _outcome(_check_units, E) == _outcome(_exhaustive_units, E)
+        assert _outcome(_check_associativity, E) == _outcome(_exhaustive_associativity, E)
+    corrupted = examples[-1]
+    assert "unit law fails at Simplex(cell='0.1.2', word=())" in _outcome(_check_units, corrupted)
+    assert "associativity fails" in _outcome(_check_associativity, corrupted)

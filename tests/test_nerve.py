@@ -25,7 +25,7 @@ from complicial.nerve import (
     yoneda_composite,
 )
 from complicial.operators import MINUS
-from complicial.shapes import standard
+from complicial.shapes import Coords, standard
 from complicial.stratified import Simplex
 
 
@@ -153,7 +153,7 @@ def test_classify_complicial_detects_non_thin_edge():
     # 1-complicial
     for f in nerve_simplices(E, 2):
         if f.obj == ("0", "0", "1"):
-            hit = f.maps[(0, 2)][PathArrow(0, 2, 1, (1, MINUS)).cell_id()]
+            hit = f.maps[(0, 2)][PathArrow(0, 2, 1, (1, MINUS)).w]
             assert classify_complicial(f, 1) == E.hom("0", "1").is_thin(hit)
 
 
@@ -169,7 +169,7 @@ def test_sigma_functor_zero():
     assert F.obj(0) == "0" and F.obj(1) == "1"
     a = PathArrow(0, 1, 0, (MINUS,))
     assert F.crossing(a)
-    assert F.delta_image(a) == Simplex("0")
+    assert F.delta_image(a) == Simplex((0,))
 
 
 def test_sigma_restricts_to_comparison_map():
@@ -178,10 +178,9 @@ def test_sigma_restricts_to_comparison_map():
     F = SigmaFunctor(1)
     cm = c_map(1)
     H = hom_set(0, 2)
-    for cid in H.cells():
-        a = arrow_of_cell(0, 2, cid)
-        cube_cell = cid[: -2] if cid.endswith(",-") else cid
-        assert F.delta_image(a) == cm.assignment[cube_cell]
+    for cell in H.cells():
+        a = arrow_of_cell(0, 2, cell)
+        assert F.delta_image(a) == cm.assignment[Coords(cell.w[:-1])]
 
 
 def test_recover_arrow_round_trip():
@@ -260,8 +259,9 @@ def test_nerve_hom_tables_are_stratified_maps():
         for n in range(3):
             for f in nerve_simplices(E, n):
                 for (r, s), table in f.maps.items():
+                    H = hom_set(r, s)
                     m = StratifiedMap(
-                        hom_set(r, s), E.hom(f.obj[r], f.obj[s]), table
+                        H, E.hom(f.obj[r], f.obj[s]), {c: table[c.w] for c in H.cells()}
                     )
                     assert m.validate() == []
 

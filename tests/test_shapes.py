@@ -5,6 +5,7 @@ from complicial.operators import MINUS, PLUS, rho_operator
 from complicial.shapes import (
     C_ddot,
     C_dot,
+    Coords,
     CubeFunction,
     big_C,
     big_H,
@@ -15,12 +16,9 @@ from complicial.shapes import (
     complicial_dprimed,
     complicial_primed,
     cube,
-    cube_cell_id,
-    cube_normal_form,
     horn,
     is_partial_bijection,
     is_order_reversing,
-    parse_cube_cell,
     parse_vertex_chain,
     special_top,
     special_w,
@@ -44,29 +42,30 @@ def test_boundary_census():
 
 def test_standard_thin():
     X = standard_thin(1)
-    assert X.thin == frozenset({"0.1"})
+    assert X.thin == frozenset({(0, 1)})
 
 
 def test_complicial_one_zero_is_thin_interval():
     X = complicial(1, 0)
-    assert X.thin == frozenset({"0.1"})
+    assert X.thin == frozenset({(0, 1)})
 
 
 def test_complicial_two_one_top_only():
     X = complicial(2, 1)
-    assert X.thin == frozenset({"0.1.2"})
+    assert X.thin == frozenset({(0, 1, 2)})
 
 
 def test_complicial_primed_variants():
     X = complicial_primed(3, 2)
-    assert X.thin == complicial(3, 2).thin | {"0.2.3", "0.1.2"}
+    assert X.thin == complicial(3, 2).thin | {(0, 2, 3), (0, 1, 2)}
     Y = complicial_dprimed(3, 2)
-    assert Y.thin == X.thin | {"0.1.3"}
+    assert Y.thin == X.thin | {(0, 1, 3)}
 
 
 def test_horn_census():
     X = horn(2, 1)
-    assert set(X.dims) == {"0", "1", "2", "0.1", "1.2"}
+    assert set(X.dims) == {(0,), (1,), (2,), (0, 1), (1, 2)}
+    assert [str(c) for c in X.cells()] == ["0", "1", "2", "0.1", "1.2"]
     assert X.validate() == []
 
 
@@ -137,33 +136,30 @@ def test_classify_degenerate_matches_brute_force():
 
 def test_vertex_chain_round_trip():
     X = cube(3)
-    for cid in X.cells():
-        w = parse_cube_cell(cid)
-        m = X.dims[cid]
-        chain = vertex_chain(w, m)
-        assert parse_vertex_chain(
-            "<".join("(" + ",".join(map(str, v)) + ")" for v in chain)
-        ) == cube_normal_form(w, m).cell or cid == cube_normal_form(w, m).cell
+    for cell in X.cells():
+        chain = vertex_chain(cell.w, X.dims[cell])
+        text = "<".join("(" + ",".join(map(str, v)) + ")" for v in chain)
+        assert parse_vertex_chain(text) == cell
 
 
 def test_c_map_sends_special_to_identity():
     cm = c_map(2)
-    img = cm.assignment["2,1"]
-    assert img.cell == "0.1.2" and img.word == ()
+    img = cm.assignment[Coords((2, 1))]
+    assert img.cell == (0, 1, 2) and img.word == ()
 
 
 def test_c_map_sends_thin_cell_to_degenerate():
     cm = c_map(2)
-    img = cm.assignment["1,2"]
+    img = cm.assignment[Coords((1, 2))]
     assert img.word  # vertex path 0,0,2 is degenerate
-    assert img.cell == "0.2"
+    assert img.cell == (0, 2)
 
 
 def test_c_map_vertices():
     for n in (1, 2, 3):
         cm = c_map(n)
-        assert cm.assignment[cube_cell_id((PLUS,) * n)].cell == str(n)
-        assert cm.assignment[cube_cell_id((MINUS,) * n)].cell == "0"
+        assert cm.assignment[Coords((PLUS,) * n)].cell == (n,)
+        assert cm.assignment[Coords((MINUS,) * n)].cell == (0,)
 
 
 def test_c_map_stratified_up_to_four():
@@ -173,8 +169,8 @@ def test_c_map_stratified_up_to_four():
 
 def test_big_C_examples():
     C23 = big_C(3, 2)
-    w2 = cube_cell_id(special_w(3, 2).w)
-    assert w2 == "2,+,1"
+    w2 = Coords(special_w(3, 2).w)
+    assert str(w2) == "2,+,1"
     assert w2 not in C23.thin
     assert w2 not in big_H(3, 2).members
     # the interior-minus special and its mirror are both thin by the
@@ -207,10 +203,9 @@ def test_criteria_only_fire_on_reversing_or_cube_thin():
     for (n, k) in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
         C = big_C(n, k)
         base = cube(n)
-        for cid in C.thin - base.thin:
-            w = parse_cube_cell(cid)
-            assert is_partial_bijection(w, C.dims[cid])
-            assert is_order_reversing(w)
+        for cell in C.thin - base.thin:
+            assert is_partial_bijection(cell.w, C.dims[cell])
+            assert is_order_reversing(cell.w)
 
 
 def test_special_w_values():

@@ -1,6 +1,12 @@
 import pytest
 
-from complicial.errors import AmbientMismatch, CapExceeded, UnknownCell, ZeroDimensional
+from complicial.errors import (
+    AmbientMismatch,
+    BadParams,
+    CapExceeded,
+    UnknownCell,
+    ZeroDimensional,
+)
 from complicial.enriched import from_category, walking_iso
 from complicial.operators import (
     all_operators,
@@ -23,13 +29,13 @@ from complicial.shapes import (
 )
 from complicial.stratified import (
     FiniteStratifiedSet,
+    Pair,
     Simplex,
     SubsetHandle,
     enumerate_maps,
     gray_product,
     is_subset_kind,
     make_thin,
-    pair_id,
     product_pair_simplex,
     regular_generated,
     set_from_json,
@@ -46,7 +52,7 @@ def test_validate_standard_passes():
 def test_validate_catches_swapped_face():
     X = standard(2)
     faces = dict(X.faces)
-    top = "0.1.2"
+    top = (0, 1, 2)
     fs = list(faces[top])
     fs[0], fs[1] = fs[1], fs[0]
     faces[top] = tuple(fs)
@@ -56,20 +62,20 @@ def test_validate_catches_swapped_face():
 
 def test_validate_rejects_thin_vertex():
     X = standard(1)
-    broken = FiniteStratifiedSet(X.dim_cap, X.dims, X.faces, frozenset({"0"}))
+    broken = FiniteStratifiedSet(X.dim_cap, X.dims, X.faces, frozenset({(0,)}))
     assert any("0-cell" in p for p in broken.validate())
 
 
 def test_act_identity():
     X = standard(2)
-    s = Simplex("0.1.2")
+    s = Simplex((0, 1, 2))
     assert X.act(s, identity(2)) == s
 
 
 def test_act_matches_single_composite():
     # acting by sigma then delta equals acting by the composite operator
     X = standard(2)
-    s = Simplex("0.1.2")
+    s = Simplex((0, 1, 2))
     one = X.act(X.act(s, sigma(2, 0)), delta(3, 0))
     composite = compose_ops(sigma(2, 0), delta(3, 0))
     assert one == X.act(s, composite)
@@ -77,10 +83,10 @@ def test_act_matches_single_composite():
 
 def test_act_total_degeneracy_of_vertex():
     X = standard(2)
-    s = Simplex("1")
+    s = Simplex((1,))
     word_op = compose_ops(sigma(0, 0), sigma(1, 1))
     out = X.act(s, compose_ops(word_op, identity(2)))
-    assert out.cell == "1" and len(out.word) == 2
+    assert out.cell == (1,) and len(out.word) == 2
 
 
 def test_act_functorial_exhaustive():
@@ -105,7 +111,7 @@ def test_regular_generated_empty():
 
 def test_regular_generated_top_gives_all():
     X = standard(2)
-    h = regular_generated(X, ["0.1.2"])
+    h = regular_generated(X, [(0, 1, 2)])
     assert h.members == frozenset(X.dims)
 
 
@@ -141,7 +147,7 @@ def test_make_thin_identity():
 
 def test_make_thin_rejects_vertices():
     with pytest.raises(ZeroDimensional):
-        make_thin(standard(1), ["0"])
+        make_thin(standard(1), [(0,)])
 
 
 def test_make_thin_maximal():
@@ -152,7 +158,7 @@ def test_make_thin_maximal():
 
 def test_union_regular_idempotent():
     X = standard(2)
-    h = regular_generated(X, ["0.1"])
+    h = regular_generated(X, [(0, 1)])
     assert union_regular(X, [h, h]).members == h.members
 
 
@@ -185,13 +191,13 @@ def test_subset_kinds():
 
 def test_gray_product_unit():
     X = standard(2)
-    P, _ = gray_product(standard(0), X)
+    P = gray_product(standard(0), X)
     assert P.count_nondegenerate() == X.count_nondegenerate()
     assert P.validate() == []
 
 
 def test_gray_product_square_census():
-    P, _ = gray_product(standard(1), standard(1))
+    P = gray_product(standard(1), standard(1))
     assert P.count_nondegenerate() == {0: 4, 1: 5, 2: 2}
     # no edge has both components thin, so none of the five is thin; the two
     # nondegenerate 2-cells pair degenerate components and are thin
@@ -201,7 +207,7 @@ def test_gray_product_square_census():
 
 def test_gray_product_thin_rule():
     T = standard_thin(1)
-    P, _ = gray_product(T, T)
+    P = gray_product(T, T)
     # every positive-dimensional pair has both components thin or degenerate
     for c in P.cells():
         if P.dims[c] >= 1:
@@ -209,8 +215,38 @@ def test_gray_product_thin_rule():
 
 
 def test_gray_product_validates():
-    P, _ = gray_product(standard(1), standard(2))
+    P = gray_product(standard(1), standard(2))
     assert P.validate() == []
+
+
+def _points(*names):
+    return FiniteStratifiedSet(0, {c: 0 for c in names}, {})
+
+
+def test_gray_product_keeps_pairs_with_one_spelling_apart():
+    # (p|)(q, r) and (p, q|)(r) are both spelled (p|)(q|)(r|)
+    X = _points("p|)(q", "p", "q|)(r", "r")
+    P = gray_product(X, X)
+    assert len(P.dims) == 16
+    assert len({str(c) for c in P.cells()}) == 15
+    with pytest.raises(BadParams, match=r"\(p\|\)\(q\|\)\(r\|\)"):
+        set_to_json(P)
+
+
+def test_gray_product_has_no_cells_above_its_factors():
+    # no pair of m-simplices with disjoint flats lies above dim X + dim Y
+    X = FiniteStratifiedSet(6, standard(1).dims, standard(1).faces)
+    P = gray_product(X, X)
+    assert P.dim_cap == 12 and P.max_dim() == 2
+    assert P.count_nondegenerate() == gray_product(standard(1), standard(1)).count_nondegenerate()
+
+
+def test_cells_sort_by_spelling():
+    # tuples order (0, 2) before (0, 10); their spellings the other way round
+    X = standard(10)
+    assert [str(c) for c in X.cells_of_dim(1)[:3]] == ["0.1", "0.10", "0.2"]
+    fillers = sorted(X.fillers(1, {}, False), key=X.sort_key)
+    assert [str(z.cell) for z in fillers[:4]] == ["0", "0.1", "0.10", "0.2"]
 
 
 def test_enumerate_maps_from_point():
@@ -263,9 +299,9 @@ def test_json_round_trip():
 
 def test_subset_to_set_keeps_ids():
     X = standard(2)
-    h = regular_generated(X, ["0.1"])
+    h = regular_generated(X, [(0, 1)])
     Y = subset_to_set(h)
-    assert set(Y.dims) == {"0", "1", "0.1"}
+    assert set(Y.dims) == {(0,), (1,), (0, 1)}
     assert Y.validate() == []
 
 
@@ -282,7 +318,7 @@ def _reference_pair_simplex(X, Y, sx, sy):
         cur = X.simplex_dim(sx)
         common = flats(sx, cur) & flats(sy, cur)
         if not common:
-            return Simplex(pair_id(sx, sy), ez_factorize(collapse)[1])
+            return Simplex(Pair((sx, sy)), ez_factorize(collapse)[1])
         t = max(common)
         sx, sy = X.act(sx, delta(cur, t)), Y.act(sy, delta(cur, t))
         collapse = compose_ops(sigma(cur - 1, t), collapse)
