@@ -2,11 +2,13 @@
 
 An n-simplex of the nerve is an enriched functor out of the coherent
 n-path: an object map together with a stratified map on every homset,
-compatible with concatenation.  Because the path category is freely
-generated by its indecomposable arrows, enumeration proceeds by choosing
-images of nondegenerate indecomposable cells dimension by dimension, with
-face and thinness consistency pruning the search; images of all remaining
-cells follow by splitting at zeros and composing in the target.
+compatible with concatenation.  The path category is free on its
+indecomposable arrows, and those on hom(r, s) with s < n are the data of
+the face d_n.  So the nerve is built layer by layer from the face d_n: an
+n-simplex extends one of dimension n - 1 by images of the nondegenerate
+indecomposable cells of hom(r, n), chosen dimension by dimension with face
+and thinness consistency pruning the search.  Degeneracies come from the
+layers below, and give every face its normal form.
 
 Thinness of a nerve simplex above dimension one tests the image of the top
 special simplex of the long homset; the rule for 1-simplices searches for
@@ -16,7 +18,6 @@ an equivalence witness pair of thin 2-simplices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import OutOfRange
 from .operators import (
@@ -25,6 +26,7 @@ from .operators import (
     delta,
     is_admissible,
     sigma,
+    surjection_words,
     word_operator as _wop,
 )
 from .enriched import EnrichedCategory
@@ -87,74 +89,83 @@ def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
     return gens
 
 
-def _eval_partial(E, obj, assigned, a: PathArrow) -> Simplex | None:
-    """Evaluate an arrow from generator images chosen so far; None if missing."""
-    if a.r == a.s:
-        return E.identity_simplex(obj[a.r], a.m)
-    out = None
-    for factor in split_at_zeros(a):
-        core, word = arrow_normal_form(factor)
-        img = assigned.get((core.r, core.s, core.w))
-        if img is None:
-            return None
-        if word:
-            img = E.hom(obj[factor.r], obj[factor.s]).act(img, _wop(factor.m, word))
-        if out is None:
-            out = img
-        else:
-            out = E.compose(obj[a.r], obj[factor.r], obj[factor.s], img, out)
-    return out
-
-
 def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
-    """All enriched functors from the coherent n-path, deterministically."""
-    gens = _generators(n)
-    results: list[NerveSimplex] = []
+    """All enriched functors from the coherent n-path, degenerate ones included."""
+    return _layers(E, n)[n]
 
-    def object_maps() -> Iterator[tuple[str, ...]]:
-        def rec(prefix):
-            if len(prefix) == n + 1:
-                yield tuple(prefix)
-                return
-            for o in E.objects:
-                if all(E.homs[(p, o)].dims for p in prefix):
-                    yield from rec(prefix + [o])
 
-        yield from rec([])
+def _layers(E: EnrichedCategory, D: int) -> list[list[NerveSimplex]]:
+    """The simplices of dimensions 0..D, each layer ordered by the object ranks
+    and then by the images of _generators(n), in their order; the ids
+    N{n}.{i} that build_nerve writes are positions in this order."""
+    rank = {o: i for i, o in enumerate(E.objects)}
+    layers = [[NerveSimplex(E, 0, (o,), {}) for o in E.objects]]
+    for n in range(1, D + 1):
+        gens = _generators(n)
+        last = [(r, cell, d) for r, s, cell, d in gens if s == n]
 
-    for obj in object_maps():
-        assigned: dict[tuple[int, int, tuple], Simplex] = {}
+        def key(f: NerveSimplex) -> tuple:
+            images = (
+                E.hom(f.obj[r], f.obj[s]).sort_key(f.maps[(r, s)][cell.w])
+                for r, s, cell, _ in gens
+            )
+            return tuple(rank[o] for o in f.obj), tuple(images)
 
-        def candidates(r, s, cell, d):
-            faces = {}
-            for j in range(d + 1) if d >= 1 else ():
-                face = PathArrow(r, s, d - 1, cube_face(cell.w, d, j))
-                faces[j] = _eval_partial(E, obj, assigned, face)
-                if faces[j] is None:
-                    return ()
-            target = E.hom(obj[r], obj[s])
-            fillers = target.fillers(d, faces, cell in hom_set(r, s).thin)
-            return sorted(fillers, key=target.sort_key)
+        ends = [
+            (g, o) for g in layers[-1] for o in E.objects if all(E.hom(p, o).dims for p in g.obj)
+        ]
+        extended = (f for g, o in ends for f in _extensions(E, g, o, last))
+        layers.append(sorted(extended, key=key))
+    return layers
 
-        def search(i: int):
-            if i == len(gens):
-                f = _tabulate(E, n, obj, lambda a: _eval_partial(E, obj, assigned, a))
-                if f is not None:
-                    results.append(f)
-                return
-            r, s, cell, d = gens[i]
-            for z in candidates(r, s, cell, d):
-                assigned[(r, s, cell.w)] = z
-                search(i + 1)
-                del assigned[(r, s, cell.w)]
 
-        search(0)
-    return results
+def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
+    """The n-simplices with last object o and face d_n equal to g.
+
+    An arrow ending at n is its last indecomposable factor after the rest:
+    the image of the factor's core, composed after g's image of the rest.
+    The generators of hom(r, n) come in (dim, r, cell) order, so the faces of
+    each are known when it is reached: the search never meets a missing image.
+    """
+    n, obj = g.n + 1, g.obj + (o,)
+    assigned: dict[tuple[int, tuple], Simplex] = {}
+    found: list[NerveSimplex] = []
+
+    def image(a: PathArrow) -> Simplex:
+        if a.s < n:
+            return g.maps[(a.r, a.s)][a.w]
+        top = split_at_zeros(a)[-1]
+        core, word = arrow_normal_form(top)
+        img = assigned[(core.r, core.w)]
+        if word:
+            img = E.hom(obj[top.r], obj[n]).act(img, _wop(a.m, word))
+        if top.r == a.r:
+            return img
+        rest = g.eval_arrow(PathArrow(a.r, top.r, a.m, a.w[: top.r - a.r]))
+        return E.compose(obj[a.r], obj[top.r], obj[n], img, rest)
+
+    def search(i: int):
+        if i == len(last):
+            f = _tabulate(E, n, obj, image)
+            if f is not None:
+                found.append(f)
+            return
+        r, cell, d = last[i]
+        faces = {
+            j: image(PathArrow(r, n, d - 1, cube_face(cell.w, d, j))) for j in range(d + 1) if d
+        }
+        for z in E.hom(obj[r], obj[n]).fillers(d, faces, cell in hom_set(r, n).thin):
+            assigned[(r, cell.w)] = z
+            search(i + 1)
+        assigned.pop((r, cell.w), None)
+
+    search(0)
+    return found
 
 
 def _tabulate(E, n, obj, image) -> NerveSimplex | None:
     """The functor out of the coherent n-path sending every hom cell, as an arrow,
-    to image(arrow); None if an image is missing or a thin cell lands non-thin."""
+    to image(arrow); None if a thin cell lands non-thin."""
     maps: dict[tuple[int, int], dict[tuple, Simplex]] = {}
     for r in range(n + 1):
         for s in range(r + 1, n + 1):
@@ -163,7 +174,7 @@ def _tabulate(E, n, obj, image) -> NerveSimplex | None:
             table = {}
             for cell in H.cells():
                 img = image(arrow_of_cell(r, s, cell))
-                if img is None or (cell in H.thin and not target.is_thin(img)):
+                if cell in H.thin and not target.is_thin(img):
                     return None
                 table[cell.w] = img
             maps[(r, s)] = table
@@ -180,19 +191,6 @@ def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
         raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
     obj = tuple(f.obj[alpha(t)] for t in range(alpha.n + 1))
     return _tabulate(f.E, alpha.n, obj, lambda a: f.eval_arrow(path_act(alpha, a)))
-
-
-def _degenerate_at(f: NerveSimplex, j: int) -> bool:
-    g = nerve_act(f, delta(f.n, j + 1))
-    return nerve_act(g, sigma(f.n - 1, j)) == f
-
-
-def nerve_normal_form(f: NerveSimplex) -> tuple[NerveSimplex, tuple[int, ...]]:
-    """The nondegenerate core and the word: the flats of f, stripped from the top down."""
-    word = tuple(j for j in reversed(range(f.n)) if _degenerate_at(f, j))
-    for t in word:
-        f = nerve_act(f, delta(f.n, t + 1))
-    return f, word
 
 
 def nerve_thin(
@@ -240,36 +238,35 @@ def _has_equivalence_inverse(e: NerveSimplex, pool: list[NerveSimplex]) -> bool:
 
 
 def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
-    """The nerve truncated at dimension D, as a stratified set."""
-    full_layers: list[list[NerveSimplex]] = []
-    layers: list[list[NerveSimplex]] = []
-    for n in range(D + 1):
-        allf = nerve_simplices(E, n)
-        full_layers.append(allf)
-        layers.append([f for f in allf if all(not _degenerate_at(f, j) for j in range(n))])
-    ids: dict[NerveSimplex, str] = {}
+    """The nerve truncated at dimension D, as a stratified set.
+
+    A degenerate n-simplex is c . word_operator(n, word) for exactly one
+    nondegenerate c of lower dimension and one word; tabulating those from
+    the layers below gives every degenerate simplex its normal form, and the
+    simplices of layer n left out of that table are the nondegenerate ones.
+    """
+    layers = _layers(E, D)
+    normal: dict[NerveSimplex, tuple[NerveSimplex, tuple[int, ...]]] = {}
+    cores: list[list[NerveSimplex]] = []
     for n, layer in enumerate(layers):
-        for i, f in enumerate(layer):
-            ids[f] = f"N{n}.{i}"
-    dims = {ids[f]: n for n, layer in enumerate(layers) for f in layer}
+        for k, below in enumerate(cores):
+            for word in surjection_words(n, k):
+                for c in below:
+                    normal[nerve_act(c, _wop(n, word))] = (c, word)
+        cores.append([f for f in layer if f not in normal])
+    ids = {f: f"N{n}.{i}" for n, layer in enumerate(cores) for i, f in enumerate(layer)}
+    dims = {ids[f]: n for n, layer in enumerate(cores) for f in layer}
     faces = {}
-    for n, layer in enumerate(layers):
-        if n == 0:
-            continue
+    for n, layer in enumerate(cores[1:], 1):
         for f in layer:
             entries = []
             for j in range(n + 1):
-                core, word = nerve_normal_form(nerve_act(f, delta(n, j)))
+                face = nerve_act(f, delta(n, j))
+                core, word = normal.get(face, (face, ()))
                 entries.append(Simplex(ids[core], word))
             faces[ids[f]] = tuple(entries)
-    pool2 = full_layers[2] if D >= 2 else []
-    thin = []
-    for n, layer in enumerate(layers):
-        if n == 0:
-            continue
-        for f in layer:
-            if nerve_thin(f, pool2):
-                thin.append(ids[f])
+    pool2 = layers[2] if D >= 2 else []
+    thin = [ids[f] for layer in cores[1:] for f in layer if nerve_thin(f, pool2)]
     return FiniteStratifiedSet(D, dims, faces, thin)
 
 

@@ -24,7 +24,6 @@ from complicial.enriched import (
 )
 from complicial.nerve import (
     build_nerve,
-    nerve_normal_form,
     nerve_simplices,
     nerve_thin,
     recover_arrow,
@@ -42,6 +41,7 @@ from complicial.shapes import (
 )
 from complicial.stratified import SubsetHandle, regular_generated
 from complicial.suite import desk_examples, desk_nerves, functoriality_sample
+from test_nerve import nerve_normal_form
 
 
 def _verdict(name, ok, started, budget):

@@ -19,7 +19,7 @@ from complicial.enriched import (
     walking_iso,
 )
 from complicial.nerve import build_nerve
-from complicial.shapes import big_H, cube, standard
+from complicial.shapes import big_H, complicial, cube, standard
 from complicial.stratified import set_to_json, subset_to_set
 
 
@@ -65,6 +65,14 @@ PINS = {
     "nerve of suspension(standard(2))": (
         lambda: set_to_json(build_nerve(suspension(standard(2)), 3)),
         "5421f6b342a003a44818439e21cdbb0cbff8d0977cc0f99c65a5bda8faa082e6",
+    ),
+    "nerve of suspension(complicial(2, 1)), D = 4": (
+        lambda: set_to_json(build_nerve(suspension(complicial(2, 1)), 4)),
+        "4996c6db6d7a857d3edcecdc07c923dfd443d226d9c53b90f0bf8f00558a6f16",
+    ),
+    "nerve of one_object_group_enriched(3, 3)": (
+        lambda: set_to_json(build_nerve(one_object_group_enriched(3, 3), 3)),
+        "65f2159090bfe862f6b030799bb38c6168a8476c63e0f8fe2c682f5736317fd3",
     ),
     "one_object_group_enriched(2, 2)": (
         lambda: enriched_to_json(one_object_group_enriched(2, 2)),

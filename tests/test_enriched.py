@@ -317,3 +317,63 @@ def test_bounded_law_checks_agree_with_the_exhaustive_loops():
     corrupted = examples[-1]
     assert "unit law fails at Simplex(cell='0.1.2', word=())" in _outcome(_check_units, corrupted)
     assert "associativity fails" in _outcome(_check_associativity, corrupted)
+
+
+# -- functor validation stops where composition can first fail to be preserved --
+
+
+def _exhaustive_functor_problems(F):
+    """EnrichedFunctor.validate with its composition loop run to the cap."""
+    problems = []
+    E, T = F.source, F.target
+    for (a, b), hom in E.homs.items():
+        if hom.dims:
+            problems.extend(f"hom({a},{b}): {p}" for p in F.hom_maps[(a, b)].validate())
+    if problems:
+        return problems
+    for a in E.objects:
+        if F.hom_maps[(a, a)](Simplex(E.identities[a])) != Simplex(T.identities[F.obj_map[a]]):
+            problems.append(f"identity at {a} not preserved")
+    for a in E.objects:
+        for b in E.objects:
+            for c in E.objects:
+                if not (E.homs[(a, b)].dims and E.homs[(b, c)].dims):
+                    continue
+                fa, fb, fc = (F.obj_map[o] for o in (a, b, c))
+                for m in range(E.dim_cap + 1):
+                    for z2 in E.hom(b, c).simplices_of_dim(m):
+                        for z1 in E.hom(a, b).simplices_of_dim(m):
+                            lhs = F.hom_maps[(a, c)](E.compose(a, b, c, z2, z1))
+                            rhs = T.compose(
+                                fa, fb, fc, F.hom_maps[(b, c)](z2), F.hom_maps[(a, b)](z1)
+                            )
+                            if lhs != rhs:
+                                problems.append(f"composition not preserved at {(a, b, c)}")
+                                return problems
+    return problems
+
+
+def test_functor_validation_with_a_raised_cap_is_fast():
+    import time
+
+    X = standard(2)
+    F = identity_functor(suspension(FiniteStratifiedSet(80, X.dims, X.faces)))
+    start = time.perf_counter()
+    assert F.validate() == []
+    assert time.perf_counter() - start < 1
+
+
+def test_bounded_functor_validation_agrees_with_the_exhaustive_loop():
+    from complicial.suite import desk_examples
+
+    for _, E in desk_examples():
+        F = identity_functor(E)
+        assert F.validate() == _exhaustive_functor_problems(F) == []
+    # the identity into a copy whose composition differs on the top 2-cells, the
+    # last dimension the bounded loop reaches for the triple (0, 0, 1)
+    T = _corrupted_suspension()
+    X = standard(2)
+    E = suspension(FiniteStratifiedSet(4, X.dims, X.faces))
+    F = EnrichedFunctor(E, T, {"0": "0", "1": "1"}, identity_functor(E).hom_maps)
+    assert F.validate() == _exhaustive_functor_problems(F)
+    assert F.validate() == ["composition not preserved at ('0', '0', '1')"]

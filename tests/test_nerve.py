@@ -1,7 +1,10 @@
+import time
+from functools import lru_cache
+
 import pytest
 
 from complicial.errors import OutOfRange
-from complicial.operators import delta, sigma, identity
+from complicial.operators import delta, identity, sigma, word_operator
 from complicial.enriched import (
     EnrichedFunctor,
     from_category,
@@ -10,23 +13,23 @@ from complicial.enriched import (
     suspension,
     walking_iso,
 )
-from complicial.hcpath import PathArrow, arrow_of_cell, hom_set
+from complicial.hcpath import PathArrow, arrow_normal_form, arrow_of_cell, hom_set, split_at_zeros
 from complicial.nerve import (
     NerveSimplex,
     SigmaFunctor,
-    _degenerate_at,
+    _generators,
+    _tabulate,
     build_nerve,
     classify_complicial,
     nerve_act,
-    nerve_normal_form,
     nerve_simplices,
     nerve_thin,
     recover_arrow,
     yoneda_composite,
 )
 from complicial.operators import MINUS
-from complicial.shapes import Coords, standard
-from complicial.stratified import Simplex
+from complicial.shapes import Coords, boundary, complicial, cube_face, standard
+from complicial.stratified import FiniteStratifiedSet, Simplex, set_to_json
 
 
 def test_counts_susp_point():
@@ -277,7 +280,6 @@ def test_desk_nerves_fill_outer_horns_too():
 
 
 def test_nerve_normal_form_strips_exactly_the_flats():
-    from complicial.operators import word_operator
     from complicial.suite import desk_examples
 
     for _, E in desk_examples():
@@ -288,3 +290,134 @@ def test_nerve_normal_form_strips_exactly_the_flats():
                 assert list(word) == sorted(word, reverse=True)
                 assert not any(_degenerate_at(core, j) for j in range(core.n))
                 assert nerve_act(core, word_operator(n, word)) == f
+
+
+# -- reference: the per-dimension search and the degeneracy probe ---------------
+#
+# The library builds the nerve layer by layer, each n-simplex extending its face
+# d_n, and reads degeneracies from the layers below.  These are the direct
+# definitions it must agree with: every generator of every hom searched for
+# each n, candidates in sort_key order, and degeneracy tested by tabulating
+# a face and a degeneracy.
+
+
+def _eval_partial(E, obj, assigned, a):
+    if a.r == a.s:
+        return E.identity_simplex(obj[a.r], a.m)
+    out = None
+    for factor in split_at_zeros(a):
+        core, word = arrow_normal_form(factor)
+        img = assigned.get((core.r, core.s, core.w))
+        if img is None:
+            return None
+        if word:
+            img = E.hom(obj[factor.r], obj[factor.s]).act(img, word_operator(factor.m, word))
+        out = img if out is None else E.compose(obj[a.r], obj[factor.r], obj[factor.s], img, out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reference_simplices(E, n):
+    gens = _generators(n)
+    results = []
+
+    def object_maps(prefix):
+        if len(prefix) == n + 1:
+            yield tuple(prefix)
+            return
+        for o in E.objects:
+            if all(E.homs[(p, o)].dims for p in prefix):
+                yield from object_maps(prefix + [o])
+
+    for obj in object_maps([]):
+        assigned = {}
+
+        def candidates(r, s, cell, d):
+            faces = {}
+            for j in range(d + 1) if d >= 1 else ():
+                face = PathArrow(r, s, d - 1, cube_face(cell.w, d, j))
+                faces[j] = _eval_partial(E, obj, assigned, face)
+                if faces[j] is None:
+                    return ()
+            target = E.hom(obj[r], obj[s])
+            fillers = target.fillers(d, faces, cell in hom_set(r, s).thin)
+            return sorted(fillers, key=target.sort_key)
+
+        def search(i):
+            if i == len(gens):
+                f = _tabulate(E, n, obj, lambda a: _eval_partial(E, obj, assigned, a))
+                if f is not None:
+                    results.append(f)
+                return
+            r, s, cell, d = gens[i]
+            for z in candidates(r, s, cell, d):
+                assigned[(r, s, cell.w)] = z
+                search(i + 1)
+                del assigned[(r, s, cell.w)]
+
+        search(0)
+    return results
+
+
+def _degenerate_at(f, j):
+    g = nerve_act(f, delta(f.n, j + 1))
+    return nerve_act(g, sigma(f.n - 1, j)) == f
+
+
+def nerve_normal_form(f):
+    """The nondegenerate core and the word: the flats of f, stripped from the top down."""
+    word = tuple(j for j in reversed(range(f.n)) if _degenerate_at(f, j))
+    for t in word:
+        f = nerve_act(f, delta(f.n, t + 1))
+    return f, word
+
+
+def _reference_build_nerve(E, D):
+    full_layers = [_reference_simplices(E, n) for n in range(D + 1)]
+    layers = [
+        [f for f in allf if not any(_degenerate_at(f, j) for j in range(n))]
+        for n, allf in enumerate(full_layers)
+    ]
+    ids = {f: f"N{n}.{i}" for n, layer in enumerate(layers) for i, f in enumerate(layer)}
+    dims = {ids[f]: n for n, layer in enumerate(layers) for f in layer}
+    faces = {}
+    for n, layer in enumerate(layers[1:], 1):
+        for f in layer:
+            faces[ids[f]] = tuple(
+                Simplex(ids[core], word)
+                for core, word in (
+                    nerve_normal_form(nerve_act(f, delta(n, j))) for j in range(n + 1)
+                )
+            )
+    pool2 = full_layers[2] if D >= 2 else []
+    thin = [ids[f] for layer in layers[1:] for f in layer if nerve_thin(f, pool2)]
+    return FiniteStratifiedSet(D, dims, faces, thin)
+
+
+def _reference_cases():
+    from complicial.suite import desk_examples
+
+    cases = [pytest.param(E, 3, id=name) for name, E in desk_examples()]
+    for name, X in (("delta2", standard(2)), ("boundary2", boundary(2)),
+                    ("complicial21", complicial(2, 1))):
+        cases.append(pytest.param(suspension(X), 4, id=f"suspension-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("E,D", _reference_cases())
+def test_layer_walk_matches_the_per_dimension_search(E, D):
+    for n in range(D + 1):
+        assert nerve_simplices(E, n) == _reference_simplices(E, n), n
+    assert set_to_json(build_nerve(E, D)) == set_to_json(_reference_build_nerve(E, D))
+
+
+def test_suspended_interval_nerve_at_dimension_five():
+    # dimension 5 is the first where hom(0, 5) is the 4-cube
+    from complicial.anodyne import rlp_report
+
+    started = time.perf_counter()
+    N = build_nerve(suspension(standard(1)), 5)
+    assert N.count_nondegenerate() == {n: 2 for n in range(6)}
+    report = rlp_report(N, 5, "inner")
+    assert report.ok and sum(n for _, n in report.checked) == 690
+    assert time.perf_counter() - started < 10

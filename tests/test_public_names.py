@@ -2,7 +2,8 @@
 is referenced somewhere in the package (outside ``__init__.py``), the tests or
 the demos, and every public method or property of a public class is read as an
 attribute there.  Methods are matched by attribute name, so a method shares its
-use with any other attribute of the same name."""
+use with any other attribute of the same name.  Every private module-level
+function or class is named inside the package itself."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,21 @@ def test_every_public_name_is_used():
     assert definitions and methods
     assert [name for name in definitions if name.split(".")[1] not in used] == []
     assert [name for name in methods if name.split(".")[2] not in attributes] == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    """A private module-level function or class is named somewhere in the package
+    besides its own definition; the tests do not count as callers."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    used: set[str] = set()
+    private = []
+    for p in sources:
+        tree = ast.parse(p.read_text())
+        used |= _names_used(tree)[0]
+        private += [
+            f"{p.stem}.{stmt.name}"
+            for stmt in tree.body
+            if isinstance(stmt, DEFINITIONS) and stmt.name.startswith("_")
+        ]
+    assert private
+    assert [name for name in private if name.split(".")[1] not in used] == []
