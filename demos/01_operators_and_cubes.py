@@ -18,7 +18,7 @@ from complicial import (
     rho_precompose,
     standard,
 )
-from complicial.shapes import Coords, CubeFunction, vertex_chain
+from complicial.shapes import Coords, vertex_chain
 
 print("== the arrow algebra of the ordinal category ==")
 alpha = make_operator(2, 3, [0, 2, 2])
@@ -44,14 +44,9 @@ for n in (2, 3):
 
 print()
 print("== classifying cube simplices ==")
-samples = [
-    CubeFunction(0, 2, 2, (2, 1)),
-    CubeFunction(0, 2, 2, (1, 2)),
-    CubeFunction(0, 2, 1, (1, 1)),
-    CubeFunction(0, 2, 2, (1, PLUS)),
-]
-for f in samples:
-    print(f"  w = {f.w} at dimension {f.m}:", classify_cube_simplex(2, f))
+samples = [((2, 1), 2), ((1, 2), 2), ((1, 1), 1), ((1, PLUS), 2)]
+for w, m in samples:
+    print(f"  w = {w} at dimension {m}:", classify_cube_simplex(w, m))
 
 print()
 print("== the comparison map onto the standard simplex ==")

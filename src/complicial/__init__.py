@@ -9,8 +9,6 @@ from .operators import (
     delta,
     elementary,
     ez_factorize,
-    identity,
-    is_admissible,
     make_operator,
     rho_operator,
     rho_precompose,
@@ -21,31 +19,24 @@ from .stratified import (
     Simplex,
     StratifiedMap,
     SubsetHandle,
-    enumerate_maps,
     gray_product,
-    is_subset_kind,
     make_thin,
     regular_generated,
     set_from_json,
     set_to_json,
     subset_to_set,
-    union_regular,
 )
 from .shapes import (
     C_ddot,
     C_dot,
-    CubeFunction,
     big_C,
     big_H,
     boundary,
     c_map,
     classify_cube_simplex,
     complicial,
-    complicial_dprimed,
-    complicial_primed,
     cube,
     horn,
-    parse_vertex_chain,
     special_top,
     special_w,
     standard,

@@ -1,9 +1,8 @@
 """Lifting reports and certified anodyne towers.
 
 One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
-instance with its lifting problems; ``rlp_report`` and the relative
-``enriched.local_fibration_check`` both consume it, and look for thin
-fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs on
+instance with its lifting problems; ``rlp_report`` consumes it, and looks
+for thin fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs on
 ``fillers`` too: each face of a horn map is a filler of the faces it shares
 with the faces chosen before it.
 
@@ -353,25 +352,6 @@ def verify_certificate(cert: AnodyneCertificate) -> list[str]:
     return problems
 
 
-def replay_members(cert: AnodyneCertificate) -> tuple[frozenset, frozenset]:
-    """Independent recount of the cells and flags a passing tower created."""
-    Z = cert.ambient
-    members = set(cert.start.members)
-    flags = set(cert.start.thin_members)
-    for step in cert.steps:
-        top = Simplex(step.attach)
-        if isinstance(step, (HornPushout, ThinHornPushout)):
-            members.add(step.attach)
-            flags.add(step.attach)
-            kface = Z.act(top, delta(step.n, step.k))
-            members.add(kface.cell)
-        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
-            kface = Z.act(top, delta(step.n, step.k))
-            if not kface.is_degenerate:
-                flags.add(kface.cell)
-    return frozenset(members), frozenset(flags)
-
-
 # -- the builtin towers of the paper-scale examples --------------------------
 
 
@@ -449,20 +429,6 @@ def builtin_certificates() -> list[AnodyneCertificate]:
 def hatted_C23() -> FiniteStratifiedSet:
     """C^2_3 with the square special through (0,0,0)<(0,1,0)<(1,1,1) made thin."""
     return make_thin(big_C(3, 2), [Coords((2, 1, 2))])
-
-
-def v_tower_generators() -> list[tuple[str, Hashable]]:
-    """The generating cells of the intermediate subsets, as (name, cell)."""
-    return [
-        ("V1", Coords((1, 1, 2))),
-        ("V2", Coords((1, 2, 3))),
-        ("V3", Coords((1, 3, 2))),
-        ("V4", Coords((2, 3, 1))),
-        ("V5", Coords((3, 2, 1))),
-        ("V6", Coords((1, PLUS, 2))),
-        ("V7", Coords((2, 1, 3))),
-        ("full", Coords((3, 1, 2))),
-    ]
 
 
 # -- tower search --------------------------------------------------------------

@@ -103,6 +103,8 @@ def _enriched_from_json(data):
     ids = json_field(data, "identities", dict, path)
     identities = {a: json_field(ids, a, str, f"{path}.identities") for a in objects}
     cap = json_field(data, "dim_cap", int, path)
+    if cap < 0:
+        raise ParseError(f"{path}.dim_cap: must be at least 0")
     homs_json, homs = json_field(data, "homs", dict, path), {}
     for a, b in product(objects, repeat=2):
         hom = json_field(homs_json, f"{a};{b}", dict, f"{path}.homs")

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Mapping
 
-from .errors import CapExceeded, IllFormedCategory, IllFormedFunctor, LawViolation
-from .operators import delta
+from .errors import CapExceeded, IllFormedCategory, LawViolation
 from .stratified import (
     Cell,
     FiniteStratifiedSet,
@@ -142,13 +141,6 @@ def _collapse_map(P: FiniteStratifiedSet, target: FiniteStratifiedSet, cell) -> 
         c: Simplex(cell, degenerate_word(P.dims[c])) for c in P.cells()
     }
     return StratifiedMap(P, target, assignment)
-
-
-def terminal_enriched() -> EnrichedCategory:
-    """One object whose homset is the point."""
-    pt = point_set()
-    comp = {("*", "*", "*"): _collapse_map(gray_product(pt, pt), pt, "*")}
-    return make_enriched(["*"], {("*", "*"): pt}, {"*": "*"}, comp, 0)
 
 
 def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
@@ -355,7 +347,7 @@ def _pointwise_product(cat: FiniteCategory, sx: Simplex, sy: Simplex) -> Simplex
     return _path_normal_form(cat, "*", tuple(prod))
 
 
-# -- gray validation and enriched functors ------------------------------------
+# -- gray validation -----------------------------------------------------------
 
 
 def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
@@ -373,83 +365,3 @@ def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
         ok = ok and rep.ok
     E.gray_validated = ok
     return {"pass": ok, "homs": reports}
-
-
-@dataclass(frozen=True)
-class EnrichedFunctor:
-    source: EnrichedCategory
-    target: EnrichedCategory
-    obj_map: Mapping[str, str]
-    hom_maps: Mapping[tuple[str, str], StratifiedMap]
-
-    def validate(self, dmax: int | None = None) -> list[str]:
-        """Composition is checked on pairs of m-simplices, m <= dmax or dim_cap, and
-        m <= hom(b, c).max_dim() + hom(a, b).max_dim(): as in _check_associativity,
-        a pair with a common flat is a degeneracy of a lower pair, and both sides
-        commute with degeneracies, so stopping there is exact."""
-        problems = []
-        E, F = self.source, self.target
-        cap = E.dim_cap if dmax is None else dmax
-        for (a, b), hom in E.homs.items():
-            if not hom.dims:
-                continue
-            fm = self.hom_maps.get((a, b))
-            if fm is None:
-                problems.append(f"missing hom map at {(a, b)}")
-                continue
-            problems.extend(f"hom({a},{b}): {p}" for p in fm.validate())
-        if problems:
-            return problems
-        for a in E.objects:
-            img = self.hom_maps[(a, a)](Simplex(E.identities[a]))
-            if img != Simplex(F.identities[self.obj_map[a]]):
-                problems.append(f"identity at {a} not preserved")
-        for a, b, c in product(E.objects, repeat=3):
-            hab, hbc = E.hom(a, b), E.hom(b, c)
-            if not (hab.dims and hbc.dims):
-                continue
-            fa, fb, fc = (self.obj_map[o] for o in (a, b, c))
-            for m in range(min(cap, hbc.max_dim() + hab.max_dim()) + 1):
-                for z2 in hbc.simplices_of_dim(m):
-                    for z1 in hab.simplices_of_dim(m):
-                        lhs = self.hom_maps[(a, c)](E.compose(a, b, c, z2, z1))
-                        rhs = F.compose(
-                            fa, fb, fc, self.hom_maps[(b, c)](z2), self.hom_maps[(a, b)](z1)
-                        )
-                        if lhs != rhs:
-                            problems.append(f"composition not preserved at {(a, b, c)}")
-                            return problems
-        return problems
-
-
-def local_fibration_check(F: EnrichedFunctor, dmax: int) -> dict:
-    """RLP of every hom component against the elementary anodyne extensions.
-
-    Each filler of p(u) in the target is one check, passed by a filler of u
-    mapping onto it; a thinness problem z is checked when p(z) has a thin k-face.
-    """
-    from .anodyne import _instances
-
-    problems = F.validate()
-    if problems:
-        raise IllFormedFunctor("; ".join(problems))
-    failures = []
-    checked = 0
-    for (a, b), hom in sorted(F.source.homs.items()):
-        if not hom.dims:
-            continue
-        p = F.hom_maps[(a, b)]
-        X, Y = p.source, p.target
-        for name, n, k, lifting_problems in _instances(X, min(dmax, X.dim_cap), "all"):
-            horn = name.startswith("horn")
-            for u in lifting_problems:
-                if horn:
-                    for zy in Y.fillers(n, {j: p(s) for j, s in u.items()}, True):
-                        checked += 1
-                        if not any(p(zx) == zy for zx in X.fillers(n, u, True)):
-                            failures.append({"hom": (a, b), "instance": name})
-                elif Y.is_thin(Y.act(p(u), delta(n, k))):
-                    checked += 1
-                    if not X.is_thin(X.act(u, delta(n, k))):
-                        failures.append({"hom": (a, b), "instance": name})
-    return {"pass": not failures, "checked": checked, "failures": failures}

@@ -17,10 +17,6 @@ class Mismatch(ComplicialError):
     pass
 
 
-class NotInjective(ComplicialError):
-    pass
-
-
 class DimensionMismatch(ComplicialError):
     pass
 
@@ -30,10 +26,6 @@ class UnknownCell(ComplicialError):
 
 
 class ZeroDimensional(ComplicialError):
-    pass
-
-
-class AmbientMismatch(ComplicialError):
     pass
 
 
@@ -54,10 +46,6 @@ class CapExceeded(ComplicialError):
 
 
 class IllFormedCategory(ComplicialError):
-    pass
-
-
-class IllFormedFunctor(ComplicialError):
     pass
 
 

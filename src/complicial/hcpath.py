@@ -20,14 +20,7 @@ from functools import lru_cache
 
 from .errors import BadInterval, DimensionMismatch, ObjectMismatch, OutOfRange
 from .operators import MINUS, PLUS, CubeCoordinate, Operator
-from .shapes import (
-    Coords,
-    cube,
-    cube_dim,
-    cube_normal_form,
-    cube_thin,
-    is_integer_surjective,
-)
+from .shapes import Coords, cube, cube_dim, cube_normal_form
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -54,25 +47,6 @@ class PathArrow:
     @property
     def is_identity(self) -> bool:
         return self.r == self.s
-
-
-def identity_arrow(r: int, m: int = 0) -> PathArrow:
-    return PathArrow(r, r, m, ())
-
-
-def indecomposable(r: int, s: int, m: int = 0) -> PathArrow:
-    """The generating arrow <r, s>: all plus below a single top minus."""
-    if r >= s:
-        raise BadInterval("indecomposable needs r < s")
-    return PathArrow(r, s, m, (PLUS,) * (s - r - 1) + (MINUS,))
-
-
-def arrow_is_degenerate(a: PathArrow) -> bool:
-    return not is_integer_surjective(a.w, a.m)
-
-
-def arrow_thin(a: PathArrow) -> bool:
-    return cube_thin(a.w, a.m)
 
 
 @lru_cache(maxsize=None)

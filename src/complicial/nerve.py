@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfRange
-from .operators import (
-    Operator,
-    all_injections,
-    delta,
-    is_admissible,
-    sigma,
-    surjection_words,
-    word_operator as _wop,
-)
+from .operators import Operator, delta, sigma, surjection_words, word_operator as _wop
 from .enriched import EnrichedCategory
 from .hcpath import (
     PathArrow,
@@ -268,24 +260,6 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
     pool2 = layers[2] if D >= 2 else []
     thin = [ids[f] for layer in cores[1:] for f in layer if nerve_thin(f, pool2)]
     return FiniteStratifiedSet(D, dims, faces, thin)
-
-
-# -- complicial classification -------------------------------------------------
-
-
-def classify_complicial(f: NerveSimplex, k: int) -> bool:
-    """Whether every k-admissible face sends its top special simplex to thin."""
-    if not 0 < k < f.n:
-        raise OutOfRange(f"inner index needed, got k={k} at dimension {f.n}")
-    for m in range(1, f.n + 1):
-        for alpha in all_injections(m, f.n):
-            if not is_admissible(alpha, k):
-                continue
-            arrow = path_act(alpha, top_special_arrow(0, m))
-            img = f.eval_arrow(arrow)
-            if not f.E.hom(f.obj[arrow.r], f.obj[arrow.s]).is_thin(img):
-                return False
-    return True
 
 
 # -- the suspension comparison functor and the faithfulness probe --------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Union
 
-from .errors import Mismatch, NonMonotone, NotInjective, OutOfRange
+from .errors import Mismatch, NonMonotone, OutOfRange
 
 # A cube coordinate: one of the two poles or a positive flip index.
 MINUS = "-"
@@ -39,10 +39,6 @@ class Operator:
     def is_identity(self) -> bool:
         return self.n == self.m and self.values == tuple(range(self.n + 1))
 
-    @property
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
     def __repr__(self) -> str:
         return f"Op[{self.n}]->[{self.m}]{list(self.values)}"
 
@@ -57,10 +53,6 @@ def make_operator(n: int, m: int, values) -> Operator:
     if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
         raise NonMonotone(f"values {values} decrease")
     return Operator(n, m, values)
-
-
-def identity(n: int) -> Operator:
-    return Operator(n, n, tuple(range(n + 1)))
 
 
 def compose_ops(outer: Operator, inner: Operator) -> Operator:
@@ -118,18 +110,7 @@ def ez_factorize(alpha: Operator) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return missed, flats
 
 
-def recompose(n: int, m: int, faces: tuple[int, ...], degens: tuple[int, ...]) -> Operator:
-    """Rebuild the operator [n]->[m] from its normal-form word."""
-    op = identity(n)
-    for d in degens:
-        op = compose_ops(sigma(op.m - 1, d), op)
-    for f in faces:
-        op = compose_ops(delta(op.m + 1, f), op)
-    if op.m != m:
-        raise Mismatch(f"word does not target [{m}]")
-    return op
-
-
+@lru_cache(maxsize=None)
 def word_operator(q: int, word: tuple[int, ...]) -> Operator:
     """The surjection [q]->[q-len(word)] whose flat spots are the word: t |-> t - #{f < t}."""
     return Operator(q, q - len(word), tuple(t - sum(f < t for f in word) for t in range(q + 1)))
@@ -160,13 +141,6 @@ def rho_precompose(v: CubeCoordinate, alpha: Operator) -> CubeCoordinate:
 def admissible_vertices(n: int, k: int) -> frozenset[int]:
     """The vertices k-1, k, k+1 of [n]: a face is k-admissible iff it holds them all."""
     return frozenset({k - 1, k, k + 1} & set(range(n + 1)))
-
-
-def is_admissible(alpha: Operator, k: int) -> bool:
-    """Whether an injective face contains the three vertices around k."""
-    if not alpha.is_injective:
-        raise NotInjective(f"{alpha} is not injective")
-    return admissible_vertices(alpha.m, k) <= set(alpha.values)
 
 
 def all_operators(n: int, m: int) -> Iterator[Operator]:

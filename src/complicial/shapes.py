@@ -20,7 +20,6 @@ simplex for the consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -119,22 +118,6 @@ def complicial(n: int, k: int) -> FiniteStratifiedSet:
     return make_thin(X, thin)
 
 
-def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
-    if n < 2:
-        raise OutOfRange("primed variants need n >= 2")
-    X = complicial(n, k)
-    extra = [
-        Vertices(v for v in range(n + 1) if v != j)
-        for j in sorted(admissible_vertices(n, k) - {k})
-    ]
-    return make_thin(X, extra)
-
-
-def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
-    X = complicial_primed(n, k)
-    return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
-
-
 def horn(n: int, k: int) -> FiniteStratifiedSet:
     """The k-complicial horn: all faces of the complicial simplex except the kth."""
     X = complicial(n, k)
@@ -147,25 +130,6 @@ def horn(n: int, k: int) -> FiniteStratifiedSet:
 
 
 # -- cube cells -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CubeFunction:
-    """A function (r, s] -> {-, +, 1..m}; encodes an m-simplex of a cube."""
-
-    lower: int
-    upper: int
-    m: int
-    w: tuple[CubeCoordinate, ...]
-
-    def __post_init__(self):
-        if len(self.w) != self.upper - self.lower:
-            raise OutOfRange("cube function length does not match its interval")
-
-    def value(self, i: int) -> CubeCoordinate:
-        if not self.lower < i <= self.upper:
-            raise OutOfRange(f"position {i} outside ({self.lower},{self.upper}]")
-        return self.w[i - self.lower - 1]
 
 
 class Coords(str):
@@ -257,15 +221,13 @@ def cube(n: int) -> FiniteStratifiedSet:
     return FiniteStratifiedSet(n, dims, faces, thin)
 
 
-def classify_cube_simplex(n: int, f: CubeFunction) -> str:
-    """One of 'degenerate', 'special', 'thin', 'plain'."""
-    if len(f.w) != n:
-        raise OutOfRange("cube function does not span (0,n]")
-    if not is_integer_surjective(f.w, f.m):
+def classify_cube_simplex(w: tuple[CubeCoordinate, ...], m: int) -> str:
+    """One of 'degenerate', 'special', 'thin', 'plain' for the m-simplex w of a cube."""
+    if not is_integer_surjective(w, m):
         return "degenerate"
-    if is_partial_bijection(f.w, f.m) and is_order_reversing(f.w):
+    if is_partial_bijection(w, m) and is_order_reversing(w):
         return "special"
-    if cube_thin(f.w, f.m):
+    if cube_thin(w, m):
         return "thin"
     return "plain"
 
@@ -285,35 +247,6 @@ def cube_vertex_label(w: tuple[CubeCoordinate, ...], t: int, m: int) -> tuple[in
 
 def vertex_chain(w: tuple[CubeCoordinate, ...], m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cube_vertex_label(w, t, m) for t in range(m + 1))
-
-
-def cell_from_vertex_chain(chain) -> Coords:
-    """The cube cell with these vertex tuples (a_n, ..., a_1), one per simplex vertex."""
-    chain = [tuple(v) for v in chain]
-    n = len(chain[0])
-    m = len(chain) - 1
-    w = []
-    for i in range(1, n + 1):
-        column = [vert[n - i] for vert in chain]
-        if all(c == 0 for c in column):
-            w.append(MINUS)
-        elif all(c == 1 for c in column):
-            w.append(PLUS)
-        else:
-            flip = column.index(1)
-            if column != [0] * flip + [1] * (m + 1 - flip):
-                raise OutOfRange(f"column {column} is not a 1-simplex of dimension {m}")
-            w.append(flip)
-    return Coords(w)
-
-
-def parse_vertex_chain(text: str) -> Coords:
-    """The cube cell of a printed chain like '(0,0,0)<(0,1,1)<(1,1,1)'."""
-    verts = []
-    for part in text.replace(" ", "").split("<"):
-        part = part.strip("()")
-        verts.append(tuple(int(t) for t in part.split(",")))
-    return cell_from_vertex_chain(verts)
 
 
 # -- the comparison map onto the standard simplex ----------------------------
@@ -403,27 +336,27 @@ def big_H(n: int, k: int) -> SubsetHandle:
     return SubsetHandle(X, frozenset(members), frozenset(members) & X.thin)
 
 
-def special_w(n: int, i: int) -> CubeFunction:
+def special_w(n: int, i: int) -> Coords:
     """The unique order reversing partial bijection with a plus in ordinate i."""
     if not 1 <= i <= n:
         raise OutOfRange(f"special index {i} not in 1..{n}")
     w = tuple(
         PLUS if p == i else (n + 1 - p if p > i else n - p) for p in range(1, n + 1)
     )
-    return CubeFunction(0, n, n - 1, w)
+    return Coords(w)
 
 
-def special_top(n: int) -> CubeFunction:
+def special_top(n: int) -> Coords:
     """The order reversing bijection: the unique non-thin top cell of the cube."""
-    return CubeFunction(0, n, n, tuple(n - p + 1 for p in range(1, n + 1)))
+    return Coords(tuple(n - p + 1 for p in range(1, n + 1)))
 
 
 def C_dot(n: int, k: int) -> FiniteStratifiedSet:
     X = big_C(n, k)
-    extra = [Coords(special_w(n, i).w) for i in (k - 1, k + 1) if 1 <= i <= n]
+    extra = [special_w(n, i) for i in (k - 1, k + 1) if 1 <= i <= n]
     return make_thin(X, extra)
 
 
 def C_ddot(n: int, k: int) -> FiniteStratifiedSet:
     X = C_dot(n, k)
-    return make_thin(X, [Coords(special_w(n, k).w)])
+    return make_thin(X, [special_w(n, k)])

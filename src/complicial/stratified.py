@@ -5,8 +5,8 @@ A set stores only nondegenerate cells; every simplex is the pair
 A degeneracy word is the set of flat spots of its surjection, listed
 decreasing.  Thinness is a flag on nondegenerate cells of positive dimension,
 with degenerate simplices implicitly thin.  The module also provides
-stratified maps, regular/entire subsets, the product tensor (componentwise
-thinness), and exhaustive enumeration of stratified maps between finite sets.
+stratified maps, regular subsets and the product tensor (componentwise
+thinness).
 
 A cell is a hashable value: a string in a set read from JSON, a structured
 value in a built one (a product cell is its ``Pair`` of simplices).  Its
@@ -14,8 +14,8 @@ spelling ``str(cell)`` serves the JSON writers, which refuse two cells spelled
 alike, and the order of cells, which is the order of their spellings.
 
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
-with given faces: map enumeration, nerve enumeration, horn enumeration and
-both lifting checks run on it.
+with given faces: nerve enumeration, horn enumeration and the lifting
+report run on it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
-    AmbientMismatch,
     BadParams,
-    CapExceeded,
     DimensionMismatch,
     ParseError,
     UnknownCell,
@@ -272,31 +270,6 @@ def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[Hashable]) -> Subs
     return SubsetHandle(X, frozenset(members), frozenset(members) & X.thin)
 
 
-def union_regular(X: FiniteStratifiedSet, parts: Iterable[SubsetHandle]) -> SubsetHandle:
-    members: frozenset = frozenset()
-    for h in parts:
-        if h.ambient is not X:
-            raise AmbientMismatch("subset handles live in different ambient sets")
-        members |= h.members
-    return SubsetHandle(X, members, members & X.thin)
-
-
-def is_subset_kind(h: SubsetHandle) -> frozenset[str]:
-    """Classify a handle as regular and/or entire; {'neither'} otherwise."""
-    kinds = set()
-    closed = all(
-        s.cell in h.members
-        for c in h.members
-        if h.ambient.dims[c] >= 1
-        for s in h.ambient.faces[c]
-    )
-    if closed and h.thin_members == h.members & h.ambient.thin:
-        kinds.add("regular")
-    if h.members == frozenset(h.ambient.dims):
-        kinds.add("entire")
-    return frozenset(kinds) if kinds else frozenset({"neither"})
-
-
 def make_thin(X: FiniteStratifiedSet, extra: Iterable[Hashable]) -> FiniteStratifiedSet:
     extra = frozenset(extra)
     for c in extra:
@@ -372,33 +345,6 @@ def gray_product(
     return FiniteStratifiedSet(cap, dims, faces, thin)
 
 
-# -- exhaustive map enumeration -------------------------------------------
-
-
-def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[StratifiedMap]:
-    """All stratified maps A -> X, in the order induced by (dimension, spelling)."""
-    if A.max_dim() > X.dim_cap:
-        raise CapExceeded(f"domain dimension {A.max_dim()} exceeds target cap")
-    order = A.cells()
-    out: list[StratifiedMap] = []
-    assignment: dict[Hashable, Simplex] = {}
-    partial = StratifiedMap(A, X, assignment)  # the images chosen so far
-
-    def search(i: int) -> None:
-        if i == len(order):
-            out.append(StratifiedMap(A, X, dict(assignment)))
-            return
-        cell = order[i]
-        faces = {j: partial(s) for j, s in enumerate(A.faces.get(cell, ()))}
-        for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin), key=X.sort_key):
-            assignment[cell] = img
-            search(i + 1)
-            del assignment[cell]
-
-    search(0)
-    return out
-
-
 # -- JSON interchange ------------------------------------------------------
 
 _KIND_NAMES = {int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"}
@@ -464,6 +410,8 @@ def set_to_json(X: FiniteStratifiedSet) -> dict:
 def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:
     """The stratified set a JSON document describes; ParseError unless it is valid."""
     dim_cap = json_field(data, "dim_cap", int, path)
+    if dim_cap < 0:
+        raise ParseError(f"{path}.dim_cap: must be at least 0")
     dims = {}
     faces = {}
     thin = []

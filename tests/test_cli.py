@@ -229,6 +229,13 @@ def with_shared_product_spelling():
     }
 
 
+def with_negative_cap():
+    """The suspension of the 1-simplex at dim_cap -1, every composition table empty:
+    the law checks stop at the cap, so at a negative one they would check nothing."""
+    doc = enriched_to_json(suspension(standard(1)))
+    return dict(doc, dim_cap=-1, comp={key: {} for key in doc["comp"]})
+
+
 def with_duplicate_cell():
     doc = delta2()
     doc["cells"].append(dict(doc["cells"][0]))
@@ -334,6 +341,12 @@ MALFORMED = {
         "enriched.homs.1;0: missing",
     ),
     "sigma-top-level-list": (["sigma"], [delta2()], "set: expected an object"),
+    "sigma-negative-dim-cap": (
+        ["sigma"], {"dim_cap": -1, "cells": []}, "set.dim_cap: must be at least 0"
+    ),
+    "validate-gray-negative-dim-cap": (
+        ["validate-gray", "--dmax", "2"], with_negative_cap(), "enriched.dim_cap: must be at least 0"
+    ),
     "nerve-object-with-separator": (
         ["nerve", "--dmax", "2"],
         dict(suspended_point(), objects=["a;b", "a", "b;a", "b"]),

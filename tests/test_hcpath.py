@@ -21,21 +21,18 @@ from complicial.operators import (
 )
 from complicial.hcpath import (
     PathArrow,
-    arrow_is_degenerate,
     arrow_normal_form,
     arrow_of_cell,
-    arrow_thin,
     compose_path,
     hc_horn_member,
     hom_set,
-    identity_arrow,
-    indecomposable,
     is_indecomposable,
     path_act,
     split_at_zeros,
     top_special_arrow,
 )
 from complicial.shapes import cube
+from reference import arrow_is_degenerate, arrow_thin, identity_arrow, indecomposable
 
 
 def all_arrows(n, max_dim=3):

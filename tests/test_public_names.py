@@ -1,9 +1,11 @@
 """Dead-code guard: every public module-level function or class of the package
-is referenced somewhere in the package (outside ``__init__.py``), the tests or
-the demos, and every public method or property of a public class is read as an
-attribute there.  Methods are matched by attribute name, so a method shares its
+is read somewhere in the package (outside ``__init__.py``), the demos or the
+benchmark, and every public method or property of a public class is read as an
+attribute there.  The tests do not count as callers, and an import on its own
+is not a read.  Methods are matched by attribute name, so a method shares its
 use with any other attribute of the same name.  Every private module-level
-function or class is named inside the package itself."""
+function or class is named inside the package itself, and no module imports a
+name it never reads."""
 
 import ast
 from pathlib import Path
@@ -14,8 +16,8 @@ DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _names_used(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Identifiers a module reads or imports, a definition's own name excluded,
-    and the attribute names among them."""
+    """Identifiers a module reads, a definition's own name excluded, and the
+    attribute names among them."""
     used: set[str] = set()
     attributes: set[str] = set()
     for stmt in tree.body:
@@ -26,8 +28,6 @@ def _names_used(tree: ast.Module) -> tuple[set[str], set[str]]:
             elif isinstance(node, ast.Attribute):
                 here.add(node.attr)
                 attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
-                here.add(node.name)
         if isinstance(stmt, DEFINITIONS):
             here.discard(stmt.name)
         used |= here
@@ -49,16 +49,19 @@ def _public(path: Path) -> tuple[list[str], list[str]]:
     return definitions, methods
 
 
+def _modules() -> list[Path]:
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
 def test_every_public_name_is_used():
-    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    readers = sources + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    callers = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
     used, attributes = set(), set()
-    for p in readers:
+    for p in _modules() + callers:
         names, attrs = _names_used(ast.parse(p.read_text()))
         used |= names
         attributes |= attrs
     definitions, methods = [], []
-    for p in sources:
+    for p in _modules():
         d, m = _public(p)
         definitions += d
         methods += m
@@ -83,3 +86,20 @@ def test_every_private_name_is_used_in_the_package():
         ]
     assert private
     assert [name for name in private if name.split(".")[1] not in used] == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a module binds by an import, at any depth, is read in that module."""
+    stale = []
+    for p in _modules():
+        tree = ast.parse(p.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        stale.append(f"{p.stem}: {name}")
+    assert stale == []

@@ -6,27 +6,23 @@ from complicial.shapes import (
     C_ddot,
     C_dot,
     Coords,
-    CubeFunction,
     big_C,
     big_H,
     boundary,
     c_map,
     classify_cube_simplex,
     complicial,
-    complicial_dprimed,
-    complicial_primed,
     cube,
     horn,
     is_partial_bijection,
     is_order_reversing,
-    parse_vertex_chain,
     special_top,
     special_w,
     standard,
     standard_thin,
     vertex_chain,
 )
-from complicial.stratified import is_subset_kind
+from reference import complicial_dprimed, complicial_primed, is_subset_kind, parse_vertex_chain
 
 
 def test_standard_census():
@@ -110,11 +106,11 @@ def test_cube_validates():
 
 
 def test_classify_examples():
-    assert classify_cube_simplex(2, CubeFunction(0, 2, 2, (2, 1))) == "special"
-    assert classify_cube_simplex(2, CubeFunction(0, 2, 2, (1, 2))) == "thin"
-    assert classify_cube_simplex(2, CubeFunction(0, 2, 1, (1, PLUS))) == "special"
-    assert classify_cube_simplex(2, CubeFunction(0, 2, 1, (1, 1))) == "plain"
-    assert classify_cube_simplex(2, CubeFunction(0, 2, 2, (1, PLUS))) == "degenerate"
+    assert classify_cube_simplex((2, 1), 2) == "special"
+    assert classify_cube_simplex((1, 2), 2) == "thin"
+    assert classify_cube_simplex((1, PLUS), 1) == "special"
+    assert classify_cube_simplex((1, 1), 1) == "plain"
+    assert classify_cube_simplex((1, PLUS), 2) == "degenerate"
 
 
 def test_classify_degenerate_matches_brute_force():
@@ -130,7 +126,7 @@ def test_classify_degenerate_matches_brute_force():
                     all(op.values[t] == op.values[t + 1] for op in ops)
                     for t in range(m)
                 )
-                got = classify_cube_simplex(n, CubeFunction(0, n, m, w))
+                got = classify_cube_simplex(w, m)
                 assert (got == "degenerate") == flat_somewhere
 
 
@@ -169,7 +165,7 @@ def test_c_map_stratified_up_to_four():
 
 def test_big_C_examples():
     C23 = big_C(3, 2)
-    w2 = Coords(special_w(3, 2).w)
+    w2 = special_w(3, 2)
     assert str(w2) == "2,+,1"
     assert w2 not in C23.thin
     assert w2 not in big_H(3, 2).members

