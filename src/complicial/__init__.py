@@ -54,10 +54,8 @@ from .hcpath import (
 )
 from .anodyne import (
     AnodyneCertificate,
-    HornPushout,
     LiftingReport,
-    ThinHornPushout,
-    ThinnessPushout,
+    Step,
     builtin_certificates,
     certificate_from_json,
     certificate_to_json,

@@ -6,20 +6,25 @@ for thin fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs
 ``fillers`` too: each face of a horn map is a filler of the faces it shares
 with the faces chosen before it.
 
-One replayer, ``_apply_step``, checks an elementary-anodyne pushout step
-against the pair (members, thin flags) inside a fixed ambient set and
-applies it; ``replay_states``, ``verify_certificate`` and ``search_tower``
-run on it.  A horn step glues a thin top cell along a horn that must already
-be present; a thinness step upgrades one face to thin.  The side conditions
-are exactly those making the enlarged subset a genuine pushout of the
-elementary extension, so a passing certificate is a machine-checked anodyne
-decomposition.
+One pure check, ``_step_violation``, decides whether an elementary-anodyne
+pushout ``Step`` extends a subset (members, thin flags) of a fixed ambient
+set, and ``_applied`` builds the extended subset; ``replay_states``,
+``verify_certificate`` and ``search_tower`` run on the pair.  A horn step glues
+a thin top cell along a horn that must already be present; a thinness step
+upgrades one face to thin.  Two invariants hold throughout: the subset is
+face-closed, and its flags are thin in the ambient.  ``_start_problems`` checks
+them at the start and every step keeps them, so a horn is present once its n
+faces d_j, j != k, are, a present top cell brings all of its faces, and a
+flagged face is thin in the ambient.  The side conditions are exactly those
+making the enlarged subset a genuine pushout of the elementary extension, so
+a passing certificate is a machine-checked anodyne decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, Union
+from functools import lru_cache
+from typing import Hashable, Iterator
 
 from .errors import BadParams, ParseError, StepViolation, UnknownCell
 from .operators import PLUS, Operator, admissible_vertices, all_injections, delta
@@ -65,26 +70,18 @@ def _ks_for_mode(n: int, mode: str) -> list[int]:
     raise BadParams(f"unknown mode {mode!r}")
 
 
-def _admissible_proper_faces(n: int, k: int) -> list[Operator]:
-    """Injective proper faces of [n] whose image covers k-1, k, k+1."""
+@lru_cache(maxsize=None)
+def _admissible_faces(n: int, k: int, top: int) -> tuple[Operator, ...]:
+    """Injective proper faces of [n] whose image covers k-1, k, k+1, up to
+    dimension top.  Above the top dimension of a set every simplex is
+    degenerate, hence thin, so a thinness check stops there exactly."""
     needed = admissible_vertices(n, k)
-    out = []
-    for m in range(n):
-        for alpha in all_injections(m, n):
-            if needed <= set(alpha.values):
-                out.append(alpha)
-    return out
-
-
-def _horn_faces(n: int, k: int) -> list[Operator]:
-    """Injective faces lying in the k-horn (image misses some i != k)."""
-    out = []
-    for m in range(n):
-        for alpha in all_injections(m, n):
-            img = set(alpha.values)
-            if any(i not in img for i in range(n + 1) if i != k):
-                out.append(alpha)
-    return out
+    return tuple(
+        alpha
+        for m in range(min(n, top + 1))
+        for alpha in all_injections(m, n)
+        if needed <= set(alpha.values)
+    )
 
 
 def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
@@ -95,27 +92,20 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     """
     face_idx = [j for j in range(n + 1) if j != k]
     admissible = admissible_vertices(n, k)
-    deep_thin = [
-        alpha
-        for alpha in _admissible_proper_faces(n, k)
-        if alpha.n < n - 1
-    ]
+    # the smaller admissible faces of the horn must land thin as well; each is
+    # a face beta of some face j of the horn
+    deep_thin = []
+    for alpha in _admissible_faces(n, k, X.max_dim()):
+        if alpha.n < n - 1:
+            j = next(i for i in range(n + 1) if i != k and i not in alpha.values)
+            vals = tuple(v if v < j else v - 1 for v in alpha.values)
+            deep_thin.append((j, Operator(alpha.n, n - 1, vals)))
 
     assignment: dict[int, Simplex] = {}
 
-    def deep_thin_ok() -> bool:
-        # smaller admissible faces of the horn must land thin as well
-        for alpha in deep_thin:
-            j = next(i for i in range(n + 1) if i != k and i not in alpha.values)
-            vals = tuple(v if v < j else v - 1 for v in alpha.values)
-            img = X.act(assignment[j], Operator(alpha.n, n - 1, vals))
-            if not X.is_thin(img):
-                return False
-        return True
-
     def search(pos: int) -> Iterator[dict]:
         if pos == len(face_idx):
-            if deep_thin_ok():
+            if all(X.is_thin(X.act(assignment[j], beta)) for j, beta in deep_thin):
                 yield dict(assignment)
             return
         j = face_idx[pos]
@@ -132,15 +122,14 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
 def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simplex]:
     """Simplices carrying a map from the primed complicial simplex."""
     primed = admissible_vertices(n, k) - {k}
-    admissible = _admissible_proper_faces(n, k)
+    admissible = _admissible_faces(n, k, X.max_dim())
     for z in X.simplices_of_dim(n):
-        if not X.is_thin(z):
-            continue
-        if any(not X.is_thin(X.act(z, alpha)) for alpha in admissible):
-            continue
-        if any(not X.is_thin(X.act(z, delta(n, j))) for j in primed):
-            continue
-        yield z
+        if (
+            X.is_thin(z)
+            and all(X.is_thin(X.act(z, alpha)) for alpha in admissible)
+            and all(X.is_thin(X.act(z, delta(n, j))) for j in primed)
+        ):
+            yield z
 
 
 def _instances(X: FiniteStratifiedSet, dmax: int, mode: str) -> Iterator[tuple]:
@@ -184,36 +173,20 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
 # -- certificates -------------------------------------------------------------
 
 
+STEP_KINDS = ("horn", "thinness", "thin-horn")
+
+
 @dataclass(frozen=True)
-class HornPushout:
+class Step:
+    """One elementary-anodyne pushout: a ``horn`` step glues the thin top cell
+    ``attach`` along its k-horn, a ``thinness`` step flags the face through k of
+    the present top cell, and a ``thin-horn`` step (the paper's thin horns) is a
+    horn step followed by a thinness step."""
+
+    kind: str
     n: int
     k: int
     attach: Hashable  # image of the top cell: a nondegenerate cell of the ambient
-
-    kind = "horn"
-
-
-@dataclass(frozen=True)
-class ThinnessPushout:
-    n: int
-    k: int
-    attach: Hashable
-
-    kind = "thinness"
-
-
-@dataclass(frozen=True)
-class ThinHornPushout:
-    """Macro for the paper's thin horns: a horn step then a thinness step."""
-
-    n: int
-    k: int
-    attach: Hashable
-
-    kind = "thin-horn"
-
-
-Step = Union[HornPushout, ThinnessPushout, ThinHornPushout]
 
 
 @dataclass
@@ -225,124 +198,108 @@ class AnodyneCertificate:
     note: str = ""
 
 
-class _State:
-    def __init__(self, members: frozenset, flags: frozenset):
-        self.members = set(members)
-        self.flags = set(flags)
-
-    def simplex_present(self, s: Simplex) -> bool:
-        return s.cell in self.members
-
-    def simplex_thin(self, s: Simplex) -> bool:
-        return s.is_degenerate or s.cell in self.flags
-
-
-def _check_horn_step(Z: FiniteStratifiedSet, state: _State, step) -> str | None:
-    n, k = step.n, step.k
-    if step.attach not in Z.dims:
-        return f"attach cell {step.attach!r} not in ambient"
-    if Z.dims[step.attach] != n:
-        return f"attach cell has dimension {Z.dims[step.attach]}, expected {n}"
-    top = Simplex(step.attach)
-    if not Z.is_thin(top):
-        return "top cell image is not thin in the ambient"
-    for alpha in _admissible_proper_faces(n, k):
-        if not Z.is_thin(Z.act(top, alpha)):
-            return f"admissible face {list(alpha.values)} lands on a non-thin simplex"
-    admissible = admissible_vertices(n, k)
-    for alpha in _horn_faces(n, k):
-        img = Z.act(top, alpha)
-        if not state.simplex_present(img):
-            return f"horn face {list(alpha.values)} not inside the current subset"
-        if admissible <= set(alpha.values) and not state.simplex_thin(img):
-            return f"thin horn face {list(alpha.values)} lacks its thin flag"
-    if step.attach in state.members:
-        return "top cell image already present"
-    missing = Z.act(top, delta(n, k))
-    if missing.is_degenerate:
-        return "face through k is degenerate"
-    if missing.cell in state.members:
-        return "face through k already present"
-    state.members.add(step.attach)
-    state.members.add(missing.cell)
-    state.flags.add(step.attach)
-    return None
+def _start_problems(Z: FiniteStratifiedSet, start: SubsetHandle) -> list[str]:
+    """The first way start breaks the invariants every step keeps, if any: its
+    cells are cells of Z, its flags are thin in Z, and it is face-closed."""
+    for c in start.members:
+        if c not in Z.dims:
+            return [f"start names unknown cell {c!r}"]
+    if not start.thin_members <= start.members & Z.thin:
+        return ["start thin flags exceed the ambient stratification"]
+    for c in Z.cells():
+        if c in start.members and any(s.cell not in start.members for s in Z.faces.get(c, ())):
+            return [f"start is not face-closed at {c!r}"]
+    return []
 
 
-def _check_thinness_step(Z: FiniteStratifiedSet, state: _State, step) -> str | None:
-    n, k = step.n, step.k
+def _step_violation(
+    Z: FiniteStratifiedSet, members: frozenset, flags: frozenset, step: Step
+) -> str | None:
+    """Why step does not extend the subset (members, flags) of Z, or None."""
+    if step.kind not in STEP_KINDS:
+        return f"unknown step kind {step.kind!r}"
+    n, k, cell = step.n, step.k, step.attach
+    if cell not in Z.dims:
+        return f"attach cell {cell!r} not in ambient"
+    if Z.dims[cell] != n:
+        return f"attach cell has dimension {Z.dims[cell]}, expected {n}"
+    top = Simplex(cell)
+    if step.kind != "thinness":
+        if not Z.is_thin(top):
+            return "top cell image is not thin in the ambient"
+        for j in range(n + 1):
+            if j != k and Z.act(top, delta(n, j)).cell not in members:
+                return f"horn face {list(delta(n, j).values)} not inside the current subset"
+        for alpha in _admissible_faces(n, k, Z.max_dim()):
+            img = Z.act(top, alpha)
+            if not (img.is_degenerate or img.cell in flags):
+                return f"thin horn face {list(alpha.values)} lacks its thin flag"
+        if cell in members:
+            return "top cell image already present"
+        missing = Z.act(top, delta(n, k))
+        if missing.is_degenerate:
+            return "face through k is degenerate"
+        if missing.cell in members:
+            return "face through k already present"
+        if step.kind == "horn":
+            return None
+        members, flags = _applied(Z, members, flags, Step("horn", n, k, cell))
     if n < 2:
         return "thinness extensions need n >= 2"
-    if step.attach not in Z.dims or Z.dims[step.attach] != n:
-        return f"attach cell {step.attach!r} missing or of wrong dimension"
-    top = Simplex(step.attach)
-    if step.attach not in state.members:
+    if cell not in members:
         return "top cell not inside the current subset"
-    kface = Z.act(top, delta(n, k))
-    if not Z.is_thin(kface):
+    if not Z.is_thin(Z.act(top, delta(n, k))):
         return "face through k is not thin in the ambient"
-    if not state.simplex_thin(top):
+    if cell not in flags:
         return "top cell lacks its thin flag"
-    primed = admissible_vertices(n, k) - {k}
-    for alpha in _admissible_proper_faces(n, k):
+    for alpha in _admissible_faces(n, k, Z.max_dim()):
         img = Z.act(top, alpha)
-        if not state.simplex_present(img):
-            return f"face {list(alpha.values)} not inside the current subset"
-        if not state.simplex_thin(img):
+        if not (img.is_degenerate or img.cell in flags):
             return f"admissible face {list(alpha.values)} lacks its thin flag"
-    for j in range(n + 1):
+    for j in sorted(admissible_vertices(n, k) - {k}):
         img = Z.act(top, delta(n, j))
-        if not state.simplex_present(img):
-            return f"face {j} not inside the current subset"
-        if j in primed and not state.simplex_thin(img):
+        if not (img.is_degenerate or img.cell in flags):
             return f"primed face {j} lacks its thin flag"
-    if not kface.is_degenerate:
-        state.flags.add(kface.cell)
     return None
 
 
-def _apply_step(Z: FiniteStratifiedSet, state: _State, step) -> str | None:
-    """Check one step against the state and apply it; returns the violation, if any."""
-    if isinstance(step, HornPushout):
-        return _check_horn_step(Z, state, step)
-    if isinstance(step, ThinnessPushout):
-        return _check_thinness_step(Z, state, step)
-    if isinstance(step, ThinHornPushout):
-        return _check_horn_step(Z, state, step) or _check_thinness_step(Z, state, step)
-    return f"unknown step kind {step!r}"
+def _applied(
+    Z: FiniteStratifiedSet, members: frozenset, flags: frozenset, step: Step
+) -> tuple[frozenset, frozenset]:
+    """The subset (members, flags) after a step that _step_violation passes."""
+    kface = Z.act(Simplex(step.attach), delta(step.n, step.k))
+    if step.kind != "thinness":
+        members, flags = members | {step.attach, kface.cell}, flags | {step.attach}
+    if step.kind != "horn" and not kface.is_degenerate:
+        flags = flags | {kface.cell}
+    return members, flags
 
 
 def replay_states(cert: AnodyneCertificate):
     """Yield (step, members, flags) after each verified step of the tower.
 
-    Raises StepViolation at the first step that fails its side conditions.
+    Raises BadParams if the start breaks the invariants, and StepViolation at
+    the first step that fails its side conditions.
     """
-    state = _State(cert.start.members, cert.start.thin_members)
+    Z, members, flags = cert.ambient, cert.start.members, cert.start.thin_members
+    problems = _start_problems(Z, cert.start)
+    if problems:
+        raise BadParams(problems[0])
     for idx, step in enumerate(cert.steps):
-        err = _apply_step(cert.ambient, state, step)
+        err = _step_violation(Z, members, flags, step)
         if err is not None:
             raise StepViolation(idx, err)
-        yield step, frozenset(state.members), frozenset(state.flags)
+        members, flags = _applied(Z, members, flags, step)
+        yield step, members, flags
 
 
 def verify_certificate(cert: AnodyneCertificate) -> list[str]:
     """Replay the tower; the empty report means the certificate is valid."""
-    Z = cert.ambient
-    for c in cert.start.members:
-        if c not in Z.dims:
-            return [f"start names unknown cell {c!r}"]
-    if not cert.start.thin_members <= cert.start.members & Z.thin:
-        return ["start thin flags exceed the ambient stratification"]
-    for c in cert.start.members:
-        if Z.dims[c] >= 1:
-            for s in Z.faces[c]:
-                if s.cell not in cert.start.members:
-                    return [f"start is not face-closed at {c!r}"]
     members, flags = cert.start.members, cert.start.thin_members
     try:
         for _, members, flags in replay_states(cert):
             pass
-    except StepViolation as exc:
+    except (BadParams, StepViolation) as exc:
         return [str(exc)]
     problems = []
     if members != cert.finish.members:
@@ -372,7 +329,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=C12,
             start=big_H(2, 1),
             finish=SubsetHandle(C12, frozenset(C12.dims), C12.thin),
-            steps=(HornPushout(2, 1, Coords((2, 1))), HornPushout(2, 0, Coords((1, 2)))),
+            steps=(Step("horn", 2, 1, Coords((2, 1))), Step("horn", 2, 0, Coords((1, 2)))),
             note="square horn, k=1",
         )
     )
@@ -384,7 +341,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=C22,
             start=big_H(2, 2),
             finish=SubsetHandle(C22, frozenset(C22.dims), C22.thin),
-            steps=(HornPushout(2, 1, Coords((1, 2))), HornPushout(2, 0, Coords((2, 1)))),
+            steps=(Step("horn", 2, 1, Coords((1, 2))), Step("horn", 2, 0, Coords((2, 1)))),
             note="square horn, k=2",
         )
     )
@@ -399,14 +356,14 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             start=start,
             finish=SubsetHandle(Chat, frozenset(Chat.dims), Chat.thin),
             steps=(
-                HornPushout(2, 1, Coords((1, 1, 2))),
-                ThinHornPushout(3, 2, Coords((1, 2, 3))),
-                HornPushout(3, 1, Coords((1, 3, 2))),
-                HornPushout(3, 2, Coords((2, 3, 1))),
-                HornPushout(3, 1, Coords((3, 2, 1))),
-                HornPushout(2, 1, Coords((1, PLUS, 2))),
-                ThinHornPushout(3, 2, Coords((2, 1, 3))),
-                HornPushout(3, 0, Coords((3, 1, 2))),
+                Step("horn", 2, 1, Coords((1, 1, 2))),
+                Step("thin-horn", 3, 2, Coords((1, 2, 3))),
+                Step("horn", 3, 1, Coords((1, 3, 2))),
+                Step("horn", 3, 2, Coords((2, 3, 1))),
+                Step("horn", 3, 1, Coords((3, 2, 1))),
+                Step("horn", 2, 1, Coords((1, PLUS, 2))),
+                Step("thin-horn", 3, 2, Coords((2, 1, 3))),
+                Step("horn", 3, 0, Coords((3, 1, 2))),
             ),
             note="3-cube horn via the V tower",
         )
@@ -419,7 +376,7 @@ def builtin_certificates() -> list[AnodyneCertificate]:
             ambient=Chat,
             start=SubsetHandle(Chat, frozenset(Chat.dims), C23.thin),
             finish=SubsetHandle(Chat, frozenset(Chat.dims), Chat.thin),
-            steps=(ThinnessPushout(3, 2, Coords((2, 1, 3))),),
+            steps=(Step("thinness", 3, 2, Coords((2, 1, 3))),),
             note="thinness upgrade to the hatted cube",
         )
     )
@@ -445,53 +402,44 @@ def search_tower(
     if start.ambient is not finish.ambient:
         raise UnknownCell("start and finish live in different ambient sets")
     Z = start.ambient
-    target_members = set(finish.members)
-    target_flags = set(finish.thin_members)
+    if _start_problems(Z, start):
+        return None
+    target_members, target_flags = finish.members, finish.thin_members
     attempts = 0
 
-    def candidates(state: _State):
+    def candidates(members: frozenset) -> Iterator[Step]:
         for cell in Z.cells():
             d = Z.dims[cell]
             if d < 1:
                 continue
             for k in range(d + 1):
-                if cell not in state.members and cell in target_members:
-                    for kind in (HornPushout, ThinHornPushout):
-                        yield kind(d, k, cell)
-                if cell in state.members and d >= 2:
-                    yield ThinnessPushout(d, k, cell)
+                if cell not in members and cell in target_members:
+                    yield Step("horn", d, k, cell)
+                    yield Step("thin-horn", d, k, cell)
+                if cell in members and d >= 2:
+                    yield Step("thinness", d, k, cell)
 
-    def admissible(state: _State, step) -> _State | None:
-        trial = _State(state.members, state.flags)
-        if _apply_step(Z, trial, step) is not None:
-            return None
-        if isinstance(step, ThinnessPushout) and trial.flags == state.flags:
-            return None  # a thinness step that flags nothing new is a no-op
-        if not trial.members <= target_members or not trial.flags <= target_flags:
-            return None
-        return trial
-
-    def dfs(state: _State, steps: list) -> tuple[Step, ...] | None:
+    def dfs(members: frozenset, flags: frozenset, steps: tuple) -> tuple[Step, ...] | None:
         nonlocal attempts
-        if state.members == target_members and state.flags == target_flags:
-            return tuple(steps)
-        for step in candidates(state):
-            nxt = admissible(state, step)
-            if nxt is None:
+        if members == target_members and flags == target_flags:
+            return steps
+        for step in candidates(members):
+            if _step_violation(Z, members, flags, step) is not None:
+                continue
+            nxt_members, nxt_flags = _applied(Z, members, flags, step)
+            if step.kind == "thinness" and nxt_flags == flags:
+                continue  # a thinness step that flags nothing new is a no-op
+            if not nxt_members <= target_members or not nxt_flags <= target_flags:
                 continue
             attempts += 1
             if attempts > budget:
                 return None
-            steps.append(step)
-            found = dfs(nxt, steps)
-            if found is not None:
+            found = dfs(nxt_members, nxt_flags, steps + (step,))
+            if found is not None or attempts > budget:
                 return found
-            steps.pop()
-            if attempts > budget:
-                return None
         return None
 
-    found = dfs(_State(start.members, start.thin_members), [])
+    found = dfs(start.members, start.thin_members, ())
     if found is None:
         return None
     cert = AnodyneCertificate(Z, start, finish, found, note="found by search")
@@ -521,15 +469,17 @@ def tower_problem_from_json(data, path: str) -> tuple[SubsetHandle, SubsetHandle
     return start, subset_from_json(Z, json_field(data, "finish", dict, path), f"{path}.finish")
 
 
-_STEP_KINDS = {"horn": HornPushout, "thinness": ThinnessPushout, "thin-horn": ThinHornPushout}
-
-
 def _step_from_json(data, path: str) -> Step:
     kind = json_field(data, "kind", str, path)
-    if kind not in _STEP_KINDS:
-        raise ParseError(f"{path}: unknown step kind {kind!r}; choose from {sorted(_STEP_KINDS)}")
-    n, k = json_field(data, "n", int, path), json_field(data, "k", int, path)
-    return _STEP_KINDS[kind](n, k, json_field(data, "attach", str, path))
+    if kind not in STEP_KINDS:
+        raise ParseError(f"{path}: unknown step kind {kind!r}; choose from {sorted(STEP_KINDS)}")
+    n = json_field(data, "n", int, path)
+    if n < 1:
+        raise ParseError(f"{path}.n: must be at least 1")
+    k = json_field(data, "k", int, path)
+    if not 0 <= k <= n:
+        raise ParseError(f"{path}.k: must be in 0..{n}")
+    return Step(kind, n, k, json_field(data, "attach", str, path))
 
 
 def certificate_from_json(data) -> AnodyneCertificate:

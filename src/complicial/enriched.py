@@ -50,7 +50,6 @@ class EnrichedCategory:
         self.identities = dict(identities)
         self.comp = dict(comp)
         self.dim_cap = dim_cap
-        self.gray_validated = False
 
     def hom(self, a: str, b: str) -> FiniteStratifiedSet:
         return self.homs[(a, b)]
@@ -77,6 +76,8 @@ def make_enriched(
     dim_cap: int,
 ) -> EnrichedCategory:
     """Assemble and validate an enriched category; raises LawViolation."""
+    if dim_cap < 0:
+        raise LawViolation(f"dim_cap must be at least 0, got {dim_cap}")
     E = EnrichedCategory(objects, homs, identities, comp_maps, dim_cap)
     for a in E.objects:
         cell = E.identities.get(a)
@@ -351,7 +352,7 @@ def _pointwise_product(cat: FiniteCategory, sx: Simplex, sy: Simplex) -> Simplex
 
 
 def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
-    """Run the lifting report on every homset; flags the category on success."""
+    """Run the lifting report on every homset."""
     from .anodyne import rlp_report
 
     reports = {}
@@ -363,5 +364,4 @@ def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
         rep = rlp_report(hom, d, mode="all")
         reports[(a, b)] = rep
         ok = ok and rep.ok
-    E.gray_validated = ok
     return {"pass": ok, "homs": reports}

@@ -79,8 +79,6 @@ def elementary(kind: str, n: int, j: int = 0) -> Operator:
         return Operator(0, n, (j,))
     if kind == "eta":
         return Operator(n, 0, (0,) * (n + 1))
-    if kind == "iota":
-        return Operator(-1, n, ())
     raise OutOfRange(f"unknown elementary kind {kind!r}")
 
 

@@ -10,6 +10,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -55,19 +56,12 @@ class SuiteReport:
         }
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def check_cube_census(report: SuiteReport) -> None:
     for n in (2, 3, 4):
         X = cube(n)
         tops = X.cells_of_dim(n)
         nonthin = [c for c in tops if c not in X.thin]
-        ok = len(tops) == _factorial(n) and len(nonthin) == 1
+        ok = len(tops) == math.factorial(n) and len(nonthin) == 1
         ok = ok and nonthin == [special_top(n)]
         report.add(f"cube-census[{n}]", ok, f"{len(tops)} tops, non-thin {nonthin}")
 

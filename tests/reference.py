@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Mapping
 
-from complicial.anodyne import (
-    AnodyneCertificate,
-    HornPushout,
-    ThinHornPushout,
-    ThinnessPushout,
-)
+from complicial.anodyne import AnodyneCertificate
 from complicial.enriched import (
     EnrichedCategory,
     degenerate_word,
@@ -249,12 +244,12 @@ def replay_members(cert: AnodyneCertificate) -> tuple[frozenset, frozenset]:
     flags = set(cert.start.thin_members)
     for step in cert.steps:
         top = Simplex(step.attach)
-        if isinstance(step, (HornPushout, ThinHornPushout)):
+        if step.kind in ("horn", "thin-horn"):
             members.add(step.attach)
             flags.add(step.attach)
             kface = Z.act(top, delta(step.n, step.k))
             members.add(kface.cell)
-        if isinstance(step, (ThinnessPushout, ThinHornPushout)):
+        if step.kind in ("thinness", "thin-horn"):
             kface = Z.act(top, delta(step.n, step.k))
             if not kface.is_degenerate:
                 flags.add(kface.cell)

@@ -1,11 +1,12 @@
 import json
+import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from complicial.anodyne import (
     AnodyneCertificate,
-    HornPushout,
     _horn_problems,
     _thinness_problems,
     builtin_certificates,
@@ -57,6 +58,17 @@ def test_rlp_interval_all():
     assert rep.ok
 
 
+def test_rlp_report_far_above_the_top_dimension_is_quick():
+    # every simplex of the 1-simplex above dimension 1 is degenerate, hence
+    # thin, so the admissible faces checked stop at dimension 1 and the cost
+    # grows polynomially in dmax, with the horn maps
+    started = time.perf_counter()
+    rep = rlp_report(standard(1), 12, mode="all")
+    assert rep.ok
+    assert sum(n for _, n in rep.checked) == 1760
+    assert time.perf_counter() - started < 3
+
+
 def test_rlp_standard_two_fails_inner():
     rep = rlp_report(standard(2), 2, mode="inner")
     assert not rep.ok
@@ -104,9 +116,9 @@ def test_builtin_certificates_all_pass():
 def test_builtin_square_step_structure():
     cert = builtin_certificates()[0]
     first, second = cert.steps
-    assert isinstance(first, HornPushout) and (first.n, first.k) == (2, 1)
+    assert (first.kind, first.n, first.k) == ("horn", 2, 1)
     assert first.attach == parse_vertex_chain("(0,0)<(1,0)<(1,1)")
-    assert isinstance(second, HornPushout) and (second.n, second.k) == (2, 0)
+    assert (second.kind, second.n, second.k) == ("horn", 2, 0)
     assert second.attach == parse_vertex_chain("(0,0)<(0,1)<(1,1)")
 
 
@@ -143,13 +155,30 @@ def test_replay_states_raises_the_verify_problem():
     cert = builtin_certificates()[2]
     steps = list(cert.steps)
     bad = steps[3]
-    steps[3] = type(bad)(bad.n, (bad.k + 1) % (bad.n + 1), bad.attach)
+    steps[3] = replace(bad, k=(bad.k + 1) % (bad.n + 1))
     mutant = AnodyneCertificate(cert.ambient, cert.start, cert.finish, tuple(steps))
     problems = verify_certificate(mutant)
     with pytest.raises(StepViolation) as exc:
         list(replay_states(mutant))
     assert exc.value.index == 3
     assert problems == [str(exc.value)]
+
+
+def test_start_that_is_not_face_closed_is_refused():
+    # the step check relies on a face-closed start: without the start check a
+    # start missing a vertex replayed every step of the V tower silently
+    for cert in (builtin_certificates()[0], builtin_certificates()[2]):
+        Z = cert.ambient
+        vertex = next(c for c in Z.cells_of_dim(0) if c in cert.start.members)
+        start = SubsetHandle(
+            Z, cert.start.members - {vertex}, cert.start.thin_members - {vertex}
+        )
+        mutant = AnodyneCertificate(Z, start, cert.finish, cert.steps)
+        [problem] = verify_certificate(mutant)
+        assert problem.startswith("start is not face-closed")
+        with pytest.raises(BadParams, match="start is not face-closed"):
+            list(replay_states(mutant))
+        assert search_tower(start, cert.finish, 50) is None
 
 
 def test_hatted_cube_extra_thin_cell():
@@ -178,15 +207,14 @@ def test_empty_tower_start_equals_finish():
 def test_single_field_mutations_rejected():
     for cert in builtin_certificates():
         for i, step in enumerate(cert.steps):
-            kind = type(step)
-            mutations = [kind(step.n, (step.k + 1) % (step.n + 1), step.attach)]
+            mutations = [replace(step, k=(step.k + 1) % (step.n + 1))]
             other_cells = [
                 c
                 for c in cert.ambient.cells_of_dim(step.n)
                 if c != step.attach
             ]
             if other_cells:
-                mutations.append(kind(step.n, step.k, other_cells[0]))
+                mutations.append(replace(step, attach=other_cells[0]))
             for mutant_step in mutations:
                 steps = list(cert.steps)
                 steps[i] = mutant_step
@@ -233,11 +261,12 @@ def test_search_tower_not_found_for_boundary():
 
 
 def test_certificate_json_round_trip():
-    cert = builtin_certificates()[0]
-    data = json.loads(json.dumps(certificate_to_json(cert)))
-    back = certificate_from_json(data)
-    assert verify_certificate(back) == []
-    assert [type(s) for s in back.steps] == [type(s) for s in cert.steps]
+    # all four builtins, so every step kind makes the trip
+    for cert in builtin_certificates():
+        data = json.loads(json.dumps(certificate_to_json(cert)))
+        back = certificate_from_json(data)
+        assert verify_certificate(back) == []
+        assert back.steps == cert.steps
 
 
 def oracle_targets():

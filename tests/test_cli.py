@@ -236,6 +236,13 @@ def with_negative_cap():
     return dict(doc, dim_cap=-1, comp={key: {} for key in doc["comp"]})
 
 
+def with_step(cert, i, **fields):
+    """Builtin certificate cert as JSON, with the given fields of steps[i] replaced."""
+    doc = certificate_to_json(builtin_certificates()[cert])
+    doc["steps"][i].update(fields)
+    return doc
+
+
 def with_duplicate_cell():
     doc = delta2()
     doc["cells"].append(dict(doc["cells"][0]))
@@ -301,6 +308,15 @@ MALFORMED = {
         ["verify-cert"],
         without(certificate_to_json(builtin_certificates()[0]), "start", "thin"),
         "certificate.start.thin: missing",
+    ),
+    "verify-cert-step-k-above-n": (
+        ["verify-cert"], with_step(3, 0, n=3, k=4), "certificate.steps[0].k: must be in 0..3"
+    ),
+    "verify-cert-step-k-negative": (
+        ["verify-cert"], with_step(3, 0, n=3, k=-1), "certificate.steps[0].k: must be in 0..3"
+    ),
+    "verify-cert-step-n-zero": (
+        ["verify-cert"], with_step(3, 0, n=0, k=0), "certificate.steps[0].n: must be at least 1"
     ),
     "search-tower-start-without-thin": (
         ["search-tower"], without(tower_problem(), "start", "thin"), "problem.start.thin: missing"

@@ -23,6 +23,7 @@ from complicial.stratified import (
     Simplex,
     StratifiedMap,
     empty_set,
+    gray_product,
     set_to_json,
 )
 from reference import EnrichedFunctor, terminal_enriched
@@ -149,13 +150,6 @@ def test_validate_gray_examples():
     assert any(f["instance"] == "horn[2,1]" for f in failing.failures)
 
 
-def test_validate_gray_sets_flag():
-    E = suspension(standard(1))
-    assert not E.gray_validated
-    validate_gray(E, 2)
-    assert E.gray_validated
-
-
 def test_cyclic_group_category_is_groupoid():
     cat = cyclic_group_category(3)
     cat.validate()
@@ -171,8 +165,7 @@ def test_suspension_gray_iff_hom_passes():
 
 def test_gray_validated_comp_sends_thin_pairs_to_thin():
     E = one_object_group_enriched(2, 3)
-    validate_gray(E, 2)
-    assert E.gray_validated
+    assert validate_gray(E, 2)["pass"]
     cmap = E.comp[("*", "*", "*")]
     P = cmap.source
     for c in P.cells():
@@ -315,3 +308,16 @@ def test_bounded_functor_validation_agrees_with_the_exhaustive_loop():
     F = EnrichedFunctor(E, T, {"0": "0", "1": "1"}, identity_functor(E).hom_maps)
     assert F.validate() == _exhaustive_functor_problems(F)
     assert F.validate() == ["composition not preserved at ('0', '0', '1')"]
+
+
+def test_make_enriched_refuses_a_negative_dim_cap():
+    # the law checks stop at the cap, so at a negative one they would check
+    # nothing: the suspension of the 1-simplex with every composition map
+    # emptied would load, and validate_gray would pass it
+    E = suspension(standard(1))
+    emptied = {
+        (a, b, c): StratifiedMap(gray_product(E.hom(b, c), E.hom(a, b), cap=-1), E.hom(a, c), {})
+        for a, b, c in E.comp
+    }
+    with pytest.raises(LawViolation, match="dim_cap"):
+        make_enriched(E.objects, E.homs, E.identities, emptied, -1)
