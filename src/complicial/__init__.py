@@ -43,15 +43,7 @@ from .shapes import (
     standard_thin,
     vertex_chain,
 )
-from .hcpath import (
-    PathArrow,
-    compose_path,
-    hc_horn_member,
-    hom_set,
-    path_act,
-    split_at_zeros,
-    top_special_arrow,
-)
+from .hcpath import hc_horn_member, hom_set, path_act
 from .anodyne import (
     AnodyneCertificate,
     LiftingReport,

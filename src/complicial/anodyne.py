@@ -219,6 +219,8 @@ def _step_violation(
     if step.kind not in STEP_KINDS:
         return f"unknown step kind {step.kind!r}"
     n, k, cell = step.n, step.k, step.attach
+    if n < 1 or not 0 <= k <= n:
+        return f"step (n, k) = {(n, k)} needs n >= 1 and 0 <= k <= n"
     if cell not in Z.dims:
         return f"attach cell {cell!r} not in ambient"
     if Z.dims[cell] != n:

@@ -33,10 +33,6 @@ class BadInterval(ComplicialError):
     pass
 
 
-class ObjectMismatch(ComplicialError):
-    pass
-
-
 class LawViolation(ComplicialError):
     pass
 

@@ -10,29 +10,27 @@ indecomposable cells of hom(r, n), chosen dimension by dimension with face
 and thinness consistency pruning the search.  Degeneracies come from the
 layers below, and give every face its normal form.
 
-Thinness of a nerve simplex above dimension one tests the image of the top
-special simplex of the long homset; the rule for 1-simplices searches for
-an equivalence witness pair of thin 2-simplices.
+An arrow is handled as in ``hcpath``: the coordinate tuple w from r at
+dimension m.  Thinness of a nerve simplex above dimension one tests the image
+of the top special simplex of the long homset, the order reversing bijection
+followed by the top minus; the rule for 1-simplices searches for an
+equivalence witness pair of thin 2-simplices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OutOfRange
-from .operators import Operator, delta, sigma, surjection_words, word_operator as _wop
+from .operators import MINUS, Operator, delta, sigma, surjection_words, word_operator as _wop
 from .enriched import EnrichedCategory
-from .hcpath import (
-    PathArrow,
-    arrow_normal_form,
-    arrow_of_cell,
-    hom_set,
-    is_indecomposable,
-    path_act,
-    split_at_zeros,
-    top_special_arrow,
+from .hcpath import hom_set, path_act
+from .shapes import (
+    Coords,
+    comparison_simplex,
+    cube_face,
+    cube_normal_form,
+    operator_of_simplex,
+    special_top,
 )
-from .shapes import Coords, comparison_simplex, cube_face, operator_of_simplex
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -56,16 +54,16 @@ class NerveSimplex:
     def __repr__(self) -> str:
         return f"NerveSimplex(n={self.n}, obj={self.obj})"
 
-    def eval_arrow(self, a: PathArrow) -> Simplex:
-        """Image of an arbitrary arrow of the coherent path."""
-        if a.r == a.s:
-            return self.E.identity_simplex(self.obj[a.r], a.m)
-        core, word = arrow_normal_form(a)
-        img = self.maps[(core.r, core.s)][core.w]
+    def eval_arrow(self, r: int, w: tuple, m: int) -> Simplex:
+        """Image of an arbitrary arrow of the coherent path: w from r at dimension m."""
+        if not w:
+            return self.E.identity_simplex(self.obj[r], m)
+        s = r + len(w)
+        core, word = cube_normal_form(w, m)
+        img = self.maps[(r, s)][core]
         if not word:
             return img
-        target = self.E.hom(self.obj[a.r], self.obj[a.s])
-        return target.act(img, _wop(a.m, word))
+        return self.E.hom(self.obj[r], self.obj[s]).act(img, _wop(m, word))
 
 
 def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
@@ -75,7 +73,7 @@ def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
         for s in range(r + 1, n + 1):
             H = hom_set(r, s)
             for cell in H.cells():
-                if is_indecomposable(arrow_of_cell(r, s, cell)):
+                if MINUS not in cell.w[:-1]:
                     gens.append((r, s, cell, H.dims[cell]))
     gens.sort(key=lambda g: (g[3], g[0], g[1], g[2]))
     return gens
@@ -123,18 +121,17 @@ def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
     assigned: dict[tuple[int, tuple], Simplex] = {}
     found: list[NerveSimplex] = []
 
-    def image(a: PathArrow) -> Simplex:
-        if a.s < n:
-            return g.maps[(a.r, a.s)][a.w]
-        top = split_at_zeros(a)[-1]
-        core, word = arrow_normal_form(top)
-        img = assigned[(core.r, core.w)]
+    def image(r: int, w: tuple, m: int) -> Simplex:
+        if r + len(w) < n:
+            return g.maps[(r, r + len(w))][w]
+        cut = _last_factor(w)
+        core, word = cube_normal_form(w[cut:], m)
+        img = assigned[(r + cut, core)]
         if word:
-            img = E.hom(obj[top.r], obj[n]).act(img, _wop(a.m, word))
-        if top.r == a.r:
+            img = E.hom(obj[r + cut], obj[n]).act(img, _wop(m, word))
+        if not cut:
             return img
-        rest = g.eval_arrow(PathArrow(a.r, top.r, a.m, a.w[: top.r - a.r]))
-        return E.compose(obj[a.r], obj[top.r], obj[n], img, rest)
+        return E.compose(obj[r], obj[r + cut], obj[n], img, g.eval_arrow(r, w[:cut], m))
 
     def search(i: int):
         if i == len(last):
@@ -144,7 +141,7 @@ def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
             return
         r, cell, d = last[i]
         faces = {
-            j: image(PathArrow(r, n, d - 1, cube_face(cell.w, d, j))) for j in range(d + 1) if d
+            j: image(r, cube_face(cell.w, d, j), d - 1) for j in range(d + 1) if d
         }
         for z in E.hom(obj[r], obj[n]).fillers(d, faces, cell in hom_set(r, n).thin):
             assigned[(r, cell.w)] = z
@@ -155,9 +152,14 @@ def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
     return found
 
 
+def _last_factor(w: tuple) -> int:
+    """Where the last indecomposable factor of w starts: after its last interior minus."""
+    return max((i for i, v in enumerate(w[:-1], 1) if v == MINUS), default=0)
+
+
 def _tabulate(E, n, obj, image) -> NerveSimplex | None:
-    """The functor out of the coherent n-path sending every hom cell, as an arrow,
-    to image(arrow); None if a thin cell lands non-thin."""
+    """The functor out of the coherent n-path sending every hom cell, as the arrow
+    w from r at dimension m, to image(r, w, m); None if a thin cell lands non-thin."""
     maps: dict[tuple[int, int], dict[tuple, Simplex]] = {}
     for r in range(n + 1):
         for s in range(r + 1, n + 1):
@@ -165,7 +167,7 @@ def _tabulate(E, n, obj, image) -> NerveSimplex | None:
             target = E.hom(obj[r], obj[s])
             table = {}
             for cell in H.cells():
-                img = image(arrow_of_cell(r, s, cell))
+                img = image(r, cell.w, H.dims[cell])
                 if cell in H.thin and not target.is_thin(img):
                     return None
                 table[cell.w] = img
@@ -182,7 +184,7 @@ def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
     if alpha.m != f.n:
         raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
     obj = tuple(f.obj[alpha(t)] for t in range(alpha.n + 1))
-    return _tabulate(f.E, alpha.n, obj, lambda a: f.eval_arrow(path_act(alpha, a)))
+    return _tabulate(f.E, alpha.n, obj, lambda r, w, m: f.eval_arrow(*path_act(alpha, r, w), m))
 
 
 def nerve_thin(
@@ -192,9 +194,7 @@ def nerve_thin(
     if f.n == 0:
         return False
     if f.n >= 2:
-        E = f.E
-        target = E.hom(f.obj[0], f.obj[f.n])
-        return target.is_thin(f.eval_arrow(top_special_arrow(0, f.n)))
+        return f.E.hom(f.obj[0], f.obj[f.n]).is_thin(recover_arrow(f))
     pool = two_simplices if two_simplices is not None else nerve_simplices(f.E, 2)
     return _has_equivalence_inverse(f, pool)
 
@@ -265,40 +265,23 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
 # -- the suspension comparison functor and the faithfulness probe --------------
 
 
-@dataclass(frozen=True)
-class SigmaFunctor:
-    """The collapse functor from the coherent (n+1)-path to a suspension."""
-
-    n: int
-
-    def obj(self, r: int) -> str:
-        return "0" if r <= self.n else "1"
-
-    def crossing(self, a: PathArrow) -> bool:
-        return a.r <= self.n < a.s
-
-    def delta_image(self, a: PathArrow) -> Simplex:
-        """Image of a crossing arrow, as a simplex of the standard n-simplex."""
-        return comparison_simplex(a.w, a.r, self.n, a.m)
-
-
 def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
     """The (n+1)-simplex of the nerve classified by an n-arrow of hom(0, 1).
 
     This is the composite of the suspension comparison functor with the
     functor out of the suspended n-simplex that names x.
     """
-    F = SigmaFunctor(n)
     hom01 = E.hom("0", "1")
+    obj = tuple("0" if r <= n else "1" for r in range(n + 2))
 
-    def image(a: PathArrow) -> Simplex:
-        if not F.crossing(a):
-            return E.identity_simplex(F.obj(a.r), a.m)
-        return hom01.act(x, operator_of_simplex(n, F.delta_image(a), a.m))
+    def image(r: int, w: tuple, m: int) -> Simplex:
+        if not r <= n < r + len(w):
+            return E.identity_simplex(obj[r], m)
+        return hom01.act(x, operator_of_simplex(n, comparison_simplex(w, r, n, m), m))
 
-    return _tabulate(E, n + 1, tuple(F.obj(r) for r in range(n + 2)), image)
+    return _tabulate(E, n + 1, obj, image)
 
 
 def recover_arrow(f: NerveSimplex) -> Simplex:
     """Evaluate an (n+1)-simplex of the nerve at the top special simplex."""
-    return f.eval_arrow(top_special_arrow(0, f.n))
+    return f.eval_arrow(0, special_top(f.n - 1).w + (MINUS,), f.n - 1)

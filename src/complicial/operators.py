@@ -35,10 +35,6 @@ class Operator:
     def __call__(self, i: int) -> int:
         return self.values[i]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.n == self.m and self.values == tuple(range(self.n + 1))
-
     def __repr__(self) -> str:
         return f"Op[{self.n}]->[{self.m}]{list(self.values)}"
 

@@ -142,10 +142,6 @@ class Coords(str):
         return self
 
 
-def cube_dim(w: tuple[CubeCoordinate, ...]) -> int:
-    return max((v for v in w if v not in (MINUS, PLUS)), default=0)
-
-
 def is_integer_surjective(w: tuple[CubeCoordinate, ...], m: int) -> bool:
     ints = {v for v in w if v not in (MINUS, PLUS)}
     return ints == set(range(1, m + 1))

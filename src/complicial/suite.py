@@ -23,7 +23,7 @@ from .enriched import (
     suspension,
     walking_iso,
 )
-from .hcpath import arrow_of_cell, hom_set, path_act
+from .hcpath import hom_set, path_act
 from .nerve import build_nerve, recover_arrow, yoneda_composite
 from .operators import all_operators, compose_ops
 from .shapes import c_map, cube, special_top, standard
@@ -94,9 +94,8 @@ def functoriality_sample(seed: int = 0, pairs: int = 200, max_ord: int = 5) -> i
                 for cell in H.cells():
                     if H.dims[cell] > 3:
                         continue
-                    arrow = arrow_of_cell(r, s, cell)
-                    two = path_act(beta, path_act(alpha, arrow))
-                    one = path_act(comp, arrow)
+                    two = path_act(beta, *path_act(alpha, r, cell.w))
+                    one = path_act(comp, r, cell.w)
                     if one != two:
                         failures += 1
     return failures

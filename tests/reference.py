@@ -3,9 +3,10 @@
 No command, suite item, demo or benchmark job calls these, so they live
 beside the tests rather than in ``src/complicial``: independent recomputations
 (operator words, tower replays, exhaustive map enumeration, the primed
-complicial simplices), fixtures (enriched functors, the terminal enriched
-category) and spellings in the paper's notation (vertex chains, path
-arrows).  Test modules import them by name; pytest does not collect this file.
+complicial simplices, the split of a path arrow into indecomposables),
+fixtures (enriched functors, the terminal enriched category) and spellings in
+the paper's notation (vertex chains, path arrows).  Test modules import them
+by name; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from complicial.enriched import (
     point_set,
 )
 from complicial.errors import BadInterval, CapExceeded, Mismatch, OutOfRange
-from complicial.hcpath import PathArrow
 from complicial.operators import (
     MINUS,
     PLUS,
@@ -153,25 +153,41 @@ def parse_vertex_chain(text: str) -> Coords:
 
 
 # -- coherent path arrows ----------------------------------------------------
+#
+# An arrow is the triple (r, w, m): the coordinates w over (r, r + len(w)] at
+# dimension m, as in complicial.hcpath.
 
 
-def identity_arrow(r: int, m: int = 0) -> PathArrow:
-    return PathArrow(r, r, m, ())
+def identity_arrow(r: int, m: int = 0) -> tuple:
+    return (r, (), m)
 
 
-def indecomposable(r: int, s: int, m: int = 0) -> PathArrow:
+def indecomposable(r: int, s: int, m: int = 0) -> tuple:
     """The generating arrow <r, s>: all plus below a single top minus."""
     if r >= s:
         raise BadInterval("indecomposable needs r < s")
-    return PathArrow(r, s, m, (PLUS,) * (s - r - 1) + (MINUS,))
+    return (r, (PLUS,) * (s - r - 1) + (MINUS,), m)
 
 
-def arrow_is_degenerate(a: PathArrow) -> bool:
-    return not is_integer_surjective(a.w, a.m)
+def arrow_is_degenerate(a: tuple) -> bool:
+    _, w, m = a
+    return not is_integer_surjective(w, m)
 
 
-def arrow_thin(a: PathArrow) -> bool:
-    return cube_thin(a.w, a.m)
+def arrow_thin(a: tuple) -> bool:
+    _, w, m = a
+    return cube_thin(w, m)
+
+
+def split_at_zeros(r: int, w: tuple) -> list[tuple[int, tuple]]:
+    """Unique decomposition of the arrow w from r into indecomposables, as pairs
+    (start, coordinates), lowest interval first; the identity has none."""
+    if not w:
+        return []
+    s = r + len(w)
+    cuts = [i for i in range(r + 1, s) if w[i - r - 1] == MINUS]
+    bounds = [r] + cuts + [s]
+    return [(lo, w[lo - r : hi - r]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # -- enriched categories and functors ----------------------------------------

@@ -231,6 +231,17 @@ def test_single_field_mutations_rejected():
             assert verify_certificate(mutant) != []
 
 
+def test_out_of_range_step_is_a_problem_not_an_exception():
+    # a Step built in the library never passes the JSON reader's range check
+    cert = builtin_certificates()[3]
+    for n, k in ((3, 4), (3, -1), (0, 0)):
+        steps = (replace(cert.steps[0], n=n, k=k),) + cert.steps[1:]
+        mutant = AnodyneCertificate(cert.ambient, cert.start, cert.finish, steps)
+        assert verify_certificate(mutant) == [
+            f"step 0: step (n, k) = {(n, k)} needs n >= 1 and 0 <= k <= n"
+        ]
+
+
 def test_replay_matches_finish_for_builtins():
     for cert in builtin_certificates():
         assert verify_certificate(cert) == []

@@ -3,12 +3,7 @@ from itertools import product
 
 import pytest
 
-from complicial.errors import (
-    BadInterval,
-    DimensionMismatch,
-    ObjectMismatch,
-    OutOfRange,
-)
+from complicial.errors import BadInterval, OutOfRange
 from complicial.operators import (
     MINUS,
     PLUS,
@@ -19,20 +14,24 @@ from complicial.operators import (
     rho_operator,
     sigma,
 )
-from complicial.hcpath import (
-    PathArrow,
-    arrow_normal_form,
-    arrow_of_cell,
-    compose_path,
-    hc_horn_member,
-    hom_set,
-    is_indecomposable,
-    path_act,
+from complicial.hcpath import hc_horn_member, hom_set, path_act
+from complicial.nerve import _generators
+from complicial.shapes import Coords, cube, cube_normal_form, special_top
+from reference import (
+    arrow_is_degenerate,
+    arrow_thin,
+    identity_arrow,
+    indecomposable,
     split_at_zeros,
-    top_special_arrow,
 )
-from complicial.shapes import cube
-from reference import arrow_is_degenerate, arrow_thin, identity_arrow, indecomposable
+
+# An arrow here is the triple (r, w, m) of reference.py: composition is
+# concatenation of the coordinates, the action keeps m.
+
+
+def act(alpha, a):
+    r, w, m = a
+    return (*path_act(alpha, r, w), m)
 
 
 def all_arrows(n, max_dim=3):
@@ -42,7 +41,7 @@ def all_arrows(n, max_dim=3):
             H = hom_set(r, s)
             for cid in H.cells():
                 if H.dims[cid] <= max_dim:
-                    out.append(arrow_of_cell(r, s, cid))
+                    out.append((r, cid.w, H.dims[cid]))
     return out
 
 
@@ -63,88 +62,98 @@ def test_hom_set_bad_interval():
         hom_set(2, 1)
 
 
+def test_hom_cells_span_their_interval_and_end_in_minus():
+    for s in range(1, 7):
+        for r in range(s):
+            for cell in hom_set(r, s).cells():
+                assert len(cell.w) == s - r and cell.w[-1] == MINUS, (r, s, cell)
+
+
+def test_path_act_keeps_span_and_top_minus():
+    # every operator into [4], on every hom cell over its source
+    for n in range(6):
+        arrows = all_arrows(n, max_dim=4)
+        for alpha in all_operators(n, 4):
+            for r, w, _ in arrows:
+                lo, out = path_act(alpha, r, w)
+                assert lo == alpha(r) and len(out) == alpha(r + len(w)) - lo, (alpha, r, w)
+                assert not out or out[-1] == MINUS, (alpha, r, w)
+
+
 def test_compose_unit():
-    a = indecomposable(0, 2)
-    assert compose_path(identity_arrow(2), a) == a
-    assert compose_path(a, identity_arrow(0)) == a
+    _, w, _ = indecomposable(0, 2)
+    assert w + identity_arrow(2)[1] == w
+    assert identity_arrow(0)[1] + w == w
 
 
 def test_compose_indecomposables():
     a = indecomposable(0, 1)
     b = indecomposable(1, 2)
-    c = compose_path(b, a)
-    assert c == PathArrow(0, 2, 0, (MINUS, MINUS))
+    assert a[1] + b[1] == (MINUS, MINUS)
 
 
 def test_compose_with_identity_dim_one():
-    b = identity_arrow(2, m=1)
-    a = PathArrow(0, 2, 1, (1, MINUS))
+    a = (1, MINUS)
     # the identity acts as a unit even at positive dimension
-    assert compose_path(b, a) == a
-    c = compose_path(PathArrow(2, 3, 1, (MINUS,)), a)
-    assert c == PathArrow(0, 3, 1, (1, MINUS, MINUS))
-
-
-def test_compose_mismatches():
-    with pytest.raises(ObjectMismatch):
-        compose_path(indecomposable(2, 3), indecomposable(0, 1))
-    with pytest.raises(DimensionMismatch):
-        compose_path(PathArrow(2, 3, 1, (MINUS,)), PathArrow(0, 2, 0, (PLUS, MINUS)))
+    assert a + identity_arrow(2, m=1)[1] == a
+    c = a + (MINUS,)
+    assert c == (1, MINUS, MINUS)
+    assert hom_set(0, 3).dims[Coords(c)] == 1
 
 
 def test_split_indecomposable():
-    a = indecomposable(0, 2)
-    assert split_at_zeros(a) == [a]
+    r, w, _ = indecomposable(0, 2)
+    assert split_at_zeros(r, w) == [(r, w)]
 
 
 def test_split_at_interior_zero():
-    a = PathArrow(0, 3, 0, (MINUS, PLUS, MINUS))
-    parts = split_at_zeros(a)
-    assert parts == [indecomposable(0, 1), indecomposable(1, 3)]
+    parts = split_at_zeros(0, (MINUS, PLUS, MINUS))
+    assert parts == [indecomposable(0, 1)[:2], indecomposable(1, 3)[:2]]
 
 
 def test_split_identity_empty():
-    assert split_at_zeros(identity_arrow(4)) == []
+    assert split_at_zeros(4, ()) == []
 
 
 def test_split_round_trip_s4():
-    for a in all_arrows(4):
-        parts = split_at_zeros(a)
+    for r, w, _ in all_arrows(4):
+        parts = split_at_zeros(r, w)
         if not parts:
             continue
-        out = parts[0]
-        for p in parts[1:]:
-            out = compose_path(p, out)
-        assert out == a
+        assert parts[0][0] == r
+        for (lo, p), (hi, _) in zip(parts, parts[1:]):
+            assert lo + len(p) == hi
+        assert tuple(v for _, p in parts for v in p) == w
 
 
 def test_compose_preserves_thinness_s4():
     for a in all_arrows(4):
         for b in all_arrows(4):
-            if a.s != b.r or a.m != b.m or a.is_identity or b.is_identity:
+            if a[0] + len(a[1]) != b[0] or a[2] != b[2] or not a[1] or not b[1]:
                 continue
-            c = compose_path(b, a)
+            c = (a[0], a[1] + b[1], a[2])
             if arrow_thin(a) or arrow_thin(b):
                 assert arrow_thin(c)
 
 
 def test_path_act_insertion():
-    a = top_special_arrow(0, 2)
-    assert a == PathArrow(0, 2, 1, (1, MINUS))
-    out = path_act(delta(3, 1), a)
-    assert out == PathArrow(0, 3, 1, (PLUS, 1, MINUS))
+    out = path_act(delta(3, 1), 0, (1, MINUS))
+    assert out == (0, (PLUS, 1, MINUS))
 
 
 def test_path_act_drop_rightmost():
-    a = PathArrow(0, 2, 1, (1, MINUS))
-    out = path_act(sigma(1, 0), a)
-    assert out == PathArrow(0, 1, 1, (MINUS,))
+    out = path_act(sigma(1, 0), 0, (1, MINUS))
+    assert out == (0, (MINUS,))
 
 
 def test_path_act_merge_minimum():
-    a = PathArrow(0, 3, 2, (1, 2, MINUS))
-    out = path_act(sigma(2, 1), a)
-    assert out == PathArrow(0, 2, 2, (2, MINUS))
+    out = path_act(sigma(2, 1), 0, (1, 2, MINUS))
+    assert out == (0, (2, MINUS))
+
+
+def test_path_act_out_of_range():
+    with pytest.raises(OutOfRange):
+        path_act(delta(3, 1), 1, (PLUS, 1, MINUS))
 
 
 def test_path_act_functoriality_sample():
@@ -157,9 +166,7 @@ def test_path_act_functoriality_sample():
         alpha = rng.choice(ops[(a, b)])
         beta = rng.choice(ops[(b, c)])
         for arrow in all_arrows(a, max_dim=3):
-            assert path_act(compose_ops(beta, alpha), arrow) == path_act(
-                beta, path_act(alpha, arrow)
-            )
+            assert act(compose_ops(beta, alpha), arrow) == act(beta, act(alpha, arrow))
 
 
 def test_path_act_delta_image():
@@ -169,11 +176,12 @@ def test_path_act_delta_image():
     for k in range(n + 1):
         seen = {}
         for arrow in all_arrows(n - 1):
-            out = path_act(delta(n, k), arrow)
+            out = act(delta(n, k), arrow)
             assert out not in seen or seen[out] == arrow
             seen[out] = arrow
-            if arrow.r < k <= arrow.s:
-                assert out.value(k) == PLUS
+            r, w, _ = arrow
+            if r < k <= r + len(w):
+                assert out[1][k - out[0] - 1] == PLUS
         for r in range(n):
             for s in range(r + 1, n):
                 if not r < k <= s + 1:
@@ -181,58 +189,67 @@ def test_path_act_delta_image():
                 image = {
                     out
                     for out in seen
-                    if (out.r, out.s) == (r, s + 1) and seen[out].r == r
+                    if (out[0], len(out[1])) == (r, s + 1 - r) and seen[out][0] == r
                 }
+                H = hom_set(r, s + 1)
                 expected = {
-                    arrow_of_cell(r, s + 1, cid)
-                    for cid in hom_set(r, s + 1).cells()
-                    if arrow_of_cell(r, s + 1, cid).value(k) == PLUS
-                    and hom_set(r, s + 1).dims[cid] <= 3
+                    (r, cid.w, H.dims[cid])
+                    for cid in H.cells()
+                    if cid.w[k - r - 1] == PLUS and H.dims[cid] <= 3
                 }
                 assert image == expected
 
 
 def test_hc_horn_short_homs_always_member():
-    for a in all_arrows(3):
-        if not (a.r == 0 and a.s == 3):
-            assert hc_horn_member(3, 1, a)
+    for r, w, _ in all_arrows(3):
+        if not (r == 0 and len(w) == 3):
+            assert hc_horn_member(3, 1, r, w)
 
 
 def test_hc_horn_examples():
-    a = PathArrow(0, 3, 2, (1, 2, MINUS))
-    assert not hc_horn_member(3, 1, a)
-    b = PathArrow(0, 3, 1, (1, PLUS, MINUS))
-    assert hc_horn_member(3, 1, b)
+    assert not hc_horn_member(3, 1, 0, (1, 2, MINUS))
+    assert hc_horn_member(3, 1, 0, (1, PLUS, MINUS))
 
 
 def test_hc_horn_out_of_range():
     with pytest.raises(OutOfRange):
-        hc_horn_member(3, 0, identity_arrow(0))
+        hc_horn_member(3, 0, *identity_arrow(0)[:2])
 
 
 def test_normal_form_round_trip():
-    for a in all_arrows(3, max_dim=2):
-        core, word = arrow_normal_form(a)
-        assert not arrow_is_degenerate(core)
-        assert core.m + len(word) == a.m
+    for r, w, m in all_arrows(3, max_dim=2):
+        core, word = cube_normal_form(w, m)
+        assert len(core) == len(w)
+        assert not arrow_is_degenerate((r, core, m - len(word)))
 
 
 def test_top_special_is_unique_non_thin_top():
-    H = hom_set(0, 4)
-    tops = [c for c in H.cells_of_dim(3) if c not in H.thin]
-    assert [c.w for c in tops] == [top_special_arrow(0, 4).w]
+    # the order reversing bijection below the top minus, for every length
+    for n in range(1, 6):
+        H = hom_set(0, n)
+        tops = [c for c in H.cells_of_dim(n - 1) if c not in H.thin]
+        assert [c.w for c in tops] == [special_top(n - 1).w + (MINUS,)]
 
 
 def test_indecomposability():
-    assert is_indecomposable(indecomposable(1, 4))
-    assert not is_indecomposable(PathArrow(0, 2, 0, (MINUS, MINUS)))
+    # the generators of the coherent path are the hom cells with one factor
+    assert len(split_at_zeros(*indecomposable(1, 4)[:2])) == 1
+    assert len(split_at_zeros(0, (MINUS, MINUS))) == 2
+    for n in range(1, 5):
+        gens = {(r, s, cell) for r, s, cell, _ in _generators(n)}
+        one_factor = {
+            (r, s, cell)
+            for r in range(n + 1)
+            for s in range(r + 1, n + 1)
+            for cell in hom_set(r, s).cells()
+            if len(split_at_zeros(r, cell.w)) == 1
+        }
+        assert gens == one_factor
 
 
 def test_compose_associative():
-    a = PathArrow(0, 2, 1, (1, MINUS))
-    b = PathArrow(2, 3, 1, (MINUS,))
-    c = PathArrow(3, 5, 1, (PLUS, MINUS))
-    assert compose_path(c, compose_path(b, a)) == compose_path(compose_path(c, b), a)
+    a, b, c = (1, MINUS), (MINUS,), (PLUS, MINUS)
+    assert (a + b) + c == a + (b + c) == (1, MINUS, MINUS, PLUS, MINUS)
 
 
 # -- the closed-form action against the elementary replay --------------------
@@ -250,7 +267,8 @@ def _replay_act(alpha, a):
     """The action as it used to be computed: the EZ factorization of alpha, one
     elementary degeneracy and then one elementary face at a time."""
     faces, degens = ez_factorize(alpha)
-    r, s, w = a.r, a.s, a.w
+    r, w, m = a
+    s = r + len(w)
     for k in degens:
         if s <= k:
             continue
@@ -260,7 +278,7 @@ def _replay_act(alpha, a):
             s, w = s - 1, w[1:]
         else:  # merge ordinates k and k+1
             cut = k - r - 1
-            w = w[:cut] + (_pointwise_min(w[cut], w[cut + 1], a.m),) + w[cut + 2 :]
+            w = w[:cut] + (_pointwise_min(w[cut], w[cut + 1], m),) + w[cut + 2 :]
             s -= 1
     for k in faces:
         if s < k:
@@ -270,7 +288,7 @@ def _replay_act(alpha, a):
         else:  # insert the constant-1 coordinate at position k
             cut = k - r - 1
             s, w = s + 1, w[:cut] + (PLUS,) + w[cut:]
-    return PathArrow(r, s, a.m, w)
+    return (r, w, m)
 
 
 def every_arrow(n, max_dim=3):
@@ -281,7 +299,7 @@ def every_arrow(n, max_dim=3):
             yield identity_arrow(r, m)
             for s in range(r + 1, n + 1):
                 for w in product(alphabet, repeat=s - r - 1):
-                    yield PathArrow(r, s, m, w + (MINUS,))
+                    yield (r, w + (MINUS,), m)
 
 
 def test_path_act_equals_elementary_replay():
@@ -291,7 +309,7 @@ def test_path_act_equals_elementary_replay():
         for n2 in range(5):
             for alpha in all_operators(n, n2):
                 for a in arrows:
-                    assert path_act(alpha, a) == _replay_act(alpha, a), (alpha, a)
+                    assert act(alpha, a) == _replay_act(alpha, a), (alpha, a)
                     checked += 1
     assert checked > 100_000
 
@@ -300,7 +318,7 @@ def test_path_act_sends_thin_cells_to_thin_or_degenerate_arrows():
     # so the stratification check of a nerve simplex never fires in nerve_act
     for n in range(5):
         thin = [
-            arrow_of_cell(r, s, cid)
+            (r, cid.w, hom_set(r, s).dims[cid])
             for r in range(n + 1)
             for s in range(r + 1, n + 1)
             for cid in sorted(hom_set(r, s).thin)
@@ -308,5 +326,5 @@ def test_path_act_sends_thin_cells_to_thin_or_degenerate_arrows():
         for n2 in range(5):
             for alpha in all_operators(n, n2):
                 for a in thin:
-                    b = path_act(alpha, a)
+                    b = act(alpha, a)
                     assert arrow_thin(b) or arrow_is_degenerate(b), (alpha, a)

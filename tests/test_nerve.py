@@ -11,11 +11,11 @@ from complicial.enriched import (
     suspension,
     walking_iso,
 )
-from complicial.hcpath import PathArrow, arrow_normal_form, arrow_of_cell, hom_set, split_at_zeros
+from complicial.hcpath import hom_set
 from complicial.nerve import (
     NerveSimplex,
-    SigmaFunctor,
     _generators,
+    _last_factor,
     _tabulate,
     build_nerve,
     nerve_act,
@@ -25,9 +25,24 @@ from complicial.nerve import (
     yoneda_composite,
 )
 from complicial.operators import MINUS
-from complicial.shapes import Coords, boundary, complicial, cube_face, standard
+from complicial.shapes import (
+    Coords,
+    boundary,
+    c_map,
+    comparison_simplex,
+    complicial,
+    cube_face,
+    cube_normal_form,
+    standard,
+)
 from complicial.stratified import FiniteStratifiedSet, Simplex, set_to_json
-from reference import EnrichedFunctor, enumerate_maps, identity, terminal_enriched
+from reference import (
+    EnrichedFunctor,
+    enumerate_maps,
+    identity,
+    split_at_zeros,
+    terminal_enriched,
+)
 
 
 def test_counts_susp_point():
@@ -137,22 +152,32 @@ def test_build_nerve_validates():
 
 
 def test_sigma_functor_zero():
-    F = SigmaFunctor(0)
-    assert F.obj(0) == "0" and F.obj(1) == "1"
-    a = PathArrow(0, 1, 0, (MINUS,))
-    assert F.crossing(a)
-    assert F.delta_image(a) == Simplex((0,))
+    # the collapse of the coherent 1-path onto the suspended point
+    assert comparison_simplex((MINUS,), 0, 0, 0) == Simplex((0,))
+    E = suspension(standard(0))
+    [x] = E.hom("0", "1").simplices_of_dim(0)
+    f = yoneda_composite(E, x, 0)
+    assert f.obj == ("0", "1")
+    assert f.maps[(0, 1)][(MINUS,)] == x
 
 
 def test_sigma_restricts_to_comparison_map():
-    from complicial.shapes import c_map
+    # a hom cell of the (n+1)-path crossing 0 < ... <= n lands where its cube
+    # cell below the top minus goes under the comparison map
+    for n in range(4):
+        cm = c_map(n)
+        H = hom_set(0, n + 1)
+        for cell in H.cells():
+            image = comparison_simplex(cell.w, 0, n, H.dims[cell])
+            assert image == cm.assignment[Coords(cell.w[:-1])], (n, cell)
 
-    F = SigmaFunctor(1)
-    cm = c_map(1)
-    H = hom_set(0, 2)
-    for cell in H.cells():
-        a = arrow_of_cell(0, 2, cell)
-        assert F.delta_image(a) == cm.assignment[Coords(cell.w[:-1])]
+
+def test_last_factor_cut_matches_the_full_split():
+    for s in range(1, 6):
+        for r in range(s):
+            for cell in hom_set(r, s).cells():
+                cut = _last_factor(cell.w)
+                assert split_at_zeros(r, cell.w)[-1] == (r + cut, cell.w[cut:]), (r, cell)
 
 
 def test_recover_arrow_round_trip():
@@ -266,18 +291,19 @@ def test_nerve_normal_form_strips_exactly_the_flats():
 # a face and a degeneracy.
 
 
-def _eval_partial(E, obj, assigned, a):
-    if a.r == a.s:
-        return E.identity_simplex(obj[a.r], a.m)
+def _eval_partial(E, obj, assigned, r, w, m):
+    if not w:
+        return E.identity_simplex(obj[r], m)
     out = None
-    for factor in split_at_zeros(a):
-        core, word = arrow_normal_form(factor)
-        img = assigned.get((core.r, core.s, core.w))
+    for lo, factor in split_at_zeros(r, w):
+        hi = lo + len(factor)
+        core, word = cube_normal_form(factor, m)
+        img = assigned.get((lo, hi, core))
         if img is None:
             return None
         if word:
-            img = E.hom(obj[factor.r], obj[factor.s]).act(img, word_operator(factor.m, word))
-        out = img if out is None else E.compose(obj[a.r], obj[factor.r], obj[factor.s], img, out)
+            img = E.hom(obj[lo], obj[hi]).act(img, word_operator(m, word))
+        out = img if out is None else E.compose(obj[r], obj[lo], obj[hi], img, out)
     return out
 
 
@@ -300,8 +326,7 @@ def _reference_simplices(E, n):
         def candidates(r, s, cell, d):
             faces = {}
             for j in range(d + 1) if d >= 1 else ():
-                face = PathArrow(r, s, d - 1, cube_face(cell.w, d, j))
-                faces[j] = _eval_partial(E, obj, assigned, face)
+                faces[j] = _eval_partial(E, obj, assigned, r, cube_face(cell.w, d, j), d - 1)
                 if faces[j] is None:
                     return ()
             target = E.hom(obj[r], obj[s])
@@ -310,7 +335,7 @@ def _reference_simplices(E, n):
 
         def search(i):
             if i == len(gens):
-                f = _tabulate(E, n, obj, lambda a: _eval_partial(E, obj, assigned, a))
+                f = _tabulate(E, n, obj, lambda r, w, m: _eval_partial(E, obj, assigned, r, w, m))
                 if f is not None:
                     results.append(f)
                 return
