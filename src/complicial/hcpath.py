@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import BadInterval, OutOfRange
 from .operators import MINUS, PLUS, CubeCoordinate, Operator
-from .shapes import Coords, cube
+from .shapes import Coords, cube, in_big_H
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -81,9 +81,9 @@ def path_act(
 
 
 def hc_horn_member(n: int, k: int, r: int, w: tuple[CubeCoordinate, ...]) -> bool:
-    """Membership of the arrow w from r in the inner homotopy coherent horn."""
+    """Membership of the arrow w from r in the inner coherent horn: H^k_{n-1} in hom(0, n)."""
     if not 0 < k < n:
         raise OutOfRange(f"inner horn needs 0 < k < n; got {(n, k)}")
     if not (r == 0 and len(w) == n):
         return True
-    return any(v == MINUS or (i != k and v == PLUS) for i, v in enumerate(w[:-1], 1))
+    return in_big_H(w[:-1], k)

@@ -13,14 +13,14 @@ layers below, and give every face its normal form.
 An arrow is handled as in ``hcpath``: the coordinate tuple w from r at
 dimension m.  Thinness of a nerve simplex above dimension one tests the image
 of the top special simplex of the long homset, the order reversing bijection
-followed by the top minus; the rule for 1-simplices searches for an
-equivalence witness pair of thin 2-simplices.
+followed by the top minus.  An edge is thin when ``fillers`` on the built set
+finds an equivalence witness pair of thin 2-simplices.
 """
 
 from __future__ import annotations
 
 from .errors import OutOfRange
-from .operators import MINUS, Operator, delta, sigma, surjection_words, word_operator as _wop
+from .operators import MINUS, Operator, delta, surjection_words, word_operator as _wop
 from .enriched import EnrichedCategory
 from .hcpath import hom_set, path_act
 from .shapes import (
@@ -31,7 +31,7 @@ from .shapes import (
     operator_of_simplex,
     special_top,
 )
-from .stratified import FiniteStratifiedSet, Simplex
+from .stratified import FiniteStratifiedSet, Simplex, make_thin
 
 
 class NerveSimplex:
@@ -79,34 +79,26 @@ def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
     return gens
 
 
-def nerve_simplices(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
-    """All enriched functors from the coherent n-path, degenerate ones included."""
-    return _layers(E, n)[n]
-
-
-def _layers(E: EnrichedCategory, D: int) -> list[list[NerveSimplex]]:
-    """The simplices of dimensions 0..D, each layer ordered by the object ranks
-    and then by the images of _generators(n), in their order; the ids
-    N{n}.{i} that build_nerve writes are positions in this order."""
+def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[NerveSimplex]:
+    """The n-simplices extending the (n - 1)-layer below, degenerate ones included;
+    [] when below is empty.  They are ordered by the object ranks and then by the
+    images of _generators(n), in their order; the ids N{n}.{i} that build_nerve
+    writes are positions in this order."""
+    if not below:
+        return []
+    n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
-    layers = [[NerveSimplex(E, 0, (o,), {}) for o in E.objects]]
-    for n in range(1, D + 1):
-        gens = _generators(n)
-        last = [(r, cell, d) for r, s, cell, d in gens if s == n]
+    gens = _generators(n)
+    last = [(r, cell, d) for r, s, cell, d in gens if s == n]
 
-        def key(f: NerveSimplex) -> tuple:
-            images = (
-                E.hom(f.obj[r], f.obj[s]).sort_key(f.maps[(r, s)][cell.w])
-                for r, s, cell, _ in gens
-            )
-            return tuple(rank[o] for o in f.obj), tuple(images)
+    def key(f: NerveSimplex) -> tuple:
+        images = (
+            E.hom(f.obj[r], f.obj[s]).sort_key(f.maps[(r, s)][cell.w]) for r, s, cell, _ in gens
+        )
+        return tuple(rank[o] for o in f.obj), tuple(images)
 
-        ends = [
-            (g, o) for g in layers[-1] for o in E.objects if all(E.hom(p, o).dims for p in g.obj)
-        ]
-        extended = (f for g, o in ends for f in _extensions(E, g, o, last))
-        layers.append(sorted(extended, key=key))
-    return layers
+    ends = [(g, o) for g in below for o in E.objects if all(E.hom(p, o).dims for p in g.obj)]
+    return sorted((f for g, o in ends for f in _extensions(E, g, o, last)), key=key)
 
 
 def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
@@ -187,48 +179,6 @@ def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
     return _tabulate(f.E, alpha.n, obj, lambda r, w, m: f.eval_arrow(*path_act(alpha, r, w), m))
 
 
-def nerve_thin(
-    f: NerveSimplex, two_simplices: list[NerveSimplex] | None = None
-) -> bool:
-    """The nerve stratification above dimension one, witnesses at dimension one."""
-    if f.n == 0:
-        return False
-    if f.n >= 2:
-        return f.E.hom(f.obj[0], f.obj[f.n]).is_thin(recover_arrow(f))
-    pool = two_simplices if two_simplices is not None else nerve_simplices(f.E, 2)
-    return _has_equivalence_inverse(f, pool)
-
-
-def _identity_edge(E: EnrichedCategory, obj: str) -> NerveSimplex:
-    v = NerveSimplex(E, 0, (obj,), {})
-    return nerve_act(v, sigma(0, 0))
-
-
-def _has_equivalence_inverse(e: NerveSimplex, pool: list[NerveSimplex]) -> bool:
-    E = e.E
-    x, y = e.obj
-    id_x, id_y = _identity_edge(E, x), _identity_edge(E, y)
-    d0 = delta(2, 0)
-    d1 = delta(2, 1)
-    d2 = delta(2, 2)
-    for u in pool:
-        if not nerve_thin(u):
-            continue
-        if nerve_act(u, d2) != e or nerve_act(u, d1) != id_x:
-            continue
-        back = nerve_act(u, d0)
-        for v in pool:
-            if not nerve_thin(v):
-                continue
-            if (
-                nerve_act(v, d2) == back
-                and nerve_act(v, d0) == e
-                and nerve_act(v, d1) == id_y
-            ):
-                return True
-    return False
-
-
 def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
     """The nerve truncated at dimension D, as a stratified set.
 
@@ -236,11 +186,14 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
     nondegenerate c of lower dimension and one word; tabulating those from
     the layers below gives every degenerate simplex its normal form, and the
     simplices of layer n left out of that table are the nondegenerate ones.
+    The edges are flagged last, on the built set.
     """
-    layers = _layers(E, D)
     normal: dict[NerveSimplex, tuple[NerveSimplex, tuple[int, ...]]] = {}
     cores: list[list[NerveSimplex]] = []
-    for n, layer in enumerate(layers):
+    layer = [NerveSimplex(E, 0, (o,), {}) for o in E.objects]
+    for n in range(D + 1):
+        if n:
+            layer = nerve_simplices(E, layer)
         for k, below in enumerate(cores):
             for word in surjection_words(n, k):
                 for c in below:
@@ -257,9 +210,22 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
                 core, word = normal.get(face, (face, ()))
                 entries.append(Simplex(ids[core], word))
             faces[ids[f]] = tuple(entries)
-    pool2 = layers[2] if D >= 2 else []
-    thin = [ids[f] for layer in cores[1:] for f in layer if nerve_thin(f, pool2)]
-    return FiniteStratifiedSet(D, dims, faces, thin)
+    tops = (f for layer in cores[2:] for f in layer)
+    thin = [ids[f] for f in tops if E.hom(f.obj[0], f.obj[-1]).is_thin(recover_arrow(f))]
+    N = FiniteStratifiedSet(D, dims, faces, thin)
+    return make_thin(N, [e for e in N.cells_of_dim(1) if _has_inverse(N, e)])
+
+
+def _has_inverse(N: FiniteStratifiedSet, e) -> bool:
+    """Whether the edge e from x to y is an equivalence: thin 2-simplices u and v
+    with faces (d_2, d_1, d_0) equal to (e, id_x, back) and (back, id_y, e)."""
+    y, x = (s.cell for s in N.faces[e])
+    for u in N.fillers(2, {2: Simplex(e), 1: Simplex(x, (0,))}, True):
+        back = N.act(u, delta(2, 0))
+        witness = N.fillers(2, {2: back, 0: Simplex(e), 1: Simplex(y, (0,))}, True)
+        if next(witness, None) is not None:
+            return True
+    return False
 
 
 # -- the suspension comparison functor and the faithfulness probe --------------

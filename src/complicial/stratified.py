@@ -204,8 +204,8 @@ class FiniteStratifiedSet:
         return problems
 
 
-def empty_set(dim_cap: int = 0) -> FiniteStratifiedSet:
-    return FiniteStratifiedSet(dim_cap, {}, {})
+def empty_set() -> FiniteStratifiedSet:
+    return FiniteStratifiedSet(0, {}, {})
 
 
 # -- stratified maps ----------------------------------------------------

@@ -72,19 +72,23 @@ def check_c_map(report: SuiteReport) -> None:
         report.add(f"c-map-stratified[{n}]", not problems, "; ".join(problems[:2]))
 
 
-def functoriality_sample(seed: int = 0, pairs: int = 200, max_ord: int = 5) -> int:
+_PAIRS = 200
+_MAX_ORD = 5
+
+
+def functoriality_sample(seed: int = 0) -> int:
     """Seeded random composable operator pairs checked on all hom generators."""
     rng = random.Random(seed)
     ops = {
         (a, b): list(all_operators(a, b))
-        for a in range(max_ord + 1)
-        for b in range(max_ord + 1)
+        for a in range(_MAX_ORD + 1)
+        for b in range(_MAX_ORD + 1)
     }
     failures = 0
-    for _ in range(pairs):
-        a = rng.randrange(max_ord + 1)
-        b = rng.randrange(max_ord + 1)
-        c = rng.randrange(max_ord + 1)
+    for _ in range(_PAIRS):
+        a = rng.randrange(_MAX_ORD + 1)
+        b = rng.randrange(_MAX_ORD + 1)
+        c = rng.randrange(_MAX_ORD + 1)
         alpha = rng.choice(ops[(a, b)])
         beta = rng.choice(ops[(b, c)])
         comp = compose_ops(beta, alpha)

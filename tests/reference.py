@@ -3,26 +3,31 @@
 No command, suite item, demo or benchmark job calls these, so they live
 beside the tests rather than in ``src/complicial``: independent recomputations
 (operator words, tower replays, exhaustive map enumeration, the primed
-complicial simplices, the split of a path arrow into indecomposables),
-fixtures (enriched functors, the terminal enriched category) and spellings in
-the paper's notation (vertex chains, path arrows).  Test modules import them
+complicial simplices, the split of a path arrow into indecomposables, the
+nerve layers stacked from dimension 0, the witness search for thin nerve
+edges), fixtures (enriched functors, the terminal enriched category, the
+discrete enrichment of a finite category) and spellings in the paper's
+notation (vertex chains, path arrows).  Test modules import them
 by name; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Hashable, Mapping
 
 from complicial.anodyne import AnodyneCertificate
 from complicial.enriched import (
     EnrichedCategory,
+    FiniteCategory,
     degenerate_word,
     make_enriched,
     point_set,
 )
 from complicial.errors import BadInterval, CapExceeded, Mismatch, OutOfRange
+from complicial.nerve import NerveSimplex, nerve_act, nerve_simplices, recover_arrow
 from complicial.operators import (
     MINUS,
     PLUS,
@@ -202,6 +207,20 @@ def terminal_enriched() -> EnrichedCategory:
     return make_enriched(["*"], {("*", "*"): pt}, {"*": "*"}, {("*", "*", "*"): collapse}, 0)
 
 
+def discrete_enriched(cat: FiniteCategory) -> EnrichedCategory:
+    """The category with the arrows from a to b as the 0-dimensional hom(a, b)."""
+    homs = {}
+    for a, b in product(cat.objects, repeat=2):
+        arrows = {f: 0 for f, ends in cat.arrows.items() if ends == (a, b)}
+        homs[(a, b)] = FiniteStratifiedSet(0, arrows, {})
+    comp = {}
+    for a, b, c in product(cat.objects, repeat=3):
+        P = gray_product(homs[(b, c)], homs[(a, b)], cap=0)
+        assignment = {pair: Simplex(cat.compose(pair[0].cell, pair[1].cell)) for pair in P.cells()}
+        comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
+    return make_enriched(cat.objects, homs, cat.identities, comp, 0)
+
+
 @dataclass(frozen=True)
 class EnrichedFunctor:
     source: EnrichedCategory
@@ -284,3 +303,56 @@ def v_tower_generators() -> list[tuple[str, Hashable]]:
         ("V7", Coords((2, 1, 3))),
         ("full", Coords((3, 1, 2))),
     ]
+
+
+# -- nerves ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def nerve_layer(E: EnrichedCategory, n: int) -> list[NerveSimplex]:
+    """The n-simplices of the nerve, degenerate ones included: layer 0 is one
+    simplex per object, and each layer extends the one below.  Memoised, so
+    callers share the list and must not change it."""
+    if n == 0:
+        return [NerveSimplex(E, 0, (o,), {}) for o in E.objects]
+    return nerve_simplices(E, nerve_layer(E, n - 1))
+
+
+def nerve_thin(f: NerveSimplex, pool2: list[NerveSimplex]) -> bool:
+    """The nerve stratification above dimension one, witnesses at dimension one:
+    an edge is thin when pool2, the 2-simplices, holds an equivalence witness pair."""
+    if f.n == 0:
+        return False
+    if f.n >= 2:
+        return f.E.hom(f.obj[0], f.obj[f.n]).is_thin(recover_arrow(f))
+    return _has_equivalence_inverse(f, pool2)
+
+
+def _identity_edge(E: EnrichedCategory, obj: str) -> NerveSimplex:
+    v = NerveSimplex(E, 0, (obj,), {})
+    return nerve_act(v, sigma(0, 0))
+
+
+def _has_equivalence_inverse(e: NerveSimplex, pool: list[NerveSimplex]) -> bool:
+    E = e.E
+    x, y = e.obj
+    id_x, id_y = _identity_edge(E, x), _identity_edge(E, y)
+    d0 = delta(2, 0)
+    d1 = delta(2, 1)
+    d2 = delta(2, 2)
+    for u in pool:
+        if not nerve_thin(u, pool):
+            continue
+        if nerve_act(u, d2) != e or nerve_act(u, d1) != id_x:
+            continue
+        back = nerve_act(u, d0)
+        for v in pool:
+            if not nerve_thin(v, pool):
+                continue
+            if (
+                nerve_act(v, d2) == back
+                and nerve_act(v, d0) == e
+                and nerve_act(v, d1) == id_y
+            ):
+                return True
+    return False

@@ -16,7 +16,7 @@ from complicial.operators import (
 )
 from complicial.hcpath import hc_horn_member, hom_set, path_act
 from complicial.nerve import _generators
-from complicial.shapes import Coords, cube, cube_normal_form, special_top
+from complicial.shapes import Coords, big_H, cube, cube_normal_form, special_top
 from reference import (
     arrow_is_degenerate,
     arrow_thin,
@@ -209,6 +209,16 @@ def test_hc_horn_short_homs_always_member():
 def test_hc_horn_examples():
     assert not hc_horn_member(3, 1, 0, (1, 2, MINUS))
     assert hc_horn_member(3, 1, 0, (1, PLUS, MINUS))
+
+
+def test_hc_horn_long_hom_is_big_H():
+    # the coherent horn differs from the n-path only in hom(0, n), the cube
+    # cube(n - 1) with a top minus, and there it is the subset H^k_{n-1}
+    for n in range(3, 6):
+        for k in range(1, n):
+            H = big_H(n - 1, k)
+            for c in cube(n - 1).cells():
+                assert hc_horn_member(n, k, 0, c.w + (MINUS,)) == (c in H.members), (n, k, c)
 
 
 def test_hc_horn_out_of_range():

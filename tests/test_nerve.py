@@ -5,7 +5,9 @@ import pytest
 
 from complicial.operators import delta, sigma, word_operator
 from complicial.enriched import (
+    cyclic_group_category,
     from_category,
+    walking_arrow,
     one_object_group_enriched,
     point_set,
     suspension,
@@ -19,8 +21,6 @@ from complicial.nerve import (
     _tabulate,
     build_nerve,
     nerve_act,
-    nerve_simplices,
-    nerve_thin,
     recover_arrow,
     yoneda_composite,
 )
@@ -38,8 +38,11 @@ from complicial.shapes import (
 from complicial.stratified import FiniteStratifiedSet, Simplex, set_to_json
 from reference import (
     EnrichedFunctor,
+    discrete_enriched,
     enumerate_maps,
     identity,
+    nerve_layer,
+    nerve_thin,
     split_at_zeros,
     terminal_enriched,
 )
@@ -47,37 +50,37 @@ from reference import (
 
 def test_counts_susp_point():
     E = suspension(point_set())
-    assert len(nerve_simplices(E, 2)) == 4  # one per monotone vertex map
+    assert len(nerve_layer(E, 2)) == 4  # one per monotone vertex map
 
 
 def test_counts_terminal():
     E = suspension(point_set())
     # restrict to the full subcategory on one object: the constant functors
     for n in range(3):
-        sims = [f for f in nerve_simplices(E, n) if set(f.obj) == {"0"}]
+        sims = [f for f in nerve_layer(E, n) if set(f.obj) == {"0"}]
         assert len(sims) == 1
 
 
 def test_counts_susp_interval_dim_one():
     E = suspension(standard(1))
-    assert len(nerve_simplices(E, 1)) == 4
+    assert len(nerve_layer(E, 1)) == 4
 
 
 def test_nerve_act_identity():
     E = suspension(standard(1))
-    for f in nerve_simplices(E, 2):
+    for f in nerve_layer(E, 2):
         assert nerve_act(f, identity(2)) == f
 
 
 def test_nerve_act_simplicial_identity():
     E = suspension(standard(1))
-    for f in nerve_simplices(E, 1):
+    for f in nerve_layer(E, 1):
         assert nerve_act(nerve_act(f, sigma(1, 0)), delta(2, 0)) == f
 
 
 def test_nerve_act_object_restriction():
     E = suspension(point_set())
-    for f in nerve_simplices(E, 2):
+    for f in nerve_layer(E, 2):
         g = nerve_act(f, delta(2, 0))
         assert g.obj == f.obj[1:]
 
@@ -86,7 +89,7 @@ def test_nerve_act_functorial_on_examples():
     from complicial.operators import all_operators, compose_ops
 
     E = suspension(standard(1))
-    for f in nerve_simplices(E, 2):
+    for f in nerve_layer(E, 2):
         for alpha in all_operators(1, 2):
             for beta in all_operators(1, 1):
                 assert nerve_act(nerve_act(f, alpha), beta) == nerve_act(
@@ -96,8 +99,8 @@ def test_nerve_act_functorial_on_examples():
 
 def test_degenerate_nerve_simplices_are_thin():
     for E in (suspension(standard(1)), one_object_group_enriched(2, 3)):
-        pool2 = nerve_simplices(E, 2)
-        for f in nerve_simplices(E, 1):
+        pool2 = nerve_layer(E, 2)
+        for f in nerve_layer(E, 1):
             core, word = nerve_normal_form(f)
             if word:
                 assert nerve_thin(f, pool2)
@@ -107,30 +110,57 @@ def test_degenerate_nerve_simplices_are_thin():
                 assert nerve_thin(f, pool2)
 
 
+def _edges(N, E, a, b):
+    """The nondegenerate edges of the nerve N of E from object a to object b."""
+    ends = (Simplex(f"N0.{E.objects.index(b)}"), Simplex(f"N0.{E.objects.index(a)}"))
+    return [e for e in N.cells_of_dim(1) if N.faces[e] == ends]
+
+
 def test_nondegenerate_edge_of_walking_arrow_nerve_not_thin():
     E = suspension(point_set())
-    edges = [f for f in nerve_simplices(E, 1) if f.obj == ("0", "1")]
+    N = build_nerve(E, 2)
+    edges = _edges(N, E, "0", "1")
     assert len(edges) == 1
-    assert not nerve_thin(edges[0], nerve_simplices(E, 2))
+    assert edges[0] not in N.thin
 
 
 def test_crossing_edges_of_suspensions_never_thin():
     # nothing maps back across a suspension, so no crossing edge has an
     # equivalence inverse
     E = suspension(from_category(walking_iso(), 4))
-    pool2 = nerve_simplices(E, 2)
-    for f in nerve_simplices(E, 1):
-        if f.obj == ("0", "1"):
-            assert not nerve_thin(f, pool2)
+    N = build_nerve(E, 2)
+    for e in _edges(N, E, "0", "1"):
+        assert e not in N.thin
 
 
 def test_group_identity_edge_thin_by_witness():
     # in a group the witness search succeeds at the unique 1-simplex
-    E = one_object_group_enriched(2, 3)
-    pool2 = nerve_simplices(E, 2)
-    edges = nerve_simplices(E, 1)
+    N = build_nerve(one_object_group_enriched(2, 3), 2)
+    edges = list(N.simplices_of_dim(1))
     assert len(edges) == 1
-    assert nerve_thin(edges[0], pool2)
+    assert N.is_thin(edges[0])
+
+
+def _thin_census(X):
+    return {d: sum(c in X.thin for c in X.cells_of_dim(d)) for d in X.count_nondegenerate()}
+
+
+@pytest.mark.parametrize(
+    "C,thin_edges",
+    [
+        pytest.param(walking_arrow(), 0, id="walking-arrow"),
+        pytest.param(walking_iso(), 2, id="walking-iso"),
+        *(pytest.param(cyclic_group_category(q), q - 1, id=f"z{q}") for q in (2, 3, 4)),
+    ],
+)
+def test_nerve_of_a_discrete_enrichment_is_the_category_nerve(C, thin_edges):
+    # Cordier-Porter: with discrete homs the coherent nerve is the ordinary
+    # nerve, and an edge is thin exactly when its arrow is invertible
+    N, X = build_nerve(discrete_enriched(C), 3), from_category(C, 3)
+    assert N.validate() == []
+    assert N.count_nondegenerate() == X.count_nondegenerate()
+    assert _thin_census(N) == _thin_census(X)
+    assert _thin_census(N).get(1, 0) == thin_edges
 
 
 def test_build_nerve_of_susp_point_is_interval():
@@ -194,7 +224,7 @@ def test_distinct_functors_have_distinct_nerves():
         E = suspension(X)
         functors = _endofunctors(E)
         tables = []
-        cells = [f for n in range(3) for f in nerve_simplices(E, n)]
+        cells = [f for n in range(3) for f in nerve_layer(E, n)]
         for F in functors:
             tables.append(tuple(_push(F, f)._key for f in cells))
         assert len(set(tables)) == len(functors)
@@ -231,7 +261,7 @@ def _push(F, f):
 def test_terminal_nerve_is_point():
     E = terminal_enriched()
     for n in range(4):
-        assert len(nerve_simplices(E, n)) == 1
+        assert len(nerve_layer(E, n)) == 1
     N = build_nerve(E, 3)
     assert N.count_nondegenerate() == {0: 1}
 
@@ -250,7 +280,7 @@ def test_nerve_hom_tables_are_stratified_maps():
 
     for E in (suspension(standard(1)), suspension(from_category(walking_iso(), 3))):
         for n in range(3):
-            for f in nerve_simplices(E, n):
+            for f in nerve_layer(E, n):
                 for (r, s), table in f.maps.items():
                     H = hom_set(r, s)
                     m = StratifiedMap(
@@ -274,7 +304,7 @@ def test_nerve_normal_form_strips_exactly_the_flats():
 
     for _, E in desk_examples():
         for n in range(4):
-            for f in nerve_simplices(E, n):
+            for f in nerve_layer(E, n):
                 core, word = nerve_normal_form(f)
                 assert set(word) == {j for j in range(n) if _degenerate_at(f, j)}
                 assert list(word) == sorted(word, reverse=True)
@@ -391,13 +421,15 @@ def _reference_cases():
     for name, X in (("delta2", standard(2)), ("boundary2", boundary(2)),
                     ("complicial21", complicial(2, 1))):
         cases.append(pytest.param(suspension(X), 4, id=f"suspension-{name}"))
+    for name, C in (("walking-iso", walking_iso()), ("z3", cyclic_group_category(3))):
+        cases.append(pytest.param(discrete_enriched(C), 3, id=f"discrete-{name}"))
     return cases
 
 
 @pytest.mark.parametrize("E,D", _reference_cases())
 def test_layer_walk_matches_the_per_dimension_search(E, D):
     for n in range(D + 1):
-        assert nerve_simplices(E, n) == _reference_simplices(E, n), n
+        assert nerve_layer(E, n) == _reference_simplices(E, n), n
     assert set_to_json(build_nerve(E, D)) == set_to_json(_reference_build_nerve(E, D))
 
 
