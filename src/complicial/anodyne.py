@@ -230,15 +230,16 @@ def _step_violation(
         if not Z.is_thin(top):
             return "top cell image is not thin in the ambient"
         for j in range(n + 1):
-            if j != k and Z.act(top, delta(n, j)).cell not in members:
-                return f"horn face {list(delta(n, j).values)} not inside the current subset"
+            if j != k and Z.faces[cell][j].cell not in members:
+                face = [v for v in range(n + 1) if v != j]
+                return f"horn face {face} not inside the current subset"
         for alpha in _admissible_faces(n, k, Z.max_dim()):
             img = Z.act(top, alpha)
             if not (img.is_degenerate or img.cell in flags):
                 return f"thin horn face {list(alpha.values)} lacks its thin flag"
         if cell in members:
             return "top cell image already present"
-        missing = Z.act(top, delta(n, k))
+        missing = Z.faces[cell][k]
         if missing.is_degenerate:
             return "face through k is degenerate"
         if missing.cell in members:
@@ -250,7 +251,7 @@ def _step_violation(
         return "thinness extensions need n >= 2"
     if cell not in members:
         return "top cell not inside the current subset"
-    if not Z.is_thin(Z.act(top, delta(n, k))):
+    if not Z.is_thin(Z.faces[cell][k]):
         return "face through k is not thin in the ambient"
     if cell not in flags:
         return "top cell lacks its thin flag"
@@ -259,7 +260,7 @@ def _step_violation(
         if not (img.is_degenerate or img.cell in flags):
             return f"admissible face {list(alpha.values)} lacks its thin flag"
     for j in sorted(admissible_vertices(n, k) - {k}):
-        img = Z.act(top, delta(n, j))
+        img = Z.faces[cell][j]
         if not (img.is_degenerate or img.cell in flags):
             return f"primed face {j} lacks its thin flag"
     return None
@@ -269,7 +270,7 @@ def _applied(
     Z: FiniteStratifiedSet, members: frozenset, flags: frozenset, step: Step
 ) -> tuple[frozenset, frozenset]:
     """The subset (members, flags) after a step that _step_violation passes."""
-    kface = Z.act(Simplex(step.attach), delta(step.n, step.k))
+    kface = Z.faces[step.attach][step.k]
     if step.kind != "thinness":
         members, flags = members | {step.attach, kface.cell}, flags | {step.attach}
     if step.kind != "horn" and not kface.is_degenerate:

@@ -15,7 +15,10 @@ alike, and the order of cells, which is the order of their spellings.
 
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
 with given faces: nerve enumeration, horn enumeration and the lifting
-report run on it.
+report run on it.  It answers from a face index, built lazily per dimension
+on the first query: the n-simplices in ``simplices_of_dim`` order, the face
+tuple of each, and an inverted index from (j, face) to positions.  The index
+stays valid because a set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from .errors import (
     BadParams,
     DimensionMismatch,
+    OutOfRange,
     ParseError,
     UnknownCell,
     ZeroDimensional,
@@ -79,6 +83,7 @@ class FiniteStratifiedSet:
             grouped.setdefault(self.dims[c], []).append(c)
         self._by_dim = {d: tuple(grouped[d]) for d in sorted(grouped)}
         self._act_cache: dict[tuple[Hashable, tuple[int, ...]], Simplex] = {}
+        self._face_index: dict[int, tuple] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -156,12 +161,38 @@ class FiniteStratifiedSet:
         self._act_cache[key] = out
         return out
 
+    def _faces_of_dim(self, n: int) -> tuple:
+        """The face index of dimension n, built on its first query: the
+        n-simplices in simplices_of_dim order, the face tuple of each, and the
+        positions of the simplices with face s at j, increasing, keyed (j, s)."""
+        index = self._face_index.get(n)
+        if index is None:
+            simplices = tuple(self.simplices_of_dim(n))
+            ds = [delta(n, j) for j in range(n + 1)] if n else []  # 0-simplices have no faces
+            rows = tuple(tuple(self.act(z, d) for d in ds) for z in simplices)
+            positions: dict[tuple[int, Simplex], list[int]] = {}
+            for pos, row in enumerate(rows):
+                for key in enumerate(row):
+                    positions.setdefault(key, []).append(pos)
+            index = self._face_index[n] = (simplices, rows, positions)
+        return index
+
     def fillers(self, n: int, faces: Mapping[int, Simplex], thin: bool) -> Iterator[Simplex]:
         """The n-simplices whose jth face is faces[j] for every given j, only thin
-        ones if thin, in simplices_of_dim order: the one boundary search."""
-        wanted = [(delta(n, j), s) for j, s in faces.items()]
-        for z in self.simplices_of_dim(n):
-            if (not thin or self.is_thin(z)) and all(self.act(z, d) == s for d, s in wanted):
+        ones if thin, in simplices_of_dim order: the one boundary search.
+
+        It intersects the position lists of the given faces in the face index:
+        the shortest list, walked in increasing position, keeps the simplices
+        whose face tuples hold the other faces.  No faces means every position."""
+        for j in faces:
+            if not 0 <= j <= n:
+                raise OutOfRange(f"face index {j} not in [{n}]")
+        simplices, rows, positions = self._faces_of_dim(n)
+        wanted = list(faces.items())
+        hits = min((positions.get(key, ()) for key in wanted), key=len, default=None)
+        for pos in range(len(simplices)) if hits is None else hits:
+            z = simplices[pos]
+            if (not thin or self.is_thin(z)) and all(rows[pos][j] == s for j, s in wanted):
                 yield z
 
     # -- validation -----------------------------------------------------

@@ -5,7 +5,8 @@ beside the tests rather than in ``src/complicial``: independent recomputations
 (operator words, tower replays, exhaustive map enumeration, the primed
 complicial simplices, the split of a path arrow into indecomposables, the
 nerve layers stacked from dimension 0, the witness search for thin nerve
-edges), fixtures (enriched functors, the terminal enriched category, the
+edges, the linear boundary scan that the face index of ``fillers``
+replaced), fixtures (enriched functors, the terminal enriched category, the
 discrete enrichment of a finite category) and spellings in the paper's
 notation (vertex chains, path arrows).  Test modules import them
 by name; pytest does not collect this file.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Hashable, Mapping
+from typing import Hashable, Iterator, Mapping
 
 from complicial.anodyne import AnodyneCertificate
 from complicial.enriched import (
@@ -83,6 +84,17 @@ def is_subset_kind(h: SubsetHandle) -> frozenset[str]:
     if h.members == frozenset(h.ambient.dims):
         kinds.add("entire")
     return frozenset(kinds) if kinds else frozenset({"neither"})
+
+
+def fillers_scan(
+    X: FiniteStratifiedSet, n: int, faces: Mapping[int, Simplex], thin: bool
+) -> Iterator[Simplex]:
+    """The n-simplices whose jth face is faces[j] for every given j, only thin
+    ones if thin, in simplices_of_dim order: a scan calling act on every face slot."""
+    wanted = [(delta(n, j), s) for j, s in faces.items()]
+    for z in X.simplices_of_dim(n):
+        if (not thin or X.is_thin(z)) and all(X.act(z, d) == s for d, s in wanted):
+            yield z
 
 
 def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[StratifiedMap]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from collections import Counter
@@ -67,6 +68,19 @@ def test_rlp_report_far_above_the_top_dimension_is_quick():
     assert rep.ok
     assert sum(n for _, n in rep.checked) == 1760
     assert time.perf_counter() - started < 3
+
+
+def test_rlp_cube_four_is_pinned_and_quick():
+    # a fresh copy of cube(4), so neither its face index nor its act cache is built
+    X = make_thin(cube(4), ())
+    started = time.perf_counter()
+    rep = rlp_report(X, 3, mode="all")
+    elapsed = time.perf_counter() - started
+    text = json.dumps(rep.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "ea5334466460526f3ae50817a86688115f0d10b48a488be4fef964bf79d54363"
+    )
+    assert elapsed < 5
 
 
 def test_rlp_standard_two_fails_inner():

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +11,10 @@ from complicial.anodyne import builtin_certificates, certificate_to_json
 from complicial.cli import enriched_to_json, main
 from complicial.enriched import EnrichedCategory, point_set, suspension
 from complicial.errors import BadParams
-from complicial.shapes import big_C, big_H, standard
+from complicial.shapes import big_C, big_H, cube, standard
 from complicial.stratified import set_from_json, set_to_json, subset_to_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -64,6 +70,28 @@ def test_check_standard_two_fails_inner(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert any(f["instance"] == "horn[2,1]" for f in report["failures"])
+
+
+def test_check_writes_the_same_bytes_under_any_hash_seed(tmp_path):
+    # the face index behind the lifting report is built from dicts and sets,
+    # so two interpreters with different string hashes must agree byte for byte
+    shape_file = tmp_path / "cube3.json"
+    shape_file.write_text(json.dumps(set_to_json(cube(3))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        out_file = tmp_path / f"report-{seed}.json"
+        argv = ["check", str(shape_file), "--dmax", "3", "--mode", "all", "--out", str(out_file)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "complicial.cli", *argv],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 1), proc.stderr.decode()
+        outputs.append((proc.returncode, out_file.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_check_parse_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from complicial.anodyne import rlp_report
 from complicial.operators import delta, sigma, word_operator
 from complicial.enriched import (
     cyclic_group_category,
@@ -35,7 +36,7 @@ from complicial.shapes import (
     cube_normal_form,
     standard,
 )
-from complicial.stratified import FiniteStratifiedSet, Simplex, set_to_json
+from complicial.stratified import FiniteStratifiedSet, Simplex, make_thin, set_to_json
 from reference import (
     EnrichedFunctor,
     discrete_enriched,
@@ -161,6 +162,26 @@ def test_nerve_of_a_discrete_enrichment_is_the_category_nerve(C, thin_edges):
     assert N.count_nondegenerate() == X.count_nondegenerate()
     assert _thin_census(N) == _thin_census(X)
     assert _thin_census(N).get(1, 0) == thin_edges
+
+
+@pytest.mark.parametrize(
+    "q, D, problems",
+    [
+        pytest.param(2, 3, 35, id="z2-D3"),
+        pytest.param(3, 3, 112, id="z3-D3"),
+        pytest.param(2, 4, 419, id="z2-D4"),
+    ],
+)
+def test_nerve_of_a_locally_kan_enrichment_is_a_quasi_category(q, D, problems):
+    # Cordier-Porter: the coherent nerve of a category enriched in Kan complexes
+    # fills every inner horn.  The homs of the one-object group enrichment are
+    # nerves of groups, which are Kan, and with every positive cell thin the
+    # inner lifting report checks the underlying simplicial set alone
+    N = build_nerve(one_object_group_enriched(q, D), D)
+    N = make_thin(N, [c for c in N.cells() if N.dims[c]])
+    rep = rlp_report(N, D, "inner")
+    assert rep.ok
+    assert sum(n for _, n in rep.checked) == problems
 
 
 def test_build_nerve_of_susp_point_is_interval():
@@ -292,7 +313,6 @@ def test_nerve_hom_tables_are_stratified_maps():
 def test_desk_nerves_fill_outer_horns_too():
     # stronger than the inner reports: the example nerves are weak
     # complicial outright at this scale
-    from complicial.anodyne import rlp_report
     from complicial.suite import desk_nerves
 
     for _, N in desk_nerves():
@@ -435,8 +455,6 @@ def test_layer_walk_matches_the_per_dimension_search(E, D):
 
 def test_suspended_interval_nerve_at_dimension_five():
     # dimension 5 is the first where hom(0, 5) is the 4-cube
-    from complicial.anodyne import rlp_report
-
     started = time.perf_counter()
     N = build_nerve(suspension(standard(1)), 5)
     assert N.count_nondegenerate() == {n: 2 for n in range(6)}

@@ -1,12 +1,15 @@
 import pytest
 
+from complicial.anodyne import hatted_C23
 from complicial.errors import (
     BadParams,
     CapExceeded,
+    OutOfRange,
     UnknownCell,
     ZeroDimensional,
 )
-from complicial.enriched import from_category, walking_iso
+from complicial.enriched import from_category, suspension, walking_iso
+from complicial.nerve import build_nerve
 from complicial.operators import (
     all_operators,
     compose_ops,
@@ -15,6 +18,7 @@ from complicial.operators import (
     sigma,
 )
 from complicial.shapes import (
+    Vertices,
     big_C,
     big_H,
     complicial,
@@ -36,7 +40,14 @@ from complicial.stratified import (
     set_to_json,
     subset_to_set,
 )
-from reference import enumerate_maps, identity, is_subset_kind, parse_vertex_chain, recompose
+from reference import (
+    enumerate_maps,
+    fillers_scan,
+    identity,
+    is_subset_kind,
+    parse_vertex_chain,
+    recompose,
+)
 
 
 def test_validate_standard_passes():
@@ -323,22 +334,58 @@ def test_product_pair_simplex_matches_one_flat_at_a_time(X, Y):
                 assert product_pair_simplex(sx, sy) == _reference_pair_simplex(X, Y, sx, sy)
 
 
-@pytest.mark.parametrize("X", [standard(2), horn(3, 1), complicial(3, 1), big_C(2, 1)])
+def _fillers_cases():
+    """Sets of every kind of cell: vertex tuples, cube coordinates, strings read
+    from JSON, product pairs and nerve ids, one with flags added by make_thin."""
+    cube3 = cube(3)
+    return [
+        standard(2),
+        horn(3, 1),
+        complicial(3, 1),
+        big_C(2, 1),
+        cube3,
+        hatted_C23(),
+        set_from_json(set_to_json(big_C(3, 1))),
+        gray_product(standard(1), horn(2, 1)),
+        build_nerve(suspension(standard(2)), 3),
+        make_thin(cube3, [c for c in cube3.cells() if cube3.dims[c]][::5]),
+    ]
+
+
+@pytest.mark.parametrize("X", _fillers_cases())
 def test_fillers_match_brute_force(X):
-    for n in range(1, 4):
+    # the face index answers every query as the linear scan does, order included
+    for n in range(X.max_dim() + 3):
         simplices = list(X.simplices_of_dim(n))
-        boundary = {z: [X.act(z, delta(n, j)) for j in range(n + 1)] for z in simplices}
-        problems = [{}]
-        for z1, z2 in zip(simplices, reversed(simplices)):
-            problems.append(dict(enumerate(boundary[z1])))
-            problems.append({j: s for j, s in enumerate(boundary[z1]) if j != 1})
-            problems.append({0: boundary[z1][0], n: boundary[z2][n]})
+        sample = simplices[:: max(1, len(simplices) // 6)] if n else []
+        boundary = {z: [X.act(z, delta(n, j)) for j in range(n + 1)] for z in sample}
+        problems = [{}]  # a 0-simplex has no faces to give
+        for z1, z2 in zip(sample, reversed(sample)):
+            full = dict(enumerate(boundary[z1]))
+            impossible = {0: z1, n: full[n]}  # an n-simplex is never a face of one
+            assert z1 in X.fillers(n, full, False)
+            assert next(X.fillers(n, impossible, False), None) is None
+            partial = {j: s for j, s in full.items() if j != 1}
+            problems += [full, partial, {n: full[n]}, {0: full[0], n: boundary[z2][n]}, impossible]
         for faces in problems:
             for thin in (False, True):
-                expected = [
-                    z
-                    for z in simplices
-                    if (X.is_thin(z) or not thin)
-                    and all(boundary[z][j] == s for j, s in faces.items())
-                ]
-                assert list(X.fillers(n, faces, thin)) == expected
+                assert list(X.fillers(n, faces, thin)) == list(fillers_scan(X, n, faces, thin))
+
+
+def test_make_thin_answers_with_its_own_flags():
+    X = standard(2)
+    top = Simplex(Vertices((0, 1, 2)))
+    faces = {2: Simplex(Vertices((0, 1)))}
+    assert top not in list(X.fillers(2, faces, True))  # the index of X is built
+    Y = make_thin(X, [top.cell])
+    assert top in list(Y.fillers(2, faces, True))
+    assert list(Y.fillers(2, faces, True)) == list(fillers_scan(Y, 2, faces, True))
+    assert top not in list(X.fillers(2, faces, True))
+
+
+def test_fillers_face_index_out_of_range():
+    X = standard(2)
+    vertex = Simplex(Vertices((0,)))
+    for j in (5, -1):
+        with pytest.raises(OutOfRange):
+            list(X.fillers(1, {j: vertex}, False))
