@@ -89,12 +89,7 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
     gens = _generators(n)
-    # the generators of hom(r, n), each with the coordinates of its faces
-    last = [
-        (r, cell, d, [cube_face(cell.w, d, j) for j in range(d + 1)] if d else [])
-        for r, s, cell, d in gens
-        if s == n
-    ]
+    last = [(r, cell, d) for r, s, cell, d in gens if s == n]
 
     def key(f: NerveSimplex) -> tuple:
         images = (
@@ -136,8 +131,10 @@ def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
             if f is not None:
                 found.append(f)
             return
-        r, cell, d, cell_faces = last[i]
-        faces = {j: image(r, w, d - 1) for j, w in enumerate(cell_faces)}
+        r, cell, d = last[i]
+        faces = {
+            j: image(r, cube_face(cell.w, d, j), d - 1) for j in range(d + 1) if d
+        }
         for z in E.hom(obj[r], obj[n]).fillers(d, faces, cell in hom_set(r, n).thin):
             assigned[(r, cell.w)] = z
             search(i + 1)

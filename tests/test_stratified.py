@@ -354,10 +354,12 @@ def _fillers_cases():
 
 @pytest.mark.parametrize("X", _fillers_cases())
 def test_fillers_match_brute_force(X):
-    # the face index answers every query as the linear scan does, order included
+    # the face index answers every query as the linear scan does, order included;
+    # boundaries of every simplex of a dimension with at most 64, of one in six above
     for n in range(X.max_dim() + 3):
         simplices = list(X.simplices_of_dim(n))
-        sample = simplices[:: max(1, len(simplices) // 6)] if n else []
+        sample = simplices if len(simplices) <= 64 else simplices[:: len(simplices) // 6]
+        sample = sample if n else []
         boundary = {z: [X.act(z, delta(n, j)) for j in range(n + 1)] for z in sample}
         problems = [{}]  # a 0-simplex has no faces to give
         for z1, z2 in zip(sample, reversed(sample)):
