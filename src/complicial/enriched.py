@@ -93,7 +93,8 @@ def make_enriched(
 
 
 def _check_units(E: EnrichedCategory) -> None:
-    """The unit laws on every m-simplex z of every hom, m <= dim_cap.
+    """The unit laws on every m-simplex z of every hom, m <= dim_cap, composing
+    each (z, id) and (id, z) once.
 
     A pair whose components share a flat is a degeneracy of a lower pair, and
     composition commutes with degeneracies; the identity m-simplex is flat
@@ -103,15 +104,17 @@ def _check_units(E: EnrichedCategory) -> None:
     for a, b in product(E.objects, repeat=2):
         hom = E.homs.get((a, b), empty_set())
         for m in range(min(E.dim_cap, hom.max_dim()) + 1):
+            id_a, id_b = E.identity_simplex(a, m), E.identity_simplex(b, m)
             for z in hom.simplices_of_dim(m):
-                left = E.compose(a, a, b, z, E.identity_simplex(a, m))
-                right = E.compose(a, b, b, E.identity_simplex(b, m), z)
+                left = E.compose(a, a, b, z, id_a)
+                right = E.compose(a, b, b, id_b, z)
                 if left != z or right != z:
                     raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
 
 
 def _check_associativity(E: EnrichedCategory) -> None:
-    """Associativity on every triple of m-simplices, m <= dim_cap.
+    """Associativity on every triple of m-simplices, m <= dim_cap, composing each
+    distinct pair once: the triples are |hom|^3 per dimension, the pairs |hom|^2.
 
     A triple whose components all share a flat is a degeneracy of a lower
     triple, and both composites commute with degeneracies.  An m-simplex of
@@ -119,17 +122,26 @@ def _check_associativity(E: EnrichedCategory) -> None:
     has m at most the sum of the three homs' max_dim(); checking only up to
     there is exact.
     """
+    composites: dict[tuple, Simplex] = {}
+
+    def compose(*key) -> Simplex:
+        z = composites.get(key)
+        if z is None:
+            z = composites[key] = E.compose(*key)
+        return z
+
     for a, b, c, d in product(E.objects, repeat=4):
         hab, hbc, hcd = (E.homs.get(key, empty_set()) for key in ((a, b), (b, c), (c, d)))
         if not (hab.dims and hbc.dims and hcd.dims):
             continue
         for m in range(min(E.dim_cap, hab.max_dim() + hbc.max_dim() + hcd.max_dim()) + 1):
-            for z3 in hcd.simplices_of_dim(m):
-                for z2 in hbc.simplices_of_dim(m):
-                    right = E.compose(b, c, d, z3, z2)
-                    for z1 in hab.simplices_of_dim(m):
-                        lhs = E.compose(a, b, d, right, z1)
-                        rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
+            ones, twos, threes = (list(h.simplices_of_dim(m)) for h in (hab, hbc, hcd))
+            for z3 in threes:
+                for z2 in twos:
+                    right = compose(b, c, d, z3, z2)
+                    for z1 in ones:
+                        lhs = compose(a, b, d, right, z1)
+                        rhs = compose(a, c, d, z3, compose(a, b, c, z2, z1))
                         if lhs != rhs:
                             raise LawViolation(f"associativity fails at {(z3, z2, z1)}")
 

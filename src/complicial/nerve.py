@@ -89,7 +89,12 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
     gens = _generators(n)
-    last = [(r, cell, d) for r, s, cell, d in gens if s == n]
+    # the generators of hom(r, n), each with its face coordinates and thin flag
+    last = []
+    for r, s, cell, d in gens:
+        if s == n:
+            face_ws = [cube_face(cell.w, d, j) for j in range(d + 1)] if d else []
+            last.append((r, cell.w, d, face_ws, cell in hom_set(r, n).thin))
 
     def key(f: NerveSimplex) -> tuple:
         images = (
@@ -131,14 +136,12 @@ def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
             if f is not None:
                 found.append(f)
             return
-        r, cell, d = last[i]
-        faces = {
-            j: image(r, cube_face(cell.w, d, j), d - 1) for j in range(d + 1) if d
-        }
-        for z in E.hom(obj[r], obj[n]).fillers(d, faces, cell in hom_set(r, n).thin):
-            assigned[(r, cell.w)] = z
+        r, w, d, face_ws, thin = last[i]
+        faces = {j: image(r, v, d - 1) for j, v in enumerate(face_ws)}
+        for z in E.hom(obj[r], obj[n]).fillers(d, faces, thin):
+            assigned[(r, w)] = z
             search(i + 1)
-        assigned.pop((r, cell.w), None)
+        assigned.pop((r, w), None)
 
     search(0)
     return found

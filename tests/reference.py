@@ -6,7 +6,7 @@ beside the tests rather than in ``src/complicial``: independent recomputations
 complicial simplices, the split of a path arrow into indecomposables, the
 nerve layers stacked from dimension 0, the witness search for thin nerve
 edges, the linear boundary scan that the face index of ``fillers``
-replaced), fixtures (enriched functors, the terminal enriched category, the
+replaced, the enrichment law loops run to the cap on every triple), fixtures (enriched functors, the terminal enriched category, the
 discrete enrichment of a finite category) and spellings in the paper's
 notation (vertex chains, path arrows).  Test modules import them
 by name; pytest does not collect this file.
@@ -27,7 +27,7 @@ from complicial.enriched import (
     make_enriched,
     point_set,
 )
-from complicial.errors import BadInterval, CapExceeded, Mismatch, OutOfRange
+from complicial.errors import BadInterval, CapExceeded, LawViolation, Mismatch, OutOfRange
 from complicial.nerve import NerveSimplex, nerve_act, nerve_simplices, recover_arrow
 from complicial.operators import (
     MINUS,
@@ -231,6 +231,40 @@ def discrete_enriched(cat: FiniteCategory) -> EnrichedCategory:
         assignment = {pair: Simplex(cat.compose(pair[0].cell, pair[1].cell)) for pair in P.cells()}
         comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
     return make_enriched(cat.objects, homs, cat.identities, comp, 0)
+
+
+def _exhaustive_units(E):
+    for a in E.objects:
+        for b in E.objects:
+            hom = E.homs.get((a, b))
+            if hom is None or not hom.dims:
+                continue
+            for m in range(E.dim_cap + 1):
+                for z in hom.simplices_of_dim(m):
+                    left = E.compose(a, a, b, z, E.identity_simplex(a, m))
+                    right = E.compose(a, b, b, E.identity_simplex(b, m), z)
+                    if left != z or right != z:
+                        raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
+
+
+def _exhaustive_associativity(E):
+    for a in E.objects:
+        for b in E.objects:
+            for c in E.objects:
+                for d in E.objects:
+                    if not all(E.hom(*key).dims for key in ((a, b), (b, c), (c, d))):
+                        continue
+                    for m in range(E.dim_cap + 1):
+                        for z3 in E.hom(c, d).simplices_of_dim(m):
+                            for z2 in E.hom(b, c).simplices_of_dim(m):
+                                right = E.compose(b, c, d, z3, z2)
+                                for z1 in E.hom(a, b).simplices_of_dim(m):
+                                    lhs = E.compose(a, b, d, right, z1)
+                                    rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
+                                    if lhs != rhs:
+                                        raise LawViolation(
+                                            f"associativity fails at {(z3, z2, z1)}"
+                                        )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from complicial.anodyne import rlp_report
@@ -26,7 +28,12 @@ from complicial.stratified import (
     gray_product,
     set_to_json,
 )
-from reference import EnrichedFunctor, terminal_enriched
+from reference import (
+    EnrichedFunctor,
+    _exhaustive_associativity,
+    _exhaustive_units,
+    terminal_enriched,
+)
 
 
 def identity_functor(E):
@@ -181,40 +188,6 @@ def test_terminal_enriched():
 # -- the law checks stop where a violation can first appear ---------------------
 
 
-def _exhaustive_units(E):
-    for a in E.objects:
-        for b in E.objects:
-            hom = E.homs.get((a, b))
-            if hom is None or not hom.dims:
-                continue
-            for m in range(E.dim_cap + 1):
-                for z in hom.simplices_of_dim(m):
-                    left = E.compose(a, a, b, z, E.identity_simplex(a, m))
-                    right = E.compose(a, b, b, E.identity_simplex(b, m), z)
-                    if left != z or right != z:
-                        raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
-
-
-def _exhaustive_associativity(E):
-    for a in E.objects:
-        for b in E.objects:
-            for c in E.objects:
-                for d in E.objects:
-                    if not all(E.hom(*key).dims for key in ((a, b), (b, c), (c, d))):
-                        continue
-                    for m in range(E.dim_cap + 1):
-                        for z3 in E.hom(c, d).simplices_of_dim(m):
-                            for z2 in E.hom(b, c).simplices_of_dim(m):
-                                right = E.compose(b, c, d, z3, z2)
-                                for z1 in E.hom(a, b).simplices_of_dim(m):
-                                    lhs = E.compose(a, b, d, right, z1)
-                                    rhs = E.compose(a, c, d, z3, E.compose(a, b, c, z2, z1))
-                                    if lhs != rhs:
-                                        raise LawViolation(
-                                            f"associativity fails at {(z3, z2, z1)}"
-                                        )
-
-
 def _outcome(check, E):
     try:
         check(E)
@@ -238,16 +211,56 @@ def _corrupted_suspension():
     return EnrichedCategory(E.objects, E.homs, E.identities, comp, E.dim_cap)
 
 
+def _swapped_group():
+    """The cyclic group of order 3 enriched at cap 2, with the images of the first
+    two 2-cells of the composition map's source swapped."""
+    E = one_object_group_enriched(3, 2)
+    cmap = E.comp[("*", "*", "*")]
+    x, y = list(cmap.source.cells_of_dim(2))[:2]
+    assignment = dict(cmap.assignment)
+    assignment[x], assignment[y] = assignment[y], assignment[x]
+    comp = {("*", "*", "*"): StratifiedMap(cmap.source, cmap.target, assignment)}
+    return EnrichedCategory(E.objects, E.homs, E.identities, comp, E.dim_cap)
+
+
 def test_bounded_law_checks_agree_with_the_exhaustive_loops():
     from complicial.suite import desk_examples
 
-    examples = [E for _, E in desk_examples()] + [_corrupted_suspension()]
+    examples = [E for _, E in desk_examples()] + [
+        one_object_group_enriched(2, 3),
+        one_object_group_enriched(3, 2),
+        _swapped_group(),
+        _corrupted_suspension(),
+    ]
     for E in examples:
         assert _outcome(_check_units, E) == _outcome(_exhaustive_units, E)
         assert _outcome(_check_associativity, E) == _outcome(_exhaustive_associativity, E)
-    corrupted = examples[-1]
+    swapped, corrupted = examples[-2:]
+    assert _outcome(_check_associativity, swapped) == (
+        "associativity fails at (Simplex(cell='*:g1', word=(0,)), "
+        "Simplex(cell='*:g1', word=(0,)), Simplex(cell='*:g1', word=(1,)))"
+    )
     assert "unit law fails at Simplex(cell='0.1.2', word=())" in _outcome(_check_units, corrupted)
     assert "associativity fails" in _outcome(_check_associativity, corrupted)
+
+
+class _CountingCategory(EnrichedCategory):
+    """An enriched category that counts how often each pair is composed."""
+
+    def __init__(self, E: EnrichedCategory):
+        super().__init__(E.objects, E.homs, E.identities, E.comp, E.dim_cap)
+        self.calls = Counter()
+
+    def compose(self, *key):
+        self.calls[key] += 1
+        return super().compose(*key)
+
+
+def test_associativity_check_composes_each_pair_once():
+    # the triples of 3-simplices alone are 27^3; composing per triple is cubic
+    E = _CountingCategory(one_object_group_enriched(3, 3))
+    _check_associativity(E)
+    assert E.calls and max(E.calls.values()) == 1
 
 
 # -- functor validation stops where composition can first fail to be preserved --
