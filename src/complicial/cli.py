@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from contextlib import nullcontext
+from itertools import islice, product
 
 from . import shapes
 from .anodyne import (
@@ -69,12 +70,14 @@ def _load_json(path: str):
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    """Write the payload as indented JSON with sorted keys and a final newline,
+    to stdout when path is None or "-", streamed in batches of encoder chunks
+    so the whole text is never held at once."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        while batch := "".join(islice(chunks, 1 << 12)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def _distinct(objects: list[str], path: str) -> list[str]:

@@ -195,7 +195,10 @@ def cube_normal_form(
 
 @lru_cache(maxsize=None)
 def cube(n: int) -> FiniteStratifiedSet:
-    """The n-fold tensor power of the 1-simplex with its directed stratification."""
+    """The n-fold tensor power of the 1-simplex with its directed stratification.
+
+    The jth face acts on each coordinate alone, so it is a table read off
+    ``cube_face`` once per (m, j); each distinct face is normalised once."""
     if n < 0:
         raise OutOfRange("cube needs n >= 0")
     cells: dict[tuple[CubeCoordinate, ...], Coords] = {}
@@ -204,14 +207,24 @@ def cube(n: int) -> FiniteStratifiedSet:
     thin = []
     for m in range(n + 1):
         alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        integers = frozenset(range(1, m + 1))
+        tables = [{v: cube_face((v,), m, j)[0] for v in alphabet} for j in range(m + 1)]
+        simplices: dict[tuple[CubeCoordinate, ...], Simplex] = {}
         for w in product(alphabet, repeat=n):
-            if not is_integer_surjective(w, m):
+            if not integers.issubset(w):
                 continue
             cell = cells[w] = Coords(w)
             dims[cell] = m
             if m >= 1:
-                nfs = (cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1))
-                faces[cell] = tuple(Simplex(cells[core], word) for core, word in nfs)
+                row = []
+                for table in tables:
+                    face = tuple(map(table.__getitem__, w))
+                    s = simplices.get(face)
+                    if s is None:
+                        core, word = cube_normal_form(face, m - 1)
+                        s = simplices[face] = Simplex(cells[core], word)
+                    row.append(s)
+                faces[cell] = tuple(row)
                 if cube_thin(w, m):
                     thin.append(cell)
     return FiniteStratifiedSet(n, dims, faces, thin)

@@ -6,7 +6,8 @@ beside the tests rather than in ``src/complicial``: independent recomputations
 complicial simplices, the split of a path arrow into indecomposables, the
 nerve layers stacked from dimension 0, the witness search for thin nerve
 edges, the linear boundary scan that the face index of ``fillers``
-replaced, the enrichment law loops run to the cap on every triple), fixtures (enriched functors, the terminal enriched category, the
+replaced, the directed cube built by testing every word and acting on every
+face, the enrichment law loops run to the cap on every triple), fixtures (enriched functors, the terminal enriched category, the
 discrete enrichment of a finite category) and spellings in the paper's
 notation (vertex chains, path arrows).  Test modules import them
 by name; pytest does not collect this file.
@@ -38,7 +39,15 @@ from complicial.operators import (
     delta,
     sigma,
 )
-from complicial.shapes import Coords, Vertices, complicial, cube_thin, is_integer_surjective
+from complicial.shapes import (
+    Coords,
+    Vertices,
+    complicial,
+    cube_face,
+    cube_normal_form,
+    cube_thin,
+    is_integer_surjective,
+)
 from complicial.stratified import (
     FiniteStratifiedSet,
     Simplex,
@@ -138,6 +147,28 @@ def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
 def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
     X = complicial_primed(n, k)
     return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
+
+
+def cube_scan(n: int) -> FiniteStratifiedSet:
+    """The n-fold tensor power of the 1-simplex with its directed stratification:
+    every word tested for surjectivity, every face acted on and normalised."""
+    cells: dict[tuple, Coords] = {}
+    dims = {}
+    faces = {}
+    thin = []
+    for m in range(n + 1):
+        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        for w in product(alphabet, repeat=n):
+            if not is_integer_surjective(w, m):
+                continue
+            cell = cells[w] = Coords(w)
+            dims[cell] = m
+            if m >= 1:
+                nfs = (cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1))
+                faces[cell] = tuple(Simplex(cells[core], word) for core, word in nfs)
+                if cube_thin(w, m):
+                    thin.append(cell)
+    return FiniteStratifiedSet(n, dims, faces, thin)
 
 
 def cell_from_vertex_chain(chain) -> Coords:

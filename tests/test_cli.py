@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from complicial.anodyne import builtin_certificates, certificate_to_json
-from complicial.cli import enriched_to_json, main
+from complicial.cli import _write_json, enriched_to_json, main
 from complicial.enriched import EnrichedCategory, point_set, suspension
 from complicial.errors import BadParams
 from complicial.shapes import big_C, big_H, cube, standard
@@ -471,3 +472,35 @@ def test_sigma_of_a_point_with_a_high_cap_is_quick(tmp_path, capsys):
     code, out = run(["sigma", str(in_file)], capsys)
     assert code == 0 and time.perf_counter() - start < 2
     assert json.loads(out)["comp"]["0;0;1"] == {"(p|)(*|)": {"cell": "p", "word": []}}
+
+
+WRITER_PAYLOAD = {
+    "z": [1, [2, [3, []]], {}],
+    "a": {"nested": {"deeper": [None, True, 0.5]}, "empty": [], "none": {}},
+    "ünïcode": "Δ[1]⊗Δ[1] → ∂Δ²",
+    "m": "",
+}
+
+
+def test_writer_bytes_match_json_dumps_on_every_output(tmp_path, capsys):
+    expected = json.dumps(WRITER_PAYLOAD, indent=2, sort_keys=True) + "\n"
+    out_file = tmp_path / "out.json"
+    _write_json(str(out_file), WRITER_PAYLOAD)
+    assert out_file.read_bytes() == expected.encode()
+    for path in ("-", None):
+        _write_json(path, WRITER_PAYLOAD)
+        assert capsys.readouterr().out == expected
+
+
+def test_writer_streams_without_holding_the_text(tmp_path):
+    payload = set_to_json(cube(5))
+    out_file = tmp_path / "cube5.json"
+    tracemalloc.start()
+    try:
+        _write_json(str(out_file), payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out_file.stat().st_size
+    assert out_file.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert peak < size

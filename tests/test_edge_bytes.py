@@ -19,7 +19,7 @@ from complicial.enriched import (
     walking_iso,
 )
 from complicial.nerve import build_nerve
-from complicial.shapes import big_H, complicial, cube, standard
+from complicial.shapes import big_C, big_H, complicial, cube, standard
 from complicial.stratified import set_to_json, subset_to_set
 
 
@@ -45,6 +45,14 @@ PINS = {
     "cube(4)": (
         lambda: set_to_json(cube(4)),
         "0d4ac8f374a7ba42cb99d5e74a4349b04beb092727d3a0cb5973e29e9a32c777",
+    ),
+    "cube(5)": (
+        lambda: set_to_json(cube(5)),
+        "e132f5c33e3e6d277c11f0500e3f60ceca5736b5846f86372b183f40d5c38401",
+    ),
+    "big_C(5,3)": (
+        lambda: set_to_json(big_C(5, 3)),
+        "d0d7496bb6505c865da1391875f272856cfc80f9998e8455901ddaf637937039",
     ),
     "standard(10)": (
         lambda: set_to_json(standard(10)),

@@ -22,7 +22,13 @@ from complicial.shapes import (
     standard_thin,
     vertex_chain,
 )
-from reference import complicial_dprimed, complicial_primed, is_subset_kind, parse_vertex_chain
+from reference import (
+    complicial_dprimed,
+    complicial_primed,
+    cube_scan,
+    is_subset_kind,
+    parse_vertex_chain,
+)
 
 
 def test_standard_census():
@@ -85,7 +91,7 @@ def test_cube_three_tops():
 
 
 def test_cube_census_factorials():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         X = cube(n)
         tops = X.cells_of_dim(n)
         fact = 1
@@ -101,8 +107,18 @@ def test_cube_diagonal_edge_plain():
 
 
 def test_cube_validates():
-    for n in range(4):
+    for n in range(6):
         assert cube(n).validate() == []
+
+
+def test_cube_matches_the_word_scan():
+    for n in range(6):
+        X, Y = cube(n), cube_scan(n)
+        assert list(X.dims) == list(Y.dims)
+        assert X.dims == Y.dims
+        assert X.faces == Y.faces
+        assert X.thin == Y.thin
+        assert X.dim_cap == Y.dim_cap
 
 
 def test_classify_examples():
