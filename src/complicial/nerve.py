@@ -3,12 +3,16 @@
 An n-simplex of the nerve is an enriched functor out of the coherent
 n-path: an object map together with a stratified map on every homset,
 compatible with concatenation.  The path category is free on its
-indecomposable arrows, and those on hom(r, s) with s < n are the data of
-the face d_n.  So the nerve is built layer by layer from the face d_n: an
-n-simplex extends one of dimension n - 1 by images of the nondegenerate
-indecomposable cells of hom(r, n), chosen dimension by dimension with face
-and thinness consistency pruning the search.  Degeneracies come from the
-layers below, and give every face its normal form.
+nondegenerate indecomposable arrows, the generators, so a simplex is held as
+its generator images; one evaluator, ``_eval``, gives the image of any other
+arrow as that of its last indecomposable factor composed after the rest.
+The generators on hom(r, s) with s < n are the data of the face d_n.  So the
+nerve is built layer by layer from the face d_n: an n-simplex extends one of
+dimension n - 1 by images of the generators of hom(r, n), chosen dimension by
+dimension with face and thinness consistency pruning the search.  A
+simplicial operator sends generators to generators or identities, so
+degeneracies and faces read generator images alone; degeneracies come from
+the layers below, and give every face its normal form.
 
 An arrow is handled as in ``hcpath``: the coordinate tuple w from r at
 dimension m.  Thinness of a nerve simplex above dimension one tests the image
@@ -18,6 +22,8 @@ finds an equivalence witness pair of thin 2-simplices.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import OutOfRange
 from .operators import MINUS, Operator, delta, surjection_words, word_operator as _wop
@@ -35,15 +41,17 @@ from .stratified import FiniteStratifiedSet, Simplex, make_thin
 
 
 class NerveSimplex:
-    """An enriched functor from the coherent n-path, tabulated on homsets."""
+    """An enriched functor from the coherent n-path, held as its images of the
+    generators: (r, w) -> Simplex of E.hom for each cell of _generators(n).
+    Every other arrow is evaluated from these on demand, and remembered."""
 
-    def __init__(self, E: EnrichedCategory, n: int, obj: tuple[str, ...], maps):
+    def __init__(self, E: EnrichedCategory, n: int, obj: tuple[str, ...], images):
         self.E = E
         self.n = n
         self.obj = obj
-        self.maps = maps  # (r, s) -> {coordinates w of a hom cell -> Simplex of E.hom}
-        # every functor from the n-path tabulates the same cells in the same order
-        self._key = (n, obj, tuple(img for table in maps.values() for img in table.values()))
+        self.images = images
+        self._key = (n, obj, tuple(images[(r, cell.w)] for r, _, cell, _ in _generators(n)))
+        self._evaluated: dict[tuple[int, tuple, int], Simplex] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NerveSimplex) and self._key == other._key
@@ -56,17 +64,31 @@ class NerveSimplex:
 
     def eval_arrow(self, r: int, w: tuple, m: int) -> Simplex:
         """Image of an arbitrary arrow of the coherent path: w from r at dimension m."""
-        if not w:
-            return self.E.identity_simplex(self.obj[r], m)
-        s = r + len(w)
-        core, word = cube_normal_form(w, m)
-        img = self.maps[(r, s)][core]
-        if not word:
-            return img
-        return self.E.hom(self.obj[r], self.obj[s]).act(img, _wop(m, word))
+        img = self._evaluated.get((r, w, m))
+        if img is None:
+            img = _eval(self.E, self.obj, self.images, r, w, m, self.eval_arrow)
+            self._evaluated[(r, w, m)] = img
+        return img
 
 
-def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
+def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
+    """The image of the arrow w from r at dimension m under generator images:
+    the core of its last indecomposable factor, acted on by the factor's
+    degeneracy word, composed after rest(r, w[:cut], m) for the arrow before it."""
+    if not w:
+        return E.identity_simplex(obj[r], m)
+    cut, s = _last_factor(w), r + len(w)
+    core, word = cube_normal_form(w[cut:], m)
+    img = images[(r + cut, core)]
+    if word:
+        img = E.hom(obj[r + cut], obj[s]).act(img, _wop(m, word))
+    if not cut:
+        return img
+    return E.compose(obj[r], obj[r + cut], obj[s], img, rest(r, w[:cut], m))
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[tuple[int, int, Coords, int], ...]:
     """Nondegenerate indecomposable hom cells as (r, s, cell, dim)."""
     gens = []
     for r in range(n + 1):
@@ -76,7 +98,7 @@ def _generators(n: int) -> list[tuple[int, int, Coords, int]]:
                 if MINUS not in cell.w[:-1]:
                     gens.append((r, s, cell, H.dims[cell]))
     gens.sort(key=lambda g: (g[3], g[0], g[1], g[2]))
-    return gens
+    return tuple(gens)
 
 
 def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[NerveSimplex]:
@@ -95,53 +117,42 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
         if s == n:
             face_ws = [cube_face(cell.w, d, j) for j in range(d + 1)] if d else []
             last.append((r, cell.w, d, face_ws, cell in hom_set(r, n).thin))
+    thin = [(r, c.w, hom_set(r, n).dims[c]) for r in range(n) for c in sorted(hom_set(r, n).thin)]
 
     def key(f: NerveSimplex) -> tuple:
-        images = (
-            E.hom(f.obj[r], f.obj[s]).sort_key(f.maps[(r, s)][cell.w]) for r, s, cell, _ in gens
-        )
+        images = (E.hom(f.obj[r], f.obj[s]).sort_key(f.images[(r, c.w)]) for r, s, c, _ in gens)
         return tuple(rank[o] for o in f.obj), tuple(images)
 
     ends = [(g, o) for g in below for o in E.objects if all(E.hom(p, o).dims for p in g.obj)]
-    return sorted((f for g, o in ends for f in _extensions(E, g, o, last)), key=key)
+    return sorted((f for g, o in ends for f in _extensions(E, g, o, last, thin)), key=key)
 
 
-def _extensions(E, g: NerveSimplex, o: str, last) -> list[NerveSimplex]:
+def _extensions(E, g: NerveSimplex, o: str, last, thin) -> list[NerveSimplex]:
     """The n-simplices with last object o and face d_n equal to g.
 
-    An arrow ending at n is its last indecomposable factor after the rest:
-    the image of the factor's core, composed after g's image of the rest.
     The generators of hom(r, n) come in (dim, r, cell) order, so the faces of
     each are known when it is reached: the search never meets a missing image.
+    Every hom(r, s) with s < n belongs to g, already checked, so a finished
+    search checks only that the thin cells of each hom(r, n) land thin.
     """
     n, obj = g.n + 1, g.obj + (o,)
-    assigned: dict[tuple[int, tuple], Simplex] = {}
+    images = dict(g.images)
     found: list[NerveSimplex] = []
 
     def image(r: int, w: tuple, m: int) -> Simplex:
-        if r + len(w) < n:
-            return g.maps[(r, r + len(w))][w]
-        cut = _last_factor(w)
-        core, word = cube_normal_form(w[cut:], m)
-        img = assigned[(r + cut, core)]
-        if word:
-            img = E.hom(obj[r + cut], obj[n]).act(img, _wop(m, word))
-        if not cut:
-            return img
-        return E.compose(obj[r], obj[r + cut], obj[n], img, g.eval_arrow(r, w[:cut], m))
+        return _eval(E, obj, images, r, w, m, g.eval_arrow)
 
     def search(i: int):
         if i == len(last):
-            f = _tabulate(E, n, obj, image)
-            if f is not None:
-                found.append(f)
+            if all(E.hom(obj[r], o).is_thin(image(r, w, m)) for r, w, m in thin):
+                found.append(NerveSimplex(E, n, obj, dict(images)))
             return
-        r, w, d, face_ws, thin = last[i]
+        r, w, d, face_ws, is_thin = last[i]
         faces = {j: image(r, v, d - 1) for j, v in enumerate(face_ws)}
-        for z in E.hom(obj[r], obj[n]).fillers(d, faces, thin):
-            assigned[(r, w)] = z
+        for z in E.hom(obj[r], o).fillers(d, faces, is_thin):
+            images[(r, w)] = z
             search(i + 1)
-        assigned.pop((r, w), None)
+        images.pop((r, w), None)
 
     search(0)
     return found
@@ -152,34 +163,19 @@ def _last_factor(w: tuple) -> int:
     return max((i for i, v in enumerate(w[:-1], 1) if v == MINUS), default=0)
 
 
-def _tabulate(E, n, obj, image) -> NerveSimplex | None:
-    """The functor out of the coherent n-path sending every hom cell, as the arrow
-    w from r at dimension m, to image(r, w, m); None if a thin cell lands non-thin."""
-    maps: dict[tuple[int, int], dict[tuple, Simplex]] = {}
-    for r in range(n + 1):
-        for s in range(r + 1, n + 1):
-            H = hom_set(r, s)
-            target = E.hom(obj[r], obj[s])
-            table = {}
-            for cell in H.cells():
-                img = image(r, cell.w, H.dims[cell])
-                if cell in H.thin and not target.is_thin(img):
-                    return None
-                table[cell.w] = img
-            maps[(r, s)] = table
-    return NerveSimplex(E, n, obj, maps)
+def _functor(E, n: int, obj: tuple[str, ...], image) -> NerveSimplex:
+    """The n-simplex sending each generator, as the arrow w from r at dimension
+    m, to image(r, w, m)."""
+    return NerveSimplex(E, n, obj, {(r, c.w): image(r, c.w, d) for r, _, c, d in _generators(n)})
 
 
 def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
-    """Precomposition with the path functor of a simplicial operator.
-
-    The stratification check of the tabulation cannot fail here: the path
-    functor sends thin cells to thin or degenerate arrows.
-    """
+    """Precomposition with the path functor of a simplicial operator, which sends
+    each generator to a generator or an identity."""
     if alpha.m != f.n:
         raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
     obj = tuple(f.obj[alpha(t)] for t in range(alpha.n + 1))
-    return _tabulate(f.E, alpha.n, obj, lambda r, w, m: f.eval_arrow(*path_act(alpha, r, w), m))
+    return _functor(f.E, alpha.n, obj, lambda r, w, m: f.eval_arrow(*path_act(alpha, r, w), m))
 
 
 def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
@@ -248,7 +244,7 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
             return E.identity_simplex(obj[r], m)
         return hom01.act(x, operator_of_simplex(n, comparison_simplex(w, r, n, m), m))
 
-    return _tabulate(E, n + 1, obj, image)
+    return _functor(E, n + 1, obj, image)
 
 
 def recover_arrow(f: NerveSimplex) -> Simplex:

@@ -267,7 +267,8 @@ def comparison_simplex(
     """The m-simplex of the standard n-simplex that a cube function on (lower, ...] names.
 
     Vertex t goes to the least n - i over the positions lower < i <= n whose
-    coordinate is 0 at t, or to n when there is none.
+    coordinate is 0 at t, or to n - lower when there is none: an arrow from
+    lower names what the arrows through lower name.
     """
     values = []
     for t in range(m + 1):
@@ -276,7 +277,7 @@ def comparison_simplex(
             for i in range(lower + 1, n + 1)
             if rho_operator(w[i - lower - 1], m).values[t] == 0
         ]
-        values.append(min([n] + zeros))
+        values.append(min([n - lower] + zeros))
     return simplex_of_operator(Operator(m, n, tuple(values)))
 
 

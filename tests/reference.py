@@ -7,14 +7,16 @@ complicial simplices, the split of a path arrow into indecomposables, the
 nerve layers stacked from dimension 0, the witness search for thin nerve
 edges, the linear boundary scan that the face index of ``fillers``
 replaced, the directed cube built by testing every word and acting on every
-face, the enrichment law loops run to the cap on every triple), fixtures (enriched functors, the terminal enriched category, the
-discrete enrichment of a finite category) and spellings in the paper's
-notation (vertex chains, path arrows).  Test modules import them
+face, the enrichment law loops run to the cap on every triple), fixtures
+(enriched functors, the terminal enriched category, the discrete enrichment of
+a finite category, a category counting its compositions) and spellings in the
+paper's notation (vertex chains, path arrows).  Test modules import them
 by name; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -262,6 +264,18 @@ def discrete_enriched(cat: FiniteCategory) -> EnrichedCategory:
         assignment = {pair: Simplex(cat.compose(pair[0].cell, pair[1].cell)) for pair in P.cells()}
         comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
     return make_enriched(cat.objects, homs, cat.identities, comp, 0)
+
+
+class CountingCategory(EnrichedCategory):
+    """An enriched category that counts how often each pair is composed."""
+
+    def __init__(self, E: EnrichedCategory):
+        super().__init__(E.objects, E.homs, E.identities, E.comp, E.dim_cap)
+        self.calls = Counter()
+
+    def compose(self, *key):
+        self.calls[key] += 1
+        return super().compose(*key)
 
 
 def _exhaustive_units(E):

@@ -197,12 +197,12 @@ def test_criterion_6_faithfulness():
         for F in functors:
             table = []
             for f in cells:
-                maps = {
-                    rs: {cid: F.hom_maps[(f.obj[rs[0]], f.obj[rs[1]])](img) for cid, img in t.items()}
-                    for rs, t in f.maps.items()
+                images = {
+                    (r, w): F.hom_maps[(f.obj[r], f.obj[r + len(w)])](img)
+                    for (r, w), img in f.images.items()
                 }
                 table.append(
-                    NerveSimplex(E, f.n, tuple(F.obj_map[o] for o in f.obj), maps)._key
+                    NerveSimplex(E, f.n, tuple(F.obj_map[o] for o in f.obj), images)._key
                 )
             tables.add(tuple(table))
         ok = ok and len(tables) == len(functors)

@@ -19,7 +19,7 @@ from complicial.enriched import (
     walking_iso,
 )
 from complicial.nerve import build_nerve
-from complicial.shapes import big_C, big_H, complicial, cube, standard
+from complicial.shapes import big_C, big_H, boundary, complicial, cube, standard
 from complicial.stratified import set_to_json, subset_to_set
 
 
@@ -73,6 +73,14 @@ PINS = {
     "nerve of suspension(standard(2))": (
         lambda: set_to_json(build_nerve(suspension(standard(2)), 3)),
         "5421f6b342a003a44818439e21cdbb0cbff8d0977cc0f99c65a5bda8faa082e6",
+    ),
+    "nerve of suspension(standard(2)), D = 4": (
+        lambda: set_to_json(build_nerve(suspension(standard(2)), 4)),
+        "b1f7d9ce5b25c239e245f27bdc5fc889ae00bbba8010e49bc39456d4d0bad985",
+    ),
+    "nerve of suspension(boundary(2)), D = 4": (
+        lambda: set_to_json(build_nerve(suspension(boundary(2)), 4)),
+        "e7c4b728bc83f177e5f62cda0e598d318e496288c8d493fde7f0a7792c68c184",
     ),
     "nerve of suspension(complicial(2, 1)), D = 4": (
         lambda: set_to_json(build_nerve(suspension(complicial(2, 1)), 4)),

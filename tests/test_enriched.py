@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from complicial.anodyne import rlp_report
@@ -29,6 +27,7 @@ from complicial.stratified import (
     set_to_json,
 )
 from reference import (
+    CountingCategory,
     EnrichedFunctor,
     _exhaustive_associativity,
     _exhaustive_units,
@@ -244,21 +243,9 @@ def test_bounded_law_checks_agree_with_the_exhaustive_loops():
     assert "associativity fails" in _outcome(_check_associativity, corrupted)
 
 
-class _CountingCategory(EnrichedCategory):
-    """An enriched category that counts how often each pair is composed."""
-
-    def __init__(self, E: EnrichedCategory):
-        super().__init__(E.objects, E.homs, E.identities, E.comp, E.dim_cap)
-        self.calls = Counter()
-
-    def compose(self, *key):
-        self.calls[key] += 1
-        return super().compose(*key)
-
-
 def test_associativity_check_composes_each_pair_once():
     # the triples of 3-simplices alone are 27^3; composing per triple is cubic
-    E = _CountingCategory(one_object_group_enriched(3, 3))
+    E = CountingCategory(one_object_group_enriched(3, 3))
     _check_associativity(E)
     assert E.calls and max(E.calls.values()) == 1
 

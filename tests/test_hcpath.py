@@ -324,8 +324,19 @@ def test_path_act_equals_elementary_replay():
     assert checked > 100_000
 
 
+def test_path_act_sends_generators_to_indecomposable_arrows():
+    # so nerve_act reads generator images alone and never composes
+    for n in range(5):
+        for r, s, cell, _ in _generators(n):
+            for n2 in range(5):
+                for alpha in all_operators(n, n2):
+                    _, w = path_act(alpha, r, cell.w)
+                    assert MINUS not in w[:-1], (alpha, r, cell)
+
+
 def test_path_act_sends_thin_cells_to_thin_or_degenerate_arrows():
-    # so the stratification check of a nerve simplex never fires in nerve_act
+    # so nerve_act, which checks no stratification, keeps nerve simplices
+    # stratified
     for n in range(5):
         thin = [
             (r, cid.w, hom_set(r, s).dims[cid])

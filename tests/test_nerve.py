@@ -19,7 +19,6 @@ from complicial.nerve import (
     NerveSimplex,
     _generators,
     _last_factor,
-    _tabulate,
     build_nerve,
     nerve_act,
     recover_arrow,
@@ -34,10 +33,12 @@ from complicial.shapes import (
     complicial,
     cube_face,
     cube_normal_form,
+    operator_of_simplex,
     standard,
 )
 from complicial.stratified import FiniteStratifiedSet, Simplex, make_thin, set_to_json
 from reference import (
+    CountingCategory,
     EnrichedFunctor,
     discrete_enriched,
     enumerate_maps,
@@ -209,7 +210,7 @@ def test_sigma_functor_zero():
     [x] = E.hom("0", "1").simplices_of_dim(0)
     f = yoneda_composite(E, x, 0)
     assert f.obj == ("0", "1")
-    assert f.maps[(0, 1)][(MINUS,)] == x
+    assert f.images[(0, (MINUS,))] == x
 
 
 def test_sigma_restricts_to_comparison_map():
@@ -229,6 +230,57 @@ def test_last_factor_cut_matches_the_full_split():
             for cell in hom_set(r, s).cells():
                 cut = _last_factor(cell.w)
                 assert split_at_zeros(r, cell.w)[-1] == (r + cut, cell.w[cut:]), (r, cell)
+
+
+def test_yoneda_composite_is_a_stratified_functor():
+    # yoneda_composite names only the generators; every other cell of every hom
+    # must still follow the closed form, every thin cell must land thin, and an
+    # arrow through an interior vertex must go to the composite of its parts
+    for X in (standard(0), standard(1), from_category(walking_iso(), 4)):
+        E = suspension(X)
+        hom01 = E.hom("0", "1")
+        for m in range(3):
+            for x in X.simplices_of_dim(m):
+                f = yoneda_composite(E, x, m)
+                for r, s, H, cell in _hom_cells(f.n):
+                    d, w, target = H.dims[cell], cell.w, E.hom(f.obj[r], f.obj[s])
+                    if r <= m < s:
+                        image = comparison_simplex(w, r, m, d)
+                        expected = hom01.act(x, operator_of_simplex(m, image, d))
+                    else:
+                        expected = E.identity_simplex(f.obj[r], d)
+                    img = f.eval_arrow(r, w, d)
+                    assert img == expected, (x, r, cell)
+                    assert cell not in H.thin or target.is_thin(img), (x, r, cell)
+                    for cut in (i for i, v in enumerate(w[:-1], 1) if v == MINUS):
+                        last, rest = f.eval_arrow(r + cut, w[cut:], d), f.eval_arrow(r, w[:cut], d)
+                        a, b = f.obj[r], f.obj[r + cut]
+                        assert img == E.compose(a, b, f.obj[s], last, rest), (x, r, cell, cut)
+
+
+def _hom_cells(n):
+    """(r, s, hom(r, s), cell) for every cell of every homset of the coherent n-path."""
+    for r in range(n + 1):
+        for s in range(r + 1, n + 1):
+            H = hom_set(r, s)
+            for cell in H.cells():
+                yield r, s, H, cell
+
+
+def test_nerve_act_composes_nothing():
+    # an operator sends generators to generators or identities, so precomposing
+    # reads generator images alone, even on a simplex that evaluated nothing yet
+    from complicial.operators import all_operators
+
+    E = CountingCategory(suspension(from_category(walking_iso(), 4)))
+    cells = [f for n in range(4) for f in nerve_layer(E, n)]
+    E.calls.clear()
+    for f in cells:
+        fresh = NerveSimplex(E, f.n, f.obj, f.images)
+        for n2 in range(4):
+            for alpha in all_operators(n2, f.n):
+                nerve_act(fresh, alpha)
+    assert not E.calls
 
 
 def test_recover_arrow_round_trip():
@@ -272,11 +324,10 @@ def _identity_map(h):
 
 
 def _push(F, f):
-    maps = {}
-    for (r, s), table in f.maps.items():
-        key = (f.obj[r], f.obj[s])
-        maps[(r, s)] = {cid: F.hom_maps[key](img) for cid, img in table.items()}
-    return NerveSimplex(F.target, f.n, tuple(F.obj_map[o] for o in f.obj), maps)
+    images = {
+        (r, w): F.hom_maps[(f.obj[r], f.obj[r + len(w)])](img) for (r, w), img in f.images.items()
+    }
+    return NerveSimplex(F.target, f.n, tuple(F.obj_map[o] for o in f.obj), images)
 
 
 def test_terminal_nerve_is_point():
@@ -302,12 +353,12 @@ def test_nerve_hom_tables_are_stratified_maps():
     for E in (suspension(standard(1)), suspension(from_category(walking_iso(), 3))):
         for n in range(3):
             for f in nerve_layer(E, n):
-                for (r, s), table in f.maps.items():
-                    H = hom_set(r, s)
-                    m = StratifiedMap(
-                        H, E.hom(f.obj[r], f.obj[s]), {c: table[c.w] for c in H.cells()}
-                    )
-                    assert m.validate() == []
+                for r in range(n + 1):
+                    for s in range(r + 1, n + 1):
+                        H = hom_set(r, s)
+                        table = {c: f.eval_arrow(r, c.w, H.dims[c]) for c in H.cells()}
+                        m = StratifiedMap(H, E.hom(f.obj[r], f.obj[s]), table)
+                        assert m.validate() == []
 
 
 def test_desk_nerves_fill_outer_horns_too():
@@ -337,8 +388,9 @@ def test_nerve_normal_form_strips_exactly_the_flats():
 # The library builds the nerve layer by layer, each n-simplex extending its face
 # d_n, and reads degeneracies from the layers below.  These are the direct
 # definitions it must agree with: every generator of every hom searched for
-# each n, candidates in sort_key order, and degeneracy tested by tabulating
-# a face and a degeneracy.
+# each n, candidates in sort_key order, every arrow evaluated through its full
+# split into indecomposables, every thin cell of every hom checked, and
+# degeneracy tested by comparing with a face and a degeneracy.
 
 
 def _eval_partial(E, obj, assigned, r, w, m):
@@ -385,9 +437,15 @@ def _reference_simplices(E, n):
 
         def search(i):
             if i == len(gens):
-                f = _tabulate(E, n, obj, lambda r, w, m: _eval_partial(E, obj, assigned, r, w, m))
-                if f is not None:
-                    results.append(f)
+                if all(
+                    E.hom(obj[r], obj[s]).is_thin(
+                        _eval_partial(E, obj, assigned, r, cell.w, H.dims[cell])
+                    )
+                    for r, s, H, cell in _hom_cells(n)
+                    if cell in H.thin
+                ):
+                    images = {(r, w): img for (r, _, w), img in assigned.items()}
+                    results.append(NerveSimplex(E, n, obj, images))
                 return
             r, s, cell, d = gens[i]
             for z in candidates(r, s, cell, d):
@@ -397,6 +455,21 @@ def _reference_simplices(E, n):
 
         search(0)
     return results
+
+
+def test_eval_arrow_matches_the_full_split():
+    # the library evaluates an arrow by its last factor and memoises; the
+    # reference splits it into every indecomposable factor
+    from complicial.suite import desk_examples
+
+    for _, E in desk_examples():
+        for n in range(4):
+            for f in nerve_layer(E, n):
+                assigned = {(r, r + len(w), w): img for (r, w), img in f.images.items()}
+                for r, _, H, cell in _hom_cells(n):
+                    d = H.dims[cell]
+                    expected = _eval_partial(E, f.obj, assigned, r, cell.w, d)
+                    assert f.eval_arrow(r, cell.w, d) == expected, (f, r, cell)
 
 
 def _degenerate_at(f, j):
