@@ -37,6 +37,10 @@ def degenerate_word(m: int) -> tuple[int, ...]:
 
 
 class EnrichedCategory:
+    """Homsets, identities and composition maps, never mutated after
+    construction: so each composite is evaluated once and then read from a
+    table for the life of the category, by the law checks and the nerve alike."""
+
     def __init__(
         self,
         objects,
@@ -50,6 +54,7 @@ class EnrichedCategory:
         self.identities = dict(identities)
         self.comp = dict(comp)
         self.dim_cap = dim_cap
+        self._composites: dict[tuple, Simplex] = {}
 
     def hom(self, a: str, b: str) -> FiniteStratifiedSet:
         return self.homs[(a, b)]
@@ -58,14 +63,20 @@ class EnrichedCategory:
         return Simplex(self.identities[a], degenerate_word(m))
 
     def compose(self, a: str, b: str, c: str, z_bc: Simplex, z_ab: Simplex) -> Simplex:
-        """Image of the pair under the composition map hom(b,c) (*) hom(a,b)."""
-        cmap = self.comp[(a, b, c)]
-        pair = product_pair_simplex(z_bc, z_ab)
-        if pair.cell not in cmap.assignment:
-            raise CapExceeded(
-                f"composition at {(a, b, c)} undefined beyond the dimension cap"
-            )
-        return cmap(pair)
+        """Image of the pair under the composition map hom(b,c) (*) hom(a,b),
+        from the table keyed (a, b, c, z_bc, z_ab); the map is evaluated only
+        on a key the table lacks."""
+        key = (a, b, c, z_bc, z_ab)
+        z = self._composites.get(key)
+        if z is None:
+            cmap = self.comp[(a, b, c)]
+            pair = product_pair_simplex(z_bc, z_ab)
+            if pair.cell not in cmap.assignment:
+                raise CapExceeded(
+                    f"composition at {(a, b, c)} undefined beyond the dimension cap"
+                )
+            z = self._composites[key] = cmap(pair)
+        return z
 
 
 def make_enriched(
@@ -113,8 +124,13 @@ def _check_units(E: EnrichedCategory) -> None:
 
 
 def _check_associativity(E: EnrichedCategory) -> None:
-    """Associativity on every triple of m-simplices, m <= dim_cap, composing each
-    distinct pair once: the triples are |hom|^3 per dimension, the pairs |hom|^2.
+    """Associativity on every triple (z3, z2, z1) of m-simplices, m <= dim_cap,
+    a row over z1 at a time.  For each (z3, z2) the row of (z3 z2) z1 is built
+    once per distinct z3 z2, and the row of z3 (z2 z1) from the row of z2 z1,
+    built once per z2, through a per-z3 dict; the two rows are compared whole,
+    and only a mismatch looks for the first failing z1.  So the triples are
+    met in the same order as by a loop over them, and the first failure found
+    is the same.
 
     A triple whose components all share a flat is a degeneracy of a lower
     triple, and both composites commute with degeneracies.  An m-simplex of
@@ -122,28 +138,34 @@ def _check_associativity(E: EnrichedCategory) -> None:
     has m at most the sum of the three homs' max_dim(); checking only up to
     there is exact.
     """
-    composites: dict[tuple, Simplex] = {}
-
-    def compose(*key) -> Simplex:
-        z = composites.get(key)
-        if z is None:
-            z = composites[key] = E.compose(*key)
-        return z
-
     for a, b, c, d in product(E.objects, repeat=4):
         hab, hbc, hcd = (E.homs.get(key, empty_set()) for key in ((a, b), (b, c), (c, d)))
         if not (hab.dims and hbc.dims and hcd.dims):
             continue
         for m in range(min(E.dim_cap, hab.max_dim() + hbc.max_dim() + hcd.max_dim()) + 1):
             ones, twos, threes = (list(h.simplices_of_dim(m)) for h in (hab, hbc, hcd))
+            inner = _Rows(lambda z2: [E.compose(a, b, c, z2, z1) for z1 in ones])
+            outer = _Rows(lambda right: [E.compose(a, b, d, right, z1) for z1 in ones])
             for z3 in threes:
+                after = _Rows(lambda y: E.compose(a, c, d, z3, y))
                 for z2 in twos:
-                    right = compose(b, c, d, z3, z2)
-                    for z1 in ones:
-                        lhs = compose(a, b, d, right, z1)
-                        rhs = compose(a, c, d, z3, compose(a, b, c, z2, z1))
-                        if lhs != rhs:
-                            raise LawViolation(f"associativity fails at {(z3, z2, z1)}")
+                    lhs = outer[E.compose(b, c, d, z3, z2)]
+                    rhs = list(map(after.__getitem__, inner[z2]))
+                    if lhs != rhs:
+                        z1 = next(z1 for z1, x, y in zip(ones, lhs, rhs) if x != y)
+                        raise LawViolation(f"associativity fails at {(z3, z2, z1)}")
+
+
+class _Rows(dict):
+    """A dict that fills a missing key k with make(k)."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 # -- suspensions -------------------------------------------------------------

@@ -15,10 +15,14 @@ degeneracies and faces read generator images alone; degeneracies come from
 the layers below, and give every face its normal form.
 
 An arrow is handled as in ``hcpath``: the coordinate tuple w from r at
-dimension m.  Thinness of a nerve simplex above dimension one tests the image
-of the top special simplex of the long homset, the order reversing bijection
-followed by the top minus.  An edge is thin when ``fillers`` on the built set
-finds an equivalence witness pair of thin 2-simplices.
+dimension m.  What the evaluator reads off (w, m) alone, the split into the
+last factor's position, core and degeneracy operator, is cached across
+simplices and builds, and its composites come from the category's table, so
+a build evaluates each composite once.  Thinness of a nerve simplex above
+dimension one tests the image of the top special simplex of the long homset,
+the order reversing bijection followed by the top minus.  An edge is thin
+when ``fillers`` on the built set finds an equivalence witness pair of thin
+2-simplices.
 """
 
 from __future__ import annotations
@@ -74,17 +78,27 @@ class NerveSimplex:
 def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
     """The image of the arrow w from r at dimension m under generator images:
     the core of its last indecomposable factor, acted on by the factor's
-    degeneracy word, composed after rest(r, w[:cut], m) for the arrow before it."""
+    degeneracy operator, composed after rest(r, w[:cut], m) for the arrow before it."""
     if not w:
         return E.identity_simplex(obj[r], m)
-    cut, s = _last_factor(w), r + len(w)
-    core, word = cube_normal_form(w[cut:], m)
+    cut, core, op = _split(w, m)
+    s = r + len(w)
     img = images[(r + cut, core)]
-    if word:
-        img = E.hom(obj[r + cut], obj[s]).act(img, _wop(m, word))
+    if op is not None:
+        img = E.hom(obj[r + cut], obj[s]).act(img, op)
     if not cut:
         return img
     return E.compose(obj[r], obj[r + cut], obj[s], img, rest(r, w[:cut], m))
+
+
+@lru_cache(maxsize=None)
+def _split(w: tuple, m: int) -> tuple[int, Coords, Operator | None]:
+    """What _eval reads off the arrow w at dimension m alone: where its last
+    indecomposable factor starts, that factor's core, and its degeneracy
+    operator (None when nondegenerate)."""
+    cut = _last_factor(w)
+    core, word = cube_normal_form(w[cut:], m)
+    return cut, core, _wop(m, word) if word else None
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +147,9 @@ def _extensions(E, g: NerveSimplex, o: str, last, thin) -> list[NerveSimplex]:
     The generators of hom(r, n) come in (dim, r, cell) order, so the faces of
     each are known when it is reached: the search never meets a missing image.
     Every hom(r, s) with s < n belongs to g, already checked, so a finished
-    search checks only that the thin cells of each hom(r, n) land thin.
+    search checks only that the thin cells of each hom(r, n) land thin.  The
+    search is depth first with a stack rather than recursion: at n = 6 the
+    generators of the homs into n number 1,267, past the recursion limit.
     """
     n, obj = g.n + 1, g.obj + (o,)
     images = dict(g.images)
@@ -142,19 +158,26 @@ def _extensions(E, g: NerveSimplex, o: str, last, thin) -> list[NerveSimplex]:
     def image(r: int, w: tuple, m: int) -> Simplex:
         return _eval(E, obj, images, r, w, m, g.eval_arrow)
 
-    def search(i: int):
-        if i == len(last):
-            if all(E.hom(obj[r], o).is_thin(image(r, w, m)) for r, w, m in thin):
-                found.append(NerveSimplex(E, n, obj, dict(images)))
-            return
+    def candidates(i: int):
         r, w, d, face_ws, is_thin = last[i]
         faces = {j: image(r, v, d - 1) for j, v in enumerate(face_ws)}
-        for z in E.hom(obj[r], o).fillers(d, faces, is_thin):
-            images[(r, w)] = z
-            search(i + 1)
-        images.pop((r, w), None)
+        return E.hom(obj[r], o).fillers(d, faces, is_thin)
 
-    search(0)
+    # depth first, one fillers iterator per generator on the stack
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        key = last[i][:2]
+        z = next(stack[i], None)
+        if z is None:
+            stack.pop()
+            images.pop(key, None)
+        else:
+            images[key] = z
+            if i + 1 < len(last):
+                stack.append(candidates(i + 1))
+            elif all(E.hom(obj[r], o).is_thin(image(r, w, m)) for r, w, m in thin):
+                found.append(NerveSimplex(E, n, obj, dict(images)))
     return found
 
 

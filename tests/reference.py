@@ -267,15 +267,35 @@ def discrete_enriched(cat: FiniteCategory) -> EnrichedCategory:
 
 
 class CountingCategory(EnrichedCategory):
-    """An enriched category that counts how often each pair is composed."""
+    """An enriched category that counts, per key, how often a pair is composed
+    (calls, keyed as compose's arguments) and how often a composition map is
+    evaluated on it (evaluations, keyed (a, b, c, pair simplex); the pair
+    simplex determines the two simplices it holds)."""
 
     def __init__(self, E: EnrichedCategory):
-        super().__init__(E.objects, E.homs, E.identities, E.comp, E.dim_cap)
         self.calls = Counter()
+        self.evaluations = Counter()
+        comp = {
+            key: _CountedMap(m.source, m.target, m.assignment, key, self.evaluations)
+            for key, m in E.comp.items()
+        }
+        super().__init__(E.objects, E.homs, E.identities, comp, E.dim_cap)
 
     def compose(self, *key):
         self.calls[key] += 1
         return super().compose(*key)
+
+
+@dataclass(frozen=True)
+class _CountedMap(StratifiedMap):
+    """A composition map at key (a, b, c) adding each evaluation to counter."""
+
+    key: tuple = ()
+    counter: Counter = None
+
+    def __call__(self, s: Simplex) -> Simplex:
+        self.counter[self.key + (s,)] += 1
+        return super().__call__(s)
 
 
 def _exhaustive_units(E):

@@ -111,6 +111,22 @@ def test_nerve_of_suspension(tmp_path, capsys):
     assert data["census"] == {"0": "2", "1": "1"} or data["census"] == {"0": 2, "1": 1}
 
 
+def test_nerve_at_dimension_six_exits_cleanly(tmp_path):
+    # run as a process, so that a traceback would reach stderr
+    cat_file = tmp_path / "susp.json"
+    cat_file.write_text(json.dumps(enriched_to_json(suspension(standard(0)))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "complicial.cli", "nerve", str(cat_file), "--dmax", "6"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr.decode()
+    assert json.loads(proc.stdout)["census"] == {"0": 2, "1": 1}
+
+
 def test_verify_cert_roundtrip(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(certificate_to_json(builtin_certificates()[0])))

@@ -86,6 +86,14 @@ PINS = {
         lambda: set_to_json(build_nerve(suspension(complicial(2, 1)), 4)),
         "4996c6db6d7a857d3edcecdc07c923dfd443d226d9c53b90f0bf8f00558a6f16",
     ),
+    "nerve of suspension(standard(1)), D = 5": (
+        lambda: set_to_json(build_nerve(suspension(standard(1)), 5)),
+        "24702d6944e07500fe67415fc3b92fb5237fffff4ba8b380c6b73efaad02427f",
+    ),
+    "nerve of one_object_group_enriched(2, 4), D = 4": (
+        lambda: set_to_json(build_nerve(one_object_group_enriched(2, 4), 4)),
+        "e83a526ef5f675fcdcb4e7c5339487b5261d8f171caa184c638c293be631d8a9",
+    ),
     "nerve of one_object_group_enriched(3, 3)": (
         lambda: set_to_json(build_nerve(one_object_group_enriched(3, 3), 3)),
         "65f2159090bfe862f6b030799bb38c6168a8476c63e0f8fe2c682f5736317fd3",

@@ -17,6 +17,7 @@ from complicial.enriched import (
     walking_arrow,
     walking_iso,
 )
+from complicial.nerve import build_nerve
 from complicial.shapes import standard
 from complicial.stratified import (
     FiniteStratifiedSet,
@@ -210,12 +211,12 @@ def _corrupted_suspension():
     return EnrichedCategory(E.objects, E.homs, E.identities, comp, E.dim_cap)
 
 
-def _swapped_group():
-    """The cyclic group of order 3 enriched at cap 2, with the images of the first
-    two 2-cells of the composition map's source swapped."""
-    E = one_object_group_enriched(3, 2)
+def _swapped_group(cap: int):
+    """The cyclic group of order 3 enriched at cap, with the images of the first
+    two cap-cells of the composition map's source swapped."""
+    E = one_object_group_enriched(3, cap)
     cmap = E.comp[("*", "*", "*")]
-    x, y = list(cmap.source.cells_of_dim(2))[:2]
+    x, y = list(cmap.source.cells_of_dim(cap))[:2]
     assignment = dict(cmap.assignment)
     assignment[x], assignment[y] = assignment[y], assignment[x]
     comp = {("*", "*", "*"): StratifiedMap(cmap.source, cmap.target, assignment)}
@@ -228,26 +229,37 @@ def test_bounded_law_checks_agree_with_the_exhaustive_loops():
     examples = [E for _, E in desk_examples()] + [
         one_object_group_enriched(2, 3),
         one_object_group_enriched(3, 2),
-        _swapped_group(),
+        _swapped_group(2),
+        _swapped_group(3),
         _corrupted_suspension(),
     ]
     for E in examples:
         assert _outcome(_check_units, E) == _outcome(_exhaustive_units, E)
         assert _outcome(_check_associativity, E) == _outcome(_exhaustive_associativity, E)
-    swapped, corrupted = examples[-2:]
+    swapped, swapped3, corrupted = examples[-3:]
     assert _outcome(_check_associativity, swapped) == (
         "associativity fails at (Simplex(cell='*:g1', word=(0,)), "
         "Simplex(cell='*:g1', word=(0,)), Simplex(cell='*:g1', word=(1,)))"
+    )
+    # a row of 3-simplices that first differs past its first entry
+    assert _outcome(_exhaustive_associativity, swapped3) == (
+        "associativity fails at (Simplex(cell='*:g1', word=(1, 0)), "
+        "Simplex(cell='*:g1', word=(1, 0)), Simplex(cell='*:g1|g1', word=(2,)))"
     )
     assert "unit law fails at Simplex(cell='0.1.2', word=())" in _outcome(_check_units, corrupted)
     assert "associativity fails" in _outcome(_check_associativity, corrupted)
 
 
 def test_associativity_check_composes_each_pair_once():
-    # the triples of 3-simplices alone are 27^3; composing per triple is cubic
+    # the triples of 3-simplices alone are 27^3, and the unit check and the nerve
+    # compose pairs the associativity check composed: the category's table
+    # evaluates each pair once for all of them
     E = CountingCategory(one_object_group_enriched(3, 3))
+    _check_units(E)
     _check_associativity(E)
-    assert E.calls and max(E.calls.values()) == 1
+    checked = set(E.calls)
+    build_nerve(E, 3)
+    assert set(E.calls) & checked and max(E.evaluations.values()) == 1
 
 
 # -- functor validation stops where composition can first fail to be preserved --

@@ -197,6 +197,14 @@ def test_build_nerve_of_susp_point_is_interval():
     assert sum(1 for _ in N.simplices_of_dim(2)) == 4
 
 
+def test_build_nerve_reaches_dimension_six():
+    # the homs into 6 have 1,267 generators, past the recursion limit, so the
+    # filler search must not recurse once per generator
+    assert sum(1 for g in _generators(6) if g[1] == 6) == 1267
+    N = build_nerve(suspension(standard(0)), 6)
+    assert N.count_nondegenerate() == {0: 2, 1: 1}
+
+
 def test_build_nerve_validates():
     for E in (suspension(standard(1)), one_object_group_enriched(2, 3)):
         N = build_nerve(E, 3)
