@@ -12,7 +12,7 @@ set, and ``_applied`` builds the extended subset; ``replay_states``,
 ``verify_certificate`` and ``search_tower`` run on the pair.  A horn step glues
 a thin top cell along a horn that must already be present; a thinness step
 upgrades one face to thin.  Two invariants hold throughout: the subset is
-face-closed, and its flags are thin in the ambient.  ``_start_problems`` checks
+face-closed, and its flags are thin in the ambient.  ``_start_problem`` checks
 them at the start and every step keeps them, so a horn is present once its n
 faces d_j, j != k, are, a present top cell brings all of its faces, and a
 flagged face is thin in the ambient.  The side conditions are exactly those
@@ -198,18 +198,18 @@ class AnodyneCertificate:
     note: str = ""
 
 
-def _start_problems(Z: FiniteStratifiedSet, start: SubsetHandle) -> list[str]:
-    """The first way start breaks the invariants every step keeps, if any: its
+def _start_problem(Z: FiniteStratifiedSet, start: SubsetHandle) -> str | None:
+    """The first way start breaks the invariants every step keeps, or None: its
     cells are cells of Z, its flags are thin in Z, and it is face-closed."""
     for c in start.members:
         if c not in Z.dims:
-            return [f"start names unknown cell {c!r}"]
+            return f"start names unknown cell {c!r}"
     if not start.thin_members <= start.members & Z.thin:
-        return ["start thin flags exceed the ambient stratification"]
+        return "start thin flags exceed the ambient stratification"
     for c in Z.cells():
         if c in start.members and any(s.cell not in start.members for s in Z.faces.get(c, ())):
-            return [f"start is not face-closed at {c!r}"]
-    return []
+            return f"start is not face-closed at {c!r}"
+    return None
 
 
 def _step_violation(
@@ -285,9 +285,9 @@ def replay_states(cert: AnodyneCertificate):
     the first step that fails its side conditions.
     """
     Z, members, flags = cert.ambient, cert.start.members, cert.start.thin_members
-    problems = _start_problems(Z, cert.start)
-    if problems:
-        raise BadParams(problems[0])
+    problem = _start_problem(Z, cert.start)
+    if problem is not None:
+        raise BadParams(problem)
     for idx, step in enumerate(cert.steps):
         err = _step_violation(Z, members, flags, step)
         if err is not None:
@@ -325,29 +325,18 @@ def builtin_certificates() -> list[AnodyneCertificate]:
     """
     certs: list[AnodyneCertificate] = []
 
-    # square, k = 1
-    C12 = big_C(2, 1)
-    certs.append(
-        AnodyneCertificate(
-            ambient=C12,
-            start=big_H(2, 1),
-            finish=SubsetHandle(C12, frozenset(C12.dims), C12.thin),
-            steps=(Step("horn", 2, 1, Coords((2, 1))), Step("horn", 2, 0, Coords((1, 2)))),
-            note="square horn, k=1",
+    # the squares C^1_2 and its dual C^2_2 attach the same two cells in opposite orders
+    for k, first, second in ((1, (2, 1), (1, 2)), (2, (1, 2), (2, 1))):
+        C = big_C(2, k)
+        certs.append(
+            AnodyneCertificate(
+                ambient=C,
+                start=big_H(2, k),
+                finish=SubsetHandle(C, frozenset(C.dims), C.thin),
+                steps=(Step("horn", 2, 1, Coords(first)), Step("horn", 2, 0, Coords(second))),
+                note=f"square horn, k={k}",
+            )
         )
-    )
-
-    # square, k = 2 (dual)
-    C22 = big_C(2, 2)
-    certs.append(
-        AnodyneCertificate(
-            ambient=C22,
-            start=big_H(2, 2),
-            finish=SubsetHandle(C22, frozenset(C22.dims), C22.thin),
-            steps=(Step("horn", 2, 1, Coords((1, 2))), Step("horn", 2, 0, Coords((2, 1)))),
-            note="square horn, k=2",
-        )
-    )
 
     # 3-cube horn through the V tower
     Chat = hatted_C23()
@@ -405,7 +394,7 @@ def search_tower(
     if start.ambient is not finish.ambient:
         raise UnknownCell("start and finish live in different ambient sets")
     Z = start.ambient
-    if _start_problems(Z, start):
+    if _start_problem(Z, start) is not None:
         return None
     target_members, target_flags = finish.members, finish.thin_members
     attempts = 0

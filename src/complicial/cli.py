@@ -1,9 +1,14 @@
 """Batch front door: build shapes, run reports, verify certificates.
 
-Exit status is 0 on pass, 1 on a verification failure, and 2 on usage or
-parse errors.  Each JSON input is read once by the checked reader of its format
-(``set_from_json``, ``certificate_from_json``, ``tower_problem_from_json``, and
-the enriched and category readers below); malformed input exits 2.
+Each verb is one row of ``VERBS``: its help text, its arguments and its
+handler.  A handler takes the parsed arguments and returns the JSON payload to
+write (or None) and its verdict; ``main`` writes the payload once, through
+``_write_json``, and maps the verdict or a ``ComplicialError`` to the exit
+status: 0 on pass, 1 on a verification failure, and 2 on usage or parse errors,
+an ``--out`` that cannot be written among them.  Each JSON input is read once
+by the checked reader of its format (``set_from_json``,
+``certificate_from_json``, ``tower_problem_from_json``, and the enriched and
+category readers below); malformed input exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .anodyne import (
     tower_problem_from_json,
     verify_certificate,
 )
-from .errors import BadParams, ComplicialError, ParseError, UnknownShape
+from .errors import BadParams, ComplicialError, ParseError
 from .stratified import (
     json_field,
     set_from_json,
@@ -51,7 +56,7 @@ SHAPES = {
 
 def _build_shape(name: str, n: int, k: int | None):
     if name not in SHAPES:
-        raise UnknownShape(f"unknown shape {name!r}; choose from {sorted(SHAPES)}")
+        raise BadParams(f"unknown shape {name!r}; choose from {sorted(SHAPES)}")
     build, least_n, least_k = SHAPES[name]
     if least_k is None and k is not None:
         raise BadParams(f"shape {name!r} takes no --k")
@@ -72,12 +77,19 @@ def _load_json(path: str):
 def _write_json(path: str | None, payload: dict) -> None:
     """Write the payload as indented JSON with sorted keys and a final newline,
     to stdout when path is None or "-", streamed in batches of encoder chunks
-    so the whole text is never held at once."""
+    so the whole text is never held at once; BadParams if the file at path
+    cannot be opened or written."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
-        while batch := "".join(islice(chunks, 1 << 12)):
-            fh.write(batch)
-        fh.write("\n")
+    to_stdout = path in (None, "-")
+    try:
+        with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
+            while batch := "".join(islice(chunks, 1 << 12)):
+                fh.write(batch)
+            fh.write("\n")
+    except OSError as exc:
+        if to_stdout:
+            raise
+        raise BadParams(f"cannot write {path}: {exc}") from exc
 
 
 def _distinct(objects: list[str], path: str) -> list[str]:
@@ -177,17 +189,85 @@ def _category_from_json(data):
     return cat
 
 
-# verb -> (help, positional argument, least --dmax or None for a verb without it)
+# -- one handler per verb: args -> (payload to write, or None, and the verdict) --
+
+
+def _shape(args):
+    return set_to_json(_build_shape(args.name, args.n, args.k)), True
+
+
+def _check(args):
+    X = set_from_json(_load_json(args.input))
+    rep = rlp_report(X, args.dmax, args.mode)
+    return rep.to_json(), rep.ok
+
+
+def _nerve(args):
+    from .nerve import build_nerve
+
+    E = _enriched_from_json(_load_json(args.input))
+    N = build_nerve(E, args.dmax)
+    census, payload = N.count_nondegenerate(), set_to_json(N)
+    payload["census"] = {str(d): c for d, c in census.items()}
+    payload["thin_census"] = {str(d): sum(c in N.thin for c in N.cells_of_dim(d)) for d in census}
+    return payload, True
+
+
+def _verify_cert(args):
+    problems = verify_certificate(certificate_from_json(_load_json(args.input)))
+    return {"pass": not problems, "problems": problems}, not problems
+
+
+def _search_tower(args):
+    start, finish = tower_problem_from_json(_load_json(args.input), "problem")
+    cert = search_tower(start, finish, args.budget)
+    if cert is None:
+        return {"found": False}, False
+    return dict(certificate_to_json(cert), found=True), True
+
+
+def _paper_suite(args):
+    from .suite import paper_suite
+
+    report = paper_suite(seed=args.seed)
+    for item in report.items:
+        status = "PASS" if item.ok else "FAIL"
+        print(f"{status} {item.name}" + (f" ({item.detail})" if item.detail else ""))
+    return report.to_json() if args.out else None, report.ok
+
+
+def _sigma(args):
+    from .enriched import suspension
+
+    return enriched_to_json(suspension(set_from_json(_load_json(args.input)))), True
+
+
+def _from_category(args):
+    from .enriched import from_category
+
+    cat = _category_from_json(_load_json(args.input))
+    return set_to_json(from_category(cat, args.dmax)), True
+
+
+def _validate_gray(args):
+    from .enriched import validate_gray
+
+    rep = validate_gray(_enriched_from_json(_load_json(args.input)), args.dmax)
+    homs = {f"{a};{b}": r.to_json() for (a, b), r in rep["homs"].items()}
+    return {"pass": rep["pass"], "homs": homs}, rep["pass"]
+
+
+# verb -> (help, positional argument, least --dmax or None for a verb without it, handler)
 VERBS = {
-    "shape": ("emit a named stratified set", "name", None),
-    "check": ("lifting report on a stratified set", "input", 1),
-    "nerve": ("nerve of an enriched category", "input", 0),
-    "verify-cert": ("verify an anodyne certificate", "input", None),
-    "search-tower": ("search for a certificate", "input", None),
-    "paper-suite": ("run the verification bundle", None, None),
-    "sigma": ("suspension of a stratified set", "input", None),
-    "from-category": ("equivalence-stratified nerve", "input", 0),
-    "validate-gray": ("homwise lifting reports", "input", 1),
+    "shape": ("emit a named stratified set", "name", None, _shape),
+    "check": ("lifting report on a stratified set", "input", 1, _check),
+    "nerve": ("nerve of an enriched category", "input", 0, _nerve),
+    "verify-cert": ("verify an anodyne certificate", "input", None, _verify_cert),
+    "search-tower": ("search for a certificate", "input", None, _search_tower),
+    "paper-suite": ("run the verification bundle", None, None, _paper_suite),
+    "sigma": ("suspension of a stratified set", "input", None, _sigma),
+    "from-category": ("equivalence-stratified nerve", "input", 0, _from_category),
+    "validate-gray": ("homwise lifting reports", "input", 1, _validate_gray),
 }
 
 
@@ -195,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="complicial")
     sub = parser.add_subparsers(dest="verb", required=True)
     verbs = {}
-    for verb, (text, positional, least_dmax) in VERBS.items():
+    for verb, (text, positional, least_dmax, _) in VERBS.items():
         p = verbs[verb] = sub.add_parser(verb, help=text)
         if positional:
             p.add_argument(positional)
@@ -219,97 +299,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        return _dispatch(args)
+        payload, ok = VERBS[args.verb][3](args)
+        if payload is not None:
+            _write_json(args.out, payload)
     except ComplicialError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ParseError, UnknownShape, BadParams)) else 1
-
-
-def _dispatch(args) -> int:
-    if args.verb == "shape":
-        X = _build_shape(args.name, args.n, args.k)
-        _write_json(args.out, set_to_json(X))
-        return 0
-
-    if args.verb == "check":
-        X = set_from_json(_load_json(args.input))
-        rep = rlp_report(X, args.dmax, args.mode)
-        _write_json(args.out, rep.to_json())
-        return 0 if rep.ok else 1
-
-    if args.verb == "nerve":
-        from .nerve import build_nerve
-
-        E = _enriched_from_json(_load_json(args.input))
-        N = build_nerve(E, args.dmax)
-        payload = set_to_json(N)
-        payload["census"] = {
-            str(d): c for d, c in sorted(N.count_nondegenerate().items())
-        }
-        payload["thin_census"] = {
-            str(d): sum(1 for c in N.cells_of_dim(d) if c in N.thin)
-            for d in sorted(N.count_nondegenerate())
-        }
-        _write_json(args.out, payload)
-        return 0
-
-    if args.verb == "verify-cert":
-        cert = certificate_from_json(_load_json(args.input))
-        problems = verify_certificate(cert)
-        _write_json(args.out, {"pass": not problems, "problems": problems})
-        return 0 if not problems else 1
-
-    if args.verb == "search-tower":
-        start, finish = tower_problem_from_json(_load_json(args.input), "problem")
-        cert = search_tower(start, finish, args.budget)
-        if cert is None:
-            _write_json(args.out, {"found": False})
-            return 1
-        payload = certificate_to_json(cert)
-        payload["found"] = True
-        _write_json(args.out, payload)
-        return 0
-
-    if args.verb == "paper-suite":
-        from .suite import paper_suite
-
-        report = paper_suite(seed=args.seed)
-        for item in report.items:
-            status = "PASS" if item.ok else "FAIL"
-            print(f"{status} {item.name}" + (f" ({item.detail})" if item.detail else ""))
-        if args.out:
-            _write_json(args.out, report.to_json())
-        return 0 if report.ok else 1
-
-    if args.verb == "sigma":
-        from .enriched import suspension
-
-        X = set_from_json(_load_json(args.input))
-        _write_json(args.out, enriched_to_json(suspension(X)))
-        return 0
-
-    if args.verb == "from-category":
-        from .enriched import from_category
-
-        cat = _category_from_json(_load_json(args.input))
-        _write_json(args.out, set_to_json(from_category(cat, args.dmax)))
-        return 0
-
-    if args.verb == "validate-gray":
-        from .enriched import validate_gray
-
-        E = _enriched_from_json(_load_json(args.input))
-        rep = validate_gray(E, args.dmax)
-        payload = {
-            "pass": rep["pass"],
-            "homs": {
-                f"{a};{b}": r.to_json() for (a, b), r in rep["homs"].items()
-            },
-        }
-        _write_json(args.out, payload)
-        return 0 if rep["pass"] else 1
-
-    raise BadParams(f"unknown verb {args.verb!r}")
+        return 2 if isinstance(exc, (ParseError, BadParams)) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -17,10 +17,6 @@ class Mismatch(ComplicialError):
     pass
 
 
-class DimensionMismatch(ComplicialError):
-    pass
-
-
 class UnknownCell(ComplicialError):
     pass
 
@@ -53,10 +49,6 @@ class StepViolation(ComplicialError):
 
 
 class ParseError(ComplicialError):
-    pass
-
-
-class UnknownShape(ComplicialError):
     pass
 
 

@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import (
     BadParams,
-    DimensionMismatch,
+    Mismatch,
     OutOfRange,
     ParseError,
     UnknownCell,
@@ -139,7 +139,7 @@ class FiniteStratifiedSet:
         """Normal form of s . alpha, computed through the stored face tables."""
         q = self.simplex_dim(s)
         if alpha.m != q:
-            raise DimensionMismatch(f"operator targets [{alpha.m}], simplex has dim {q}")
+            raise Mismatch(f"operator targets [{alpha.m}], simplex has dim {q}")
         beta = compose_ops(word_operator(q, s.word), alpha) if s.word else alpha
         return self._act_cell(s.cell, beta)
 

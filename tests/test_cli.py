@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from complicial.anodyne import builtin_certificates, certificate_to_json
-from complicial.cli import _write_json, enriched_to_json, main
+from complicial.cli import VERBS, _write_json, enriched_to_json, main
 from complicial.enriched import EnrichedCategory, point_set, suspension
 from complicial.errors import BadParams
 from complicial.shapes import big_C, big_H, cube, standard
@@ -470,6 +470,42 @@ def test_out_of_range_argument_is_usage_error(case, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+# one well-formed run of every verb, and the document it reads, if any
+VERB_RUNS = {
+    "shape": (["shape", "delta", "--n", "1"], None),
+    "check": (["check", "--dmax", "1"], delta2),
+    "nerve": (["nerve", "--dmax", "1"], suspended_point),
+    "verify-cert": (["verify-cert"], lambda: certificate_to_json(builtin_certificates()[0])),
+    "search-tower": (["search-tower", "--budget", "10"], tower_problem),
+    "paper-suite": (["paper-suite"], None),
+    "sigma": (["sigma"], delta2),
+    "from-category": (["from-category", "--dmax", "1"], walking_arrow_json),
+    "validate-gray": (["validate-gray", "--dmax", "1"], suspended_point),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "full-device"])
+def test_unwritable_out_is_usage_error(verb, target, tmp_path, capsys):
+    args, doc = VERB_RUNS[verb]
+    if doc is not None:
+        in_file = tmp_path / "in.json"
+        in_file.write_text(json.dumps(doc()))
+        args = [args[0], str(in_file), *args[1:]]
+    (tmp_path / "directory").mkdir()
+    out = {
+        "missing-directory": tmp_path / "missing" / "out.json",
+        "directory": tmp_path / "directory",
+        "full-device": Path("/dev/full"),  # opens, then every write fails
+    }[target]
+    code = main([*args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists() and not any((tmp_path / "directory").iterdir())
 
 
 def test_enriched_writer_rejects_separator_in_object_names():

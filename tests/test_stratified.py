@@ -4,6 +4,7 @@ from complicial.anodyne import hatted_C23
 from complicial.errors import (
     BadParams,
     CapExceeded,
+    Mismatch,
     OutOfRange,
     UnknownCell,
     ZeroDimensional,
@@ -92,6 +93,15 @@ def test_act_total_degeneracy_of_vertex():
     word_op = compose_ops(sigma(0, 0), sigma(1, 1))
     out = X.act(s, compose_ops(word_op, identity(2)))
     assert out.cell == (1,) and len(out.word) == 2
+
+
+def test_act_rejects_an_operator_with_the_wrong_target():
+    # the operator must target the dimension of the simplex, degenerate or not
+    X = standard(2)
+    with pytest.raises(Mismatch, match=r"operator targets \[1\], simplex has dim 2"):
+        X.act(Simplex((0, 1, 2)), delta(1, 0))
+    with pytest.raises(Mismatch, match=r"operator targets \[2\], simplex has dim 1"):
+        X.act(Simplex((1,), (0,)), delta(2, 0))
 
 
 def test_act_functorial_exhaustive():
