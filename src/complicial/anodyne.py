@@ -71,64 +71,64 @@ def _ks_for_mode(n: int, mode: str) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _admissible_faces(n: int, k: int, top: int) -> tuple[Operator, ...]:
-    """Injective proper faces of [n] whose image covers k-1, k, k+1, up to
-    dimension top.  Above the top dimension of a set every simplex is
-    degenerate, hence thin, so a thinness check stops there exactly."""
+def _thin_faces(n: int, k: int, top: int, primed: bool = False) -> tuple[Operator, ...]:
+    """The proper faces of [n] up to dimension top that the k-complicial n-simplex
+    makes thin, those covering k-1, k, k+1, and with primed also d_{k-1}, d_{k+1}.
+    Above the top dimension of a set every simplex is degenerate, hence thin."""
     needed = admissible_vertices(n, k)
+    primed_missing = needed - {k} if primed else frozenset()
     return tuple(
         alpha
         for m in range(min(n, top + 1))
         for alpha in all_injections(m, n)
-        if needed <= set(alpha.values)
+        if needed <= set(alpha.values) or (m == n - 1 and not primed_missing <= set(alpha.values))
     )
 
 
+def _unthin_face(X: FiniteStratifiedSet, s: Simplex, faces, thin) -> Operator | None:
+    """The first of faces whose image under s is neither degenerate nor in thin, or None."""
+    for alpha in faces:
+        img = X.act(s, alpha)
+        if not img.is_degenerate and img.cell not in thin:
+            return alpha
+    return None
+
+
 def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
-    """Enumerate horn maps as tuples of the n-1 face images, backtracking.
+    """Enumerate horn maps as their n face images d_j, j != k, backtracking.
 
     Faces are assigned in increasing order, so each earlier face i fixes face i
-    of face j, and the candidates for face j are fillers of those faces.
+    of face j, and the candidates for face j are fillers of those faces.  Face
+    j of the k-complicial n-simplex is a standard simplex when j is k-1 or k+1,
+    and otherwise the thin (k - [j < k])-complicial (n-1)-simplex, whose thin
+    faces are checked as soon as it is chosen.
     """
     face_idx = [j for j in range(n + 1) if j != k]
     admissible = admissible_vertices(n, k)
-    # the smaller admissible faces of the horn must land thin as well; each is
-    # a face beta of some face j of the horn
-    deep_thin = []
-    for alpha in _admissible_faces(n, k, X.max_dim()):
-        if alpha.n < n - 1:
-            j = next(i for i in range(n + 1) if i != k and i not in alpha.values)
-            vals = tuple(v if v < j else v - 1 for v in alpha.values)
-            deep_thin.append((j, Operator(alpha.n, n - 1, vals)))
-
     assignment: dict[int, Simplex] = {}
 
     def search(pos: int) -> Iterator[dict]:
         if pos == len(face_idx):
-            if all(X.is_thin(X.act(assignment[j], beta)) for j, beta in deep_thin):
-                yield dict(assignment)
+            yield dict(assignment)
             return
         j = face_idx[pos]
-        # the horn is thin on face j unless vertex j is admissible
+        thin = j not in admissible
+        inner = _thin_faces(n - 1, k - (j < k), X.max_dim()) if thin else ()
         faces = {i: X.act(t, delta(n - 1, j - 1)) for i, t in assignment.items()}
-        for s in X.fillers(n - 1, faces, j not in admissible):
-            assignment[j] = s
-            yield from search(pos + 1)
-            del assignment[j]
+        for s in X.fillers(n - 1, faces, thin):
+            if _unthin_face(X, s, inner, X.thin) is None:
+                assignment[j] = s
+                yield from search(pos + 1)
+                del assignment[j]
 
     yield from search(0)
 
 
 def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simplex]:
     """Simplices carrying a map from the primed complicial simplex."""
-    primed = admissible_vertices(n, k) - {k}
-    admissible = _admissible_faces(n, k, X.max_dim())
+    faces = _thin_faces(n, k, X.max_dim(), primed=True)
     for z in X.simplices_of_dim(n):
-        if (
-            X.is_thin(z)
-            and all(X.is_thin(X.act(z, alpha)) for alpha in admissible)
-            and all(X.is_thin(X.act(z, delta(n, j))) for j in primed)
-        ):
+        if X.is_thin(z) and _unthin_face(X, z, faces, X.thin) is None:
             yield z
 
 
@@ -225,20 +225,18 @@ def _step_violation(
         return f"attach cell {cell!r} not in ambient"
     if Z.dims[cell] != n:
         return f"attach cell has dimension {Z.dims[cell]}, expected {n}"
-    top = Simplex(cell)
     if step.kind != "thinness":
-        if not Z.is_thin(top):
+        if cell not in Z.thin:
             return "top cell image is not thin in the ambient"
+        if cell in members:
+            return "top cell image already present"
         for j in range(n + 1):
             if j != k and Z.faces[cell][j].cell not in members:
                 face = [v for v in range(n + 1) if v != j]
                 return f"horn face {face} not inside the current subset"
-        for alpha in _admissible_faces(n, k, Z.max_dim()):
-            img = Z.act(top, alpha)
-            if not (img.is_degenerate or img.cell in flags):
-                return f"thin horn face {list(alpha.values)} lacks its thin flag"
-        if cell in members:
-            return "top cell image already present"
+        alpha = _unthin_face(Z, Simplex(cell), _thin_faces(n, k, Z.max_dim()), flags)
+        if alpha is not None:
+            return f"thin horn face {list(alpha.values)} lacks its thin flag"
         missing = Z.faces[cell][k]
         if missing.is_degenerate:
             return "face through k is degenerate"
@@ -255,14 +253,9 @@ def _step_violation(
         return "face through k is not thin in the ambient"
     if cell not in flags:
         return "top cell lacks its thin flag"
-    for alpha in _admissible_faces(n, k, Z.max_dim()):
-        img = Z.act(top, alpha)
-        if not (img.is_degenerate or img.cell in flags):
-            return f"admissible face {list(alpha.values)} lacks its thin flag"
-    for j in sorted(admissible_vertices(n, k) - {k}):
-        img = Z.faces[cell][j]
-        if not (img.is_degenerate or img.cell in flags):
-            return f"primed face {j} lacks its thin flag"
+    alpha = _unthin_face(Z, Simplex(cell), _thin_faces(n, k, Z.max_dim(), primed=True), flags)
+    if alpha is not None:
+        return f"thin face {list(alpha.values)} of the primed simplex lacks its thin flag"
     return None
 
 
@@ -386,47 +379,38 @@ def hatted_C23() -> FiniteStratifiedSet:
 def search_tower(
     start: SubsetHandle, finish: SubsetHandle, budget: int
 ) -> AnodyneCertificate | None:
-    """Backtracking search for a tower from start to finish, or None.
+    """Depth-first search for a tower from start to finish, or None.
 
-    Candidate steps are tried in the deterministic order (dimension, cell,
-    k, kind); the budget bounds the number of candidate applications.
+    Every step (cell, k, kind) is a candidate, tried in that order with the
+    cells in the ambient's order.  The budget bounds the steps applied, and
+    each subset (members, flags) is expanded at most once.
     """
     if start.ambient is not finish.ambient:
         raise UnknownCell("start and finish live in different ambient sets")
     Z = start.ambient
     if _start_problem(Z, start) is not None:
         return None
-    target_members, target_flags = finish.members, finish.thin_members
+    target = (finish.members, finish.thin_members)
+    candidates = [
+        Step(kind, Z.dims[c], k, c) for c in Z.cells() for k in range(Z.dims[c] + 1)
+        for kind in STEP_KINDS
+    ]
+    expanded = set()
     attempts = 0
-
-    def candidates(members: frozenset) -> Iterator[Step]:
-        for cell in Z.cells():
-            d = Z.dims[cell]
-            if d < 1:
-                continue
-            for k in range(d + 1):
-                if cell not in members and cell in target_members:
-                    yield Step("horn", d, k, cell)
-                    yield Step("thin-horn", d, k, cell)
-                if cell in members and d >= 2:
-                    yield Step("thinness", d, k, cell)
 
     def dfs(members: frozenset, flags: frozenset, steps: tuple) -> tuple[Step, ...] | None:
         nonlocal attempts
-        if members == target_members and flags == target_flags:
+        if (members, flags) == target:
             return steps
-        for step in candidates(members):
+        expanded.add((members, flags))
+        for step in candidates:
             if _step_violation(Z, members, flags, step) is not None:
                 continue
-            nxt_members, nxt_flags = _applied(Z, members, flags, step)
-            if step.kind == "thinness" and nxt_flags == flags:
-                continue  # a thinness step that flags nothing new is a no-op
-            if not nxt_members <= target_members or not nxt_flags <= target_flags:
+            nxt = _applied(Z, members, flags, step)
+            if nxt in expanded or not (nxt[0] <= target[0] and nxt[1] <= target[1]):
                 continue
             attempts += 1
-            if attempts > budget:
-                return None
-            found = dfs(nxt_members, nxt_flags, steps + (step,))
+            found = None if attempts > budget else dfs(*nxt, steps + (step,))
             if found is not None or attempts > budget:
                 return found
         return None

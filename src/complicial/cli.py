@@ -5,8 +5,10 @@ handler.  A handler takes the parsed arguments and returns the JSON payload to
 write (or None) and its verdict; ``main`` writes the payload once, through
 ``_write_json``, and maps the verdict or a ``ComplicialError`` to the exit
 status: 0 on pass, 1 on a verification failure, and 2 on usage or parse errors,
-an ``--out`` that cannot be written among them.  Each JSON input is read once
-by the checked reader of its format (``set_from_json``,
+an ``--out`` that cannot be written among them, refused before the handler
+runs when it is a directory or lies in a missing one.  A reader that closes
+stdout early leaves the exit status to the verdict.  Each JSON input is read
+once by the checked reader of its format (``set_from_json``,
 ``certificate_from_json``, ``tower_problem_from_json``, and the enriched and
 category readers below); malformed input exits 2.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice, product
@@ -298,10 +301,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    ok = False
     try:
+        # an --out that cannot be a file is refused before the verb does its work
+        out = os.path.abspath(args.out) if args.out not in (None, "-") else None
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+            raise BadParams(f"cannot write {args.out}: not a file in an existing directory")
         payload, ok = VERBS[args.verb][3](args)
         if payload is not None:
             _write_json(args.out, payload)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: the verdict stands
+        with open(os.devnull, "w") as null:  # fd 1 takes the null device for the flush at exit
+            os.dup2(null.fileno(), sys.stdout.fileno())
     except ComplicialError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, BadParams)) else 1

@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from complicial import anodyne
 from complicial.anodyne import (
     AnodyneCertificate,
     _horn_problems,
+    _thin_faces,
     _thinness_problems,
     builtin_certificates,
     certificate_from_json,
@@ -279,6 +281,48 @@ def test_search_tower_rederives_square():
     assert verify_certificate(cert) == []
 
 
+# the towers the search finds from H^k_n to C^k_n, as (kind, n, k, attach)
+FOUND_TOWERS = {
+    (2, 1): [("horn", 2, 1, "2,1"), ("horn", 2, 0, "1,2")],
+    (2, 2): [("horn", 2, 1, "1,2"), ("horn", 2, 0, "2,1")],
+    (3, 1): [
+        ("horn", 2, 1, "+,1,2"),
+        ("horn", 2, 1, "1,1,2"),
+        ("horn", 3, 2, "1,2,3"),
+        ("thinness", 3, 2, "1,2,3"),
+        ("horn", 3, 2, "2,1,3"),
+        ("horn", 3, 1, "3,1,2"),
+        ("horn", 3, 2, "3,2,1"),
+        ("horn", 3, 1, "2,3,1"),
+        ("horn", 3, 0, "1,3,2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(FOUND_TOWERS))
+def test_search_tower_finds_the_pinned_tower(n, k):
+    cert = search_tower(big_H(n, k), full_handle(big_C(n, k)), 100)
+    assert cert is not None
+    assert [(s.kind, s.n, s.k, str(s.attach)) for s in cert.steps] == FOUND_TOWERS[n, k]
+
+
+def test_search_tower_checks_each_step_once_per_subset(monkeypatch):
+    # the C^2_3 search is exhaustive at this budget and finds nothing; it
+    # expands each subset (members, flags) once, so it never checks a step
+    # against the same subset twice
+    checks = Counter()
+    step_violation = anodyne._step_violation
+
+    def counted(Z, members, flags, step):
+        checks[members, flags, step] += 1
+        return step_violation(Z, members, flags, step)
+
+    monkeypatch.setattr(anodyne, "_step_violation", counted)
+    assert search_tower(big_H(3, 2), full_handle(big_C(3, 2)), 2000) is None
+    assert max(checks.values()) == 1
+    assert sum(checks.values()) <= 20_000
+
+
 def test_search_tower_not_found_for_boundary():
     X = standard(1)
     start = regular_generated(X, [(0,), (1,)])
@@ -294,8 +338,10 @@ def test_certificate_json_round_trip():
         assert back.steps == cert.steps
 
 
-def oracle_targets():
-    return [
+def oracle_runs(least_n):
+    """(target, n): every n from least_n to 3 on six targets, and n = 4 on the
+    2-complicial 4-simplex, whose horn faces have thin faces of dimension 2."""
+    targets = [
         standard(2),
         complicial(3, 1),
         horn(3, 1),
@@ -303,25 +349,38 @@ def oracle_targets():
         boundary(3),
         from_category(walking_iso(), 3),
     ]
+    runs = [(X, n) for X in targets for n in range(least_n, 4)]
+    return runs + [(complicial(4, 2), 4)]
+
+
+def test_thin_faces_are_those_of_the_complicial_simplex():
+    # the faces _thin_faces lists are the proper thin faces of the
+    # k-complicial n-simplex, or of its primed form, and none twice
+    for n in range(1, 7):
+        for k in range(n + 1):
+            simplices = [(False, complicial(n, k))]
+            if n >= 2:
+                simplices.append((True, complicial_primed(n, k)))
+            for primed, X in simplices:
+                got = [alpha.values for alpha in _thin_faces(n, k, n, primed)]
+                assert len(got) == len(set(got))
+                assert set(got) == {tuple(c) for c in X.thin if X.dims[c] < n}, (n, k, primed)
 
 
 def test_horn_problems_are_the_maps_from_the_horn():
     # oracle: the horn problems at (n, k) are the stratified maps horn(n, k) -> X,
     # read on the faces j != k
     total = 0
-    for X in oracle_targets():
-        for n in range(1, 4):
-            for k in range(n + 1):
-                faces = [
-                    (j, tuple(v for v in range(n + 1) if v != j)) for j in range(n + 1) if j != k
-                ]
-                expected = Counter(
-                    tuple((j, f.assignment[cell]) for j, cell in faces)
-                    for f in enumerate_maps(horn(n, k), X)
-                )
-                got = Counter(tuple(sorted(p.items())) for p in _horn_problems(X, n, k))
-                assert got == expected, (X.cells(), n, k)
-                total += sum(got.values())
+    for X, n in oracle_runs(1):
+        for k in range(n + 1):
+            faces = [(j, tuple(v for v in range(n + 1) if v != j)) for j in range(n + 1) if j != k]
+            expected = Counter(
+                tuple((j, f.assignment[cell]) for j, cell in faces)
+                for f in enumerate_maps(horn(n, k), X)
+            )
+            got = Counter(tuple(sorted(p.items())) for p in _horn_problems(X, n, k))
+            assert got == expected, (X.cells(), n, k)
+            total += sum(got.values())
     assert total > 700
 
 
@@ -331,15 +390,16 @@ def test_thinness_problems_are_the_maps_from_the_primed_simplex():
     # thin are the images under the maps from complicial_dprimed(n, k);
     # enumerate_maps refuses a domain above the target's cap, so n stops there
     total = 0
-    for X in oracle_targets():
-        for n in range(2, min(3, X.dim_cap) + 1):
-            top = tuple(range(n + 1))
-            for k in range(n + 1):
-                got = list(_thinness_problems(X, n, k))
-                primed = enumerate_maps(complicial_primed(n, k), X)
-                assert Counter(got) == Counter(f.assignment[top] for f in primed), (n, k)
-                thin = [z for z in got if X.is_thin(X.act(z, delta(n, k)))]
-                dprimed = enumerate_maps(complicial_dprimed(n, k), X)
-                assert Counter(thin) == Counter(f.assignment[top] for f in dprimed), (n, k)
-                total += len(got)
+    for X, n in oracle_runs(2):
+        if n > X.dim_cap:
+            continue
+        top = tuple(range(n + 1))
+        for k in range(n + 1):
+            got = list(_thinness_problems(X, n, k))
+            primed = enumerate_maps(complicial_primed(n, k), X)
+            assert Counter(got) == Counter(f.assignment[top] for f in primed), (n, k)
+            thin = [z for z in got if X.is_thin(X.act(z, delta(n, k)))]
+            dprimed = enumerate_maps(complicial_dprimed(n, k), X)
+            assert Counter(thin) == Counter(f.assignment[top] for f in dprimed), (n, k)
+            total += len(got)
     assert total > 200

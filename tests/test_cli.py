@@ -127,6 +127,21 @@ def test_nerve_at_dimension_six_exits_cleanly(tmp_path):
     assert json.loads(proc.stdout)["census"] == {"0": 2, "1": 1}
 
 
+def test_reader_closing_stdout_early_is_not_an_error():
+    # run as a process whose reader takes 100 bytes of an 800 kB document and
+    # closes the pipe, as `complicial shape cube --n 5 | head -c 100` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "complicial.cli", "shape", "cube", "--n", "5"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert b"Traceback" not in err and err == b"", err.decode()
+    assert code == 0
+
+
 def test_verify_cert_roundtrip(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     cert_file.write_text(json.dumps(certificate_to_json(builtin_certificates()[0])))
@@ -504,6 +519,9 @@ def test_unwritable_out_is_usage_error(verb, target, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"error: cannot write {out}: ")
+    if target != "full-device":
+        # refused before the verb runs, so paper-suite prints no PASS lines either
+        assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not (tmp_path / "missing").exists() and not any((tmp_path / "directory").iterdir())
 
