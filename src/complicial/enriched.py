@@ -1,10 +1,13 @@
 """Finitely presented categories enriched in stratified sets.
 
 An enriched category stores a stratified homset for every ordered pair of
-objects together with composition maps out of the product tensor, whose
-cells are the pairs of simplices they compose.  The constructor validates
-the unit and associativity laws exhaustively, up to the dimension cap and
-the dimensions where they can fail.  Gray validation runs the lifting report
+objects together with a composition map for every ordered triple, out of
+the cartesian product (componentwise thinness), whose cells are the pairs
+of simplices they compose.  ``make_enriched`` is the one place that decides
+an enriched category is one: it refuses a category missing a hom or a
+composition map, or keyed by anything else, and then validates the unit
+and associativity laws exhaustively, up to the dimension cap and the
+dimensions where they can fail.  Gray validation runs the lifting report
 on every homset; suspensions and nerves of small categories provide the
 worked examples.  A cell of the nerve of a finite category is its path, a
 ``Path`` (start, arrows) spelled ``start:arrow|arrow``.
@@ -13,6 +16,7 @@ worked examples.  A cell of the nerve of a finite category is its path, a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from typing import Hashable, Mapping
 
@@ -86,10 +90,23 @@ def make_enriched(
     comp_maps,
     dim_cap: int,
 ) -> EnrichedCategory:
-    """Assemble and validate an enriched category; raises LawViolation."""
+    """Assemble and validate an enriched category; raises LawViolation.
+
+    It must be complete, with homs keyed by exactly the ordered pairs of
+    objects and composition maps by exactly the triples, empty ones included;
+    the first key missing, in product order, else the first stray key is named."""
     if dim_cap < 0:
         raise LawViolation(f"dim_cap must be at least 0, got {dim_cap}")
     E = EnrichedCategory(objects, homs, identities, comp_maps, dim_cap)
+    tables = (("hom", E.homs, 2, "pair"), ("composition map", E.comp, 3, "triple"))
+    for name, table, arity, kind in tables:
+        keys = dict.fromkeys(product(E.objects, repeat=arity))
+        missing = [key for key in keys if key not in table]
+        extra = [key for key in table if key not in keys]
+        if missing:
+            raise LawViolation(f"{name} {missing[0]} is missing")
+        if extra:
+            raise LawViolation(f"{name} {extra[0]} is not a {kind} of objects")
     for a in E.objects:
         cell = E.identities.get(a)
         if cell is None or E.hom(a, a).dims.get(cell) != 0:
@@ -104,30 +121,29 @@ def make_enriched(
 
 
 def _check_units(E: EnrichedCategory) -> None:
-    """The unit laws on every m-simplex z of every hom, m <= dim_cap, composing
+    """The unit laws on every cell z of every hom, dim z <= dim_cap, composing
     each (z, id) and (id, z) once.
 
-    A pair whose components share a flat is a degeneracy of a lower pair, and
-    composition commutes with degeneracies; the identity m-simplex is flat
-    everywhere, so (z, id) has a lower such pair unless z is flat nowhere,
-    that is m <= hom(a, b).max_dim().  Checking only up to there is exact.
-    """
+    A degenerate simplex composes to the same degeneracy of its cell's
+    composite, so checking the cells is exact."""
     for a, b in product(E.objects, repeat=2):
-        hom = E.homs.get((a, b), empty_set())
-        for m in range(min(E.dim_cap, hom.max_dim()) + 1):
-            id_a, id_b = E.identity_simplex(a, m), E.identity_simplex(b, m)
-            for z in hom.simplices_of_dim(m):
-                left = E.compose(a, a, b, z, id_a)
-                right = E.compose(a, b, b, id_b, z)
-                if left != z or right != z:
-                    raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
+        hom = E.hom(a, b)
+        for cell in hom.cells():
+            m = hom.dims[cell]
+            if m > E.dim_cap:
+                break
+            z = Simplex(cell)
+            left = E.compose(a, a, b, z, E.identity_simplex(a, m))
+            right = E.compose(a, b, b, E.identity_simplex(b, m), z)
+            if left != z or right != z:
+                raise LawViolation(f"unit law fails at {z} in hom({a},{b})")
 
 
 def _check_associativity(E: EnrichedCategory) -> None:
     """Associativity on every triple (z3, z2, z1) of m-simplices, m <= dim_cap,
     a row over z1 at a time.  For each (z3, z2) the row of (z3 z2) z1 is built
     once per distinct z3 z2, and the row of z3 (z2 z1) from the row of z2 z1,
-    built once per z2, through a per-z3 dict; the two rows are compared whole,
+    built once per z2, through a per-z3 cache; the two rows are compared whole,
     and only a mismatch looks for the first failing z1.  So the triples are
     met in the same order as by a loop over them, and the first failure found
     is the same.
@@ -139,43 +155,31 @@ def _check_associativity(E: EnrichedCategory) -> None:
     there is exact.
     """
     for a, b, c, d in product(E.objects, repeat=4):
-        hab, hbc, hcd = (E.homs.get(key, empty_set()) for key in ((a, b), (b, c), (c, d)))
+        hab, hbc, hcd = E.hom(a, b), E.hom(b, c), E.hom(c, d)
         if not (hab.dims and hbc.dims and hcd.dims):
             continue
         for m in range(min(E.dim_cap, hab.max_dim() + hbc.max_dim() + hcd.max_dim()) + 1):
             ones, twos, threes = (list(h.simplices_of_dim(m)) for h in (hab, hbc, hcd))
-            inner = _Rows(lambda z2: [E.compose(a, b, c, z2, z1) for z1 in ones])
-            outer = _Rows(lambda right: [E.compose(a, b, d, right, z1) for z1 in ones])
+
+            @cache
+            def inner(z2):
+                return [E.compose(a, b, c, z2, z1) for z1 in ones]
+
+            @cache
+            def outer(right):
+                return [E.compose(a, b, d, right, z1) for z1 in ones]
+
             for z3 in threes:
-                after = _Rows(lambda y: E.compose(a, c, d, z3, y))
+                after = cache(partial(E.compose, a, c, d, z3))
                 for z2 in twos:
-                    lhs = outer[E.compose(b, c, d, z3, z2)]
-                    rhs = list(map(after.__getitem__, inner[z2]))
+                    lhs = outer(E.compose(b, c, d, z3, z2))
+                    rhs = list(map(after, inner(z2)))
                     if lhs != rhs:
                         z1 = next(z1 for z1, x, y in zip(ones, lhs, rhs) if x != y)
                         raise LawViolation(f"associativity fails at {(z3, z2, z1)}")
 
 
-class _Rows(dict):
-    """A dict that fills a missing key k with make(k)."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 # -- suspensions -------------------------------------------------------------
-
-
-def _collapse_map(P: FiniteStratifiedSet, target: FiniteStratifiedSet, cell) -> StratifiedMap:
-    assignment = {
-        c: Simplex(cell, degenerate_word(P.dims[c])) for c in P.cells()
-    }
-    return StratifiedMap(P, target, assignment)
 
 
 def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
@@ -189,19 +193,15 @@ def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
     }
     identities = {"0": "*", "1": "*"}
     comp = {}
-    for a in "01":
-        for b in "01":
-            for c in "01":
-                hbc, hab, hac = homs[(b, c)], homs[(a, b)], homs[(a, c)]
-                P = gray_product(hbc, hab, cap=X.dim_cap)
-                if not hbc.dims or not hab.dims:
-                    comp[(a, b, c)] = StratifiedMap(P, hac, {})
-                elif (a, c) == ("0", "1"):
-                    # P is X (*) point for b = 0 and point (*) X for b = 1: keep the X side
-                    side = 0 if b == "0" else 1
-                    comp[(a, b, c)] = StratifiedMap(P, X, {pair: pair[side] for pair in P.cells()})
-                else:
-                    comp[(a, b, c)] = _collapse_map(P, hac, "*")
+    for a, b, c in product("01", repeat=3):
+        P = gray_product(homs[(b, c)], homs[(a, b)], cap=X.dim_cap)
+        if (a, c) == ("0", "1"):
+            # P is X x point for b = 0 and point x X for b = 1: keep the X side
+            assignment = {pair: pair[int(b)] for pair in P.cells()}
+        else:
+            # onto the point, or out of an empty P into the empty hom(1, 0)
+            assignment = {pair: Simplex("*", degenerate_word(P.dims[pair])) for pair in P.cells()}
+        comp[(a, b, c)] = StratifiedMap(P, homs[(a, c)], assignment)
     return make_enriched(["0", "1"], homs, identities, comp, X.dim_cap)
 
 

@@ -35,10 +35,9 @@ from .enriched import EnrichedCategory
 from .hcpath import hom_set, path_act
 from .shapes import (
     Coords,
-    comparison_simplex,
+    comparison_operator,
     cube_face,
     cube_normal_form,
-    operator_of_simplex,
     special_top,
 )
 from .stratified import FiniteStratifiedSet, Simplex, make_thin
@@ -265,7 +264,7 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
     def image(r: int, w: tuple, m: int) -> Simplex:
         if not r <= n < r + len(w):
             return E.identity_simplex(obj[r], m)
-        return hom01.act(x, operator_of_simplex(n, comparison_simplex(w, r, n, m), m))
+        return hom01.act(x, comparison_operator(w, r, n, m))
 
     return _functor(E, n + 1, obj, image)
 

@@ -30,12 +30,9 @@ from .operators import (
     CubeCoordinate,
     Operator,
     admissible_vertices,
-    compose_ops,
     delta,
-    ez_factorize,
     rho_operator,
     rho_precompose,
-    word_operator,
 )
 from .stratified import (
     Cell,
@@ -74,21 +71,6 @@ def standard(n: int) -> FiniteStratifiedSet:
                     Simplex(Vertices(comb[:j] + comb[j + 1 :])) for j in range(d + 1)
                 )
     return FiniteStratifiedSet(n, dims, faces)
-
-
-def simplex_of_operator(alpha: Operator) -> Simplex:
-    """The simplex of the standard target simplex named by an operator."""
-    _, degens = ez_factorize(alpha)
-    vs = tuple(sorted(set(alpha.values)))
-    return Simplex(Vertices(vs), degens)
-
-
-def operator_of_simplex(n: int, s: Simplex, q: int) -> Operator:
-    """Inverse of simplex_of_operator for q-simplices of the standard n-simplex."""
-    inj = Operator(len(s.cell) - 1, n, s.cell)
-    if not s.word:
-        return inj
-    return compose_ops(inj, word_operator(q, s.word))
 
 
 def boundary(n: int) -> FiniteStratifiedSet:
@@ -261,10 +243,11 @@ def vertex_chain(w: tuple[CubeCoordinate, ...], m: int) -> tuple[tuple[int, ...]
 # -- the comparison map onto the standard simplex ----------------------------
 
 
-def comparison_simplex(
+def comparison_operator(
     w: tuple[CubeCoordinate, ...], lower: int, n: int, m: int
-) -> Simplex:
-    """The m-simplex of the standard n-simplex that a cube function on (lower, ...] names.
+) -> Operator:
+    """The operator [m] -> [n] naming the m-simplex of the standard n-simplex that a
+    cube function on (lower, ...] goes to.
 
     Vertex t goes to the least n - i over the positions lower < i <= n whose
     coordinate is 0 at t, or to n - lower when there is none: an arrow from
@@ -278,14 +261,15 @@ def comparison_simplex(
             if rho_operator(w[i - lower - 1], m).values[t] == 0
         ]
         values.append(min([n - lower] + zeros))
-    return simplex_of_operator(Operator(m, n, tuple(values)))
+    return Operator(m, n, tuple(values))
 
 
 def c_map(n: int) -> StratifiedMap:
     """The stratified comparison map from the n-cube to the standard n-simplex."""
-    C = cube(n)
-    assignment = {c: comparison_simplex(c.w, 0, n, C.dims[c]) for c in C.cells()}
-    return StratifiedMap(C, standard(n), assignment)
+    C, D = cube(n), standard(n)
+    top = Simplex(Vertices(range(n + 1)))
+    assignment = {c: D.act(top, comparison_operator(c.w, 0, n, C.dims[c])) for c in C.cells()}
+    return StratifiedMap(C, D, assignment)
 
 
 # -- the C / H family ---------------------------------------------------------

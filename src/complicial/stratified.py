@@ -5,8 +5,8 @@ A set stores only nondegenerate cells; every simplex is the pair
 A degeneracy word is the set of flat spots of its surjection, listed
 decreasing.  Thinness is a flag on nondegenerate cells of positive dimension,
 with degenerate simplices implicitly thin.  The module also provides
-stratified maps, regular subsets and the product tensor (componentwise
-thinness).
+stratified maps, regular subsets and the cartesian product (componentwise
+thinness), ``gray_product``.
 
 A cell is a hashable value: a string in a set read from JSON, a structured
 value in a built one (a product cell is its ``Pair`` of simplices).  Its
@@ -317,7 +317,7 @@ def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:
     return FiniteStratifiedSet(cap, dims, faces, h.thin_members)
 
 
-# -- product tensor (componentwise thinness) ------------------------------
+# -- the cartesian product (componentwise thinness) -------------------------
 
 
 class Pair(Cell):

@@ -333,3 +333,37 @@ def test_make_enriched_refuses_a_negative_dim_cap():
     }
     with pytest.raises(LawViolation, match="dim_cap"):
         make_enriched(E.objects, E.homs, E.identities, emptied, -1)
+
+
+# -- an enriched category is complete or refused --------------------------------
+
+
+def test_make_enriched_refuses_a_missing_hom():
+    # read as an empty hom, the missing hom(1, 0) would pass the law checks, and
+    # the nerve and the JSON reader would then fail on it
+    E = suspension(standard(1))
+    homs = {key: hom for key, hom in E.homs.items() if key != ("1", "0")}
+    with pytest.raises(LawViolation, match=r"hom \('1', '0'\) is missing"):
+        make_enriched(E.objects, homs, E.identities, E.comp, E.dim_cap)
+
+
+def test_make_enriched_refuses_a_missing_composition_map():
+    with pytest.raises(LawViolation, match=r"composition map \('\*', '\*', '\*'\) is missing"):
+        make_enriched(["*"], {("*", "*"): point_set()}, {"*": "*"}, {}, 0)
+
+
+def test_make_enriched_refuses_a_key_of_no_objects():
+    E = suspension(standard(1))
+    homs = {**E.homs, ("0", "2"): point_set()}
+    with pytest.raises(LawViolation, match=r"hom \('0', '2'\) is not a pair of objects"):
+        make_enriched(E.objects, homs, E.identities, E.comp, E.dim_cap)
+
+
+def test_unit_check_composes_each_cell_twice():
+    # a degenerate simplex composes to the same degeneracy of its cell's
+    # composite, so each cell of each hom is composed with the identities once
+    for E, calls in ((suspension(standard(2)), 18), (one_object_group_enriched(3, 3), 30)):
+        counted = CountingCategory(E)
+        _check_units(counted)
+        cells = [c for h in E.homs.values() for c in h.cells() if h.dims[c] <= E.dim_cap]
+        assert sum(counted.calls.values()) == 2 * len(cells) == calls

@@ -28,12 +28,12 @@ from complicial.operators import MINUS
 from complicial.shapes import (
     Coords,
     boundary,
+    Vertices,
     c_map,
-    comparison_simplex,
+    comparison_operator,
     complicial,
     cube_face,
     cube_normal_form,
-    operator_of_simplex,
     standard,
 )
 from complicial.stratified import FiniteStratifiedSet, Simplex, make_thin, set_to_json
@@ -213,7 +213,8 @@ def test_build_nerve_validates():
 
 def test_sigma_functor_zero():
     # the collapse of the coherent 1-path onto the suspended point
-    assert comparison_simplex((MINUS,), 0, 0, 0) == Simplex((0,))
+    op = comparison_operator((MINUS,), 0, 0, 0)
+    assert standard(0).act(Simplex(Vertices((0,))), op) == Simplex((0,))
     E = suspension(standard(0))
     [x] = E.hom("0", "1").simplices_of_dim(0)
     f = yoneda_composite(E, x, 0)
@@ -226,9 +227,9 @@ def test_sigma_restricts_to_comparison_map():
     # cell below the top minus goes under the comparison map
     for n in range(4):
         cm = c_map(n)
-        H = hom_set(0, n + 1)
+        H, top = hom_set(0, n + 1), Simplex(Vertices(range(n + 1)))
         for cell in H.cells():
-            image = comparison_simplex(cell.w, 0, n, H.dims[cell])
+            image = standard(n).act(top, comparison_operator(cell.w, 0, n, H.dims[cell]))
             assert image == cm.assignment[Coords(cell.w[:-1])], (n, cell)
 
 
@@ -253,8 +254,7 @@ def test_yoneda_composite_is_a_stratified_functor():
                 for r, s, H, cell in _hom_cells(f.n):
                     d, w, target = H.dims[cell], cell.w, E.hom(f.obj[r], f.obj[s])
                     if r <= m < s:
-                        image = comparison_simplex(w, r, m, d)
-                        expected = hom01.act(x, operator_of_simplex(m, image, d))
+                        expected = hom01.act(x, comparison_operator(w, r, m, d))
                     else:
                         expected = E.identity_simplex(f.obj[r], d)
                     img = f.eval_arrow(r, w, d)
