@@ -2,9 +2,9 @@
 
 One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
 instance with its lifting problems; ``rlp_report`` consumes it, and looks
-for thin fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs on
-``fillers`` too: each face of a horn map is a filler of the faces it shares
-with the faces chosen before it.
+for thin fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs
+``extensions``, the one backtracking search, over ``fillers``: each face of a
+horn map is a filler of the faces it shares with those chosen before it.
 
 One pure check, ``_step_violation``, decides whether an elementary-anodyne
 pushout ``Step`` extends a subset (members, thin flags) of a fixed ambient
@@ -33,6 +33,7 @@ from .stratified import (
     FiniteStratifiedSet,
     Simplex,
     SubsetHandle,
+    extensions,
     json_field,
     make_thin,
     set_from_json,
@@ -95,7 +96,7 @@ def _unthin_face(X: FiniteStratifiedSet, s: Simplex, faces, thin) -> Operator | 
 
 
 def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
-    """Enumerate horn maps as their n face images d_j, j != k, backtracking.
+    """Enumerate horn maps as their n face images d_j, j != k, by ``extensions``.
 
     Faces are assigned in increasing order, so each earlier face i fixes face i
     of face j, and the candidates for face j are fillers of those faces.  Face
@@ -103,25 +104,16 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     and otherwise the thin (k - [j < k])-complicial (n-1)-simplex, whose thin
     faces are checked as soon as it is chosen.
     """
-    face_idx = [j for j in range(n + 1) if j != k]
     admissible = admissible_vertices(n, k)
-    assignment: dict[int, Simplex] = {}
 
-    def search(pos: int) -> Iterator[dict]:
-        if pos == len(face_idx):
-            yield dict(assignment)
-            return
-        j = face_idx[pos]
+    def candidates(j: int, assignment: dict) -> Iterator[Simplex]:
         thin = j not in admissible
         inner = _thin_faces(n - 1, k - (j < k), X.max_dim()) if thin else ()
         faces = {i: X.act(t, delta(n - 1, j - 1)) for i, t in assignment.items()}
-        for s in X.fillers(n - 1, faces, thin):
-            if _unthin_face(X, s, inner, X.thin) is None:
-                assignment[j] = s
-                yield from search(pos + 1)
-                del assignment[j]
+        fillers = X.fillers(n - 1, faces, thin)
+        return (s for s in fillers if _unthin_face(X, s, inner, X.thin) is None)
 
-    yield from search(0)
+    return extensions([j for j in range(n + 1) if j != k], candidates)
 
 
 def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simplex]:
@@ -150,9 +142,11 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
     """Check the right lifting property against the elementary extensions.
 
     Horn instances run for 1 <= n <= dmax and thinness instances for
-    2 <= n <= dmax, with k inner or unrestricted according to mode.
-    Dimensions beyond the storage cap are still exact: every simplex up
-    there is a degeneracy of a stored cell.
+    2 <= n <= dmax, with k inner or unrestricted according to mode.  Above the
+    storage cap a report is exact only for a set complete at its cap, whose
+    simplices there are degeneracies of stored cells.  A truncation, such as a
+    nerve or ``from_category(cat, D)``, lacks its cells above D as horn faces
+    and as fillers alike, so a report there need not hold of the whole set.
     """
     report = LiftingReport()
     for name, n, k, problems in _instances(X, dmax, mode):

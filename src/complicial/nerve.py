@@ -9,7 +9,8 @@ arrow as that of its last indecomposable factor composed after the rest.
 The generators on hom(r, s) with s < n are the data of the face d_n.  So the
 nerve is built layer by layer from the face d_n: an n-simplex extends one of
 dimension n - 1 by images of the generators of hom(r, n), chosen dimension by
-dimension with face and thinness consistency pruning the search.  A
+dimension by ``stratified.extensions``, the one backtracking search, with face
+and thinness consistency pruning it.  A
 simplicial operator sends generators to generators or identities, so
 degeneracies and faces read generator images alone; degeneracies come from
 the layers below, and give every face its normal form.
@@ -27,7 +28,8 @@ when ``fillers`` on the built set finds an equivalence witness pair of thin
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Iterator
 
 from .errors import OutOfRange
 from .operators import MINUS, Operator, delta, surjection_words, word_operator as _wop
@@ -40,7 +42,7 @@ from .shapes import (
     cube_normal_form,
     special_top,
 )
-from .stratified import FiniteStratifiedSet, Simplex, make_thin
+from .stratified import FiniteStratifiedSet, Simplex, extensions, make_thin
 
 
 class NerveSimplex:
@@ -118,66 +120,43 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
     """The n-simplices extending the (n - 1)-layer below, degenerate ones included;
     [] when below is empty.  They are ordered by the object ranks and then by the
     images of _generators(n), in their order; the ids N{n}.{i} that build_nerve
-    writes are positions in this order."""
+    writes are positions in this order.
+
+    Each extends the images of its face d_n = g over the generators of
+    hom(r, n), in (dim, r, cell) order, so the faces of each are known when
+    it is reached.  Every hom(r, s) with s < n is g's, already checked, so an
+    extension is kept when the thin cells of each hom(r, n) land thin."""
     if not below:
         return []
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
     gens = _generators(n)
-    # the generators of hom(r, n), each with its face coordinates and thin flag
-    last = []
+    # the generators of hom(r, n), keyed (r, w), with dimension, face coordinates and thin flag
+    last = {}
     for r, s, cell, d in gens:
         if s == n:
             face_ws = [cube_face(cell.w, d, j) for j in range(d + 1)] if d else []
-            last.append((r, cell.w, d, face_ws, cell in hom_set(r, n).thin))
+            last[(r, cell.w)] = (d, face_ws, cell in hom_set(r, n).thin)
     thin = [(r, c.w, hom_set(r, n).dims[c]) for r in range(n) for c in sorted(hom_set(r, n).thin)]
 
     def key(f: NerveSimplex) -> tuple:
         images = (E.hom(f.obj[r], f.obj[s]).sort_key(f.images[(r, c.w)]) for r, s, c, _ in gens)
         return tuple(rank[o] for o in f.obj), tuple(images)
 
+    def candidates(obj: tuple, image, slot: tuple, images: dict) -> Iterator[Simplex]:
+        d, face_ws, is_thin = last[slot]
+        faces = {j: image(images, slot[0], v, d - 1) for j, v in enumerate(face_ws)}
+        return E.hom(obj[slot[0]], obj[n]).fillers(d, faces, is_thin)
+
     ends = [(g, o) for g in below for o in E.objects if all(E.hom(p, o).dims for p in g.obj)]
-    return sorted((f for g, o in ends for f in _extensions(E, g, o, last, thin)), key=key)
-
-
-def _extensions(E, g: NerveSimplex, o: str, last, thin) -> list[NerveSimplex]:
-    """The n-simplices with last object o and face d_n equal to g.
-
-    The generators of hom(r, n) come in (dim, r, cell) order, so the faces of
-    each are known when it is reached: the search never meets a missing image.
-    Every hom(r, s) with s < n belongs to g, already checked, so a finished
-    search checks only that the thin cells of each hom(r, n) land thin.  The
-    search is depth first with a stack rather than recursion: at n = 6 the
-    generators of the homs into n number 1,267, past the recursion limit.
-    """
-    n, obj = g.n + 1, g.obj + (o,)
-    images = dict(g.images)
-    found: list[NerveSimplex] = []
-
-    def image(r: int, w: tuple, m: int) -> Simplex:
-        return _eval(E, obj, images, r, w, m, g.eval_arrow)
-
-    def candidates(i: int):
-        r, w, d, face_ws, is_thin = last[i]
-        faces = {j: image(r, v, d - 1) for j, v in enumerate(face_ws)}
-        return E.hom(obj[r], o).fillers(d, faces, is_thin)
-
-    # depth first, one fillers iterator per generator on the stack
-    stack = [candidates(0)]
-    while stack:
-        i = len(stack) - 1
-        key = last[i][:2]
-        z = next(stack[i], None)
-        if z is None:
-            stack.pop()
-            images.pop(key, None)
-        else:
-            images[key] = z
-            if i + 1 < len(last):
-                stack.append(candidates(i + 1))
-            elif all(E.hom(obj[r], o).is_thin(image(r, w, m)) for r, w, m in thin):
-                found.append(NerveSimplex(E, n, obj, dict(images)))
-    return found
+    found = []
+    for g, o in ends:
+        obj = g.obj + (o,)
+        image = partial(_eval, E, obj, rest=g.eval_arrow)
+        for images in extensions(list(last), partial(candidates, obj, image), g.images):
+            if all(E.hom(obj[r], o).is_thin(image(images, r, w, m)) for r, w, m in thin):
+                found.append(NerveSimplex(E, n, obj, images))
+    return sorted(found, key=key)
 
 
 def _last_factor(w: tuple) -> int:

@@ -14,18 +14,19 @@ spelling ``str(cell)`` serves the JSON writers, which refuse two cells spelled
 alike, and the order of cells, which is the order of their spellings.
 
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
-with given faces: nerve enumeration, horn enumeration and the lifting
-report run on it.  It answers from a face index, built lazily per dimension
-on the first query: the n-simplices in ``simplices_of_dim`` order, the face
-tuple of each, and an inverted index from (j, face) to positions.  The index
-stays valid because a set is never mutated; ``make_thin`` builds a new one.
+with given faces, and ``extensions`` beside it the one backtracking search:
+nerve and horn enumeration fill each slot in turn with a filler of the faces
+already chosen.  ``fillers`` answers from a face index, built lazily per
+dimension on the first query: the n-simplices in ``simplices_of_dim`` order,
+the face tuple of each, and an inverted index from (j, face) to positions.  The
+index stays valid because a set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadParams,
@@ -233,6 +234,32 @@ class FiniteStratifiedSet:
                     if lhs != rhs:
                         problems.append(f"cell {c}: identity d{i} d{j} fails")
         return problems
+
+
+def extensions(slots: Sequence, candidates: Callable, start: Mapping = {}) -> Iterator[dict]:
+    """Every way to give each slot a value, extending start, depth first:
+    candidates(slot, assignment) lists the values slot may take once the slots
+    before it hold theirs, and the results come in the order of those lists,
+    each a fresh dict that also holds start.  One candidate iterator per slot
+    is held on a stack, not in recursion: the nerve at n = 6 extends along the
+    1,267 generators of the homs into n, past the recursion limit."""
+    assignment = dict(start)
+    if not slots:
+        yield assignment
+        return
+    stack = [iter(candidates(slots[0], assignment))]
+    while stack:
+        slot = slots[len(stack) - 1]
+        for value in stack[-1]:
+            assignment[slot] = value
+            if len(stack) == len(slots):
+                yield dict(assignment)
+            else:
+                stack.append(iter(candidates(slots[len(stack)], assignment)))
+                break
+        else:
+            stack.pop()
+            assignment.pop(slot, None)
 
 
 def empty_set() -> FiniteStratifiedSet:

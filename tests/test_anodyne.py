@@ -21,8 +21,9 @@ from complicial.anodyne import (
     search_tower,
     verify_certificate,
 )
-from complicial.enriched import from_category, walking_iso
+from complicial.enriched import from_category, suspension, walking_iso
 from complicial.errors import BadParams, StepViolation
+from complicial.nerve import build_nerve
 from complicial.operators import delta
 from complicial.shapes import (
     big_C,
@@ -382,6 +383,18 @@ def test_horn_problems_are_the_maps_from_the_horn():
             assert got == expected, (X.cells(), n, k)
             total += sum(got.values())
     assert total > 700
+
+
+def test_horn_problems_come_in_the_order_of_their_faces():
+    # rlp_report failure lists and the perfbench digests read the problems in
+    # this order: by the positions of the faces j = 0, 1, ... in simplices_of_dim
+    targets = [cube(3), standard(3), complicial(3, 2), boundary(3)]
+    for X in targets + [build_nerve(suspension(standard(2)), 3)]:
+        for n in range(1, 4):
+            position = {z: i for i, z in enumerate(X.simplices_of_dim(n - 1))}
+            for k in range(n + 1):
+                order = [tuple(position[p[j]] for j in sorted(p)) for p in _horn_problems(X, n, k)]
+                assert order and all(a < b for a, b in zip(order, order[1:])), (n, k)
 
 
 def test_thinness_problems_are_the_maps_from_the_primed_simplex():

@@ -198,8 +198,8 @@ def test_build_nerve_of_susp_point_is_interval():
 
 
 def test_build_nerve_reaches_dimension_six():
-    # the homs into 6 have 1,267 generators, past the recursion limit, so the
-    # filler search must not recurse once per generator
+    # the homs into 6 have 1,267 generators, past the recursion limit: the
+    # reason stratified.extensions keeps its search on a stack (see its docstring)
     assert sum(1 for g in _generators(6) if g[1] == 6) == 1267
     N = build_nerve(suspension(standard(0)), 6)
     assert N.count_nondegenerate() == {0: 2, 1: 1}

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from complicial.anodyne import hatted_C23
@@ -33,6 +35,7 @@ from complicial.stratified import (
     Pair,
     Simplex,
     SubsetHandle,
+    extensions,
     gray_product,
     make_thin,
     product_pair_simplex,
@@ -401,3 +404,41 @@ def test_fillers_face_index_out_of_range():
     for j in (5, -1):
         with pytest.raises(OutOfRange):
             list(X.fillers(1, {j: vertex}, False))
+
+
+def test_extensions_are_lexicographic():
+    got = list(extensions(["a", "b"], lambda slot, assignment: [0, 1]))
+    assert got == [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 1}]
+
+
+def test_extensions_cut_a_branch_without_candidates():
+    # "b" has no candidate once "a" holds 0, so only the branch a = 1 survives
+    def candidates(slot, assignment):
+        return [0, 1] if slot == "a" else [] if assignment["a"] == 0 else [1]
+
+    assert list(extensions(["a", "b"], candidates)) == [{"a": 1, "b": 1}]
+    assert list(extensions(["a", "b"], lambda slot, assignment: [])) == []
+
+
+def test_extensions_are_fresh_dicts_holding_start():
+    start = {"s": 9}
+    seen = []
+
+    def candidates(slot, assignment):
+        seen.append(dict(assignment))
+        return [0, 1]
+
+    got = list(extensions([0, 1], candidates, start))
+    assert got == [{"s": 9, 0: a, 1: b} for a in (0, 1) for b in (0, 1)]
+    assert len({id(d) for d in got}) == 4
+    got[0]["s"] = 10
+    assert start == {"s": 9} and got[1]["s"] == 9
+    # candidates see start and the earlier slots, never a later one
+    assert seen == [{"s": 9}, {"s": 9, 0: 0}, {"s": 9, 0: 1}]
+    assert list(extensions([], candidates, start)) == [start]
+
+
+def test_extensions_go_deeper_than_the_recursion_limit():
+    slots = range(sys.getrecursionlimit() + 100)
+    [only] = list(extensions(slots, lambda slot, assignment: [slot]))
+    assert only == {i: i for i in slots}
