@@ -196,6 +196,11 @@ class FiniteStratifiedSet:
             if (not thin or self.is_thin(z)) and all(rows[pos][j] == s for j, s in wanted):
                 yield z
 
+    def face_determined(self, n: int) -> bool:
+        """Whether no two n-simplices, degenerate ones included, share faces."""
+        rows = self._faces_of_dim(n)[1]
+        return len(set(rows)) == len(rows)
+
     # -- validation -----------------------------------------------------
 
     def validate(self) -> list[str]:

@@ -4,6 +4,7 @@ from complicial.anodyne import rlp_report
 from complicial.errors import BadParams, IllFormedCategory, LawViolation
 from complicial.enriched import (
     EnrichedCategory,
+    Path,
     _check_associativity,
     _check_units,
     FiniteCategory,
@@ -223,21 +224,70 @@ def _swapped_group(cap: int):
     return EnrichedCategory(E.objects, E.homs, E.identities, comp, E.dim_cap)
 
 
+def _non_associative_group():
+    """The arguments of make_enriched for one object whose hom is the nerve of Z/3
+    capped at 1, composed by a stratified map that is not associative: g1 g1 = g1,
+    g2 g2 = g2, and g1 g2 = g2 g1 is the degenerate unit."""
+    hom = from_category(cyclic_group_category(3), 1)
+    unit = Path(("*", ()))
+    P = gray_product(hom, hom, cap=1)
+
+    def image(pair):
+        x, y = pair
+        if P.dims[pair] == 0:
+            return Simplex(unit)
+        if x.word or y.word:
+            return y if x.word else x
+        return x if x == y else Simplex(unit, (0,))
+
+    cmap = StratifiedMap(P, hom, {pair: image(pair) for pair in P.cells()})
+    return ["*"], {("*", "*"): hom}, {"*": unit}, {("*", "*", "*"): cmap}, 1
+
+
+def _remade(E):
+    """make_enriched's verdict on the parts of E."""
+    parts = (E.objects, E.homs, E.identities, E.comp, E.dim_cap)
+    return _outcome(lambda _: make_enriched(*parts), E)
+
+
 def test_bounded_law_checks_agree_with_the_exhaustive_loops():
     from complicial.suite import desk_examples
 
-    examples = [E for _, E in desk_examples()] + [
+    control = _non_associative_group()
+    assert control[3][("*", "*", "*")].validate() == []
+    validated = [E for _, E in desk_examples()] + [
         one_object_group_enriched(2, 3),
         one_object_group_enriched(3, 2),
-        _swapped_group(2),
-        _swapped_group(3),
-        _corrupted_suspension(),
+        one_object_group_enriched(3, 3),
+        one_object_group_enriched(2, 4),
+        EnrichedCategory(*control),
     ]
-    for E in examples:
+    unvalidated = [_swapped_group(2), _swapped_group(3), _corrupted_suspension()]
+    for E in validated + unvalidated:
         assert _outcome(_check_units, E) == _outcome(_exhaustive_units, E)
+    # the pruned check is exact on categories whose composition maps validate
+    for E in validated:
         assert _outcome(_check_associativity, E) == _outcome(_exhaustive_associativity, E)
-    swapped, swapped3, corrupted = examples[-3:]
-    assert _outcome(_check_associativity, swapped) == (
+    # the negative control fails at m = 1, where its hom is not face-determined
+    failure = (
+        "associativity fails at (Simplex(cell='*:g1', word=()), "
+        "Simplex(cell='*:g1', word=()), Simplex(cell='*:g2', word=()))"
+    )
+    control = validated[-1]
+    assert _remade(control) == _outcome(_exhaustive_associativity, control) == failure
+    # the other fixtures are not stratified maps, so make_enriched refuses them
+    # before any law check
+    swapped, swapped3, corrupted = unvalidated
+    refusals = [
+        "composition ('*', '*', '*') is not a stratified map: "
+        "cell (*:g1|0)(*:g1|1): face 0 does not commute",
+        "composition ('*', '*', '*') is not a stratified map: "
+        "cell (*:g1|1.0)(*:g1|g1|2): face 0 does not commute",
+        "composition ('0', '0', '1') is not a stratified map: "
+        "cell (0.1.2|)(*|1.0): face 0 does not commute",
+    ]
+    assert [_remade(E) for E in unvalidated] == refusals
+    assert _outcome(_exhaustive_associativity, swapped) == (
         "associativity fails at (Simplex(cell='*:g1', word=(0,)), "
         "Simplex(cell='*:g1', word=(0,)), Simplex(cell='*:g1', word=(1,)))"
     )
@@ -247,13 +297,25 @@ def test_bounded_law_checks_agree_with_the_exhaustive_loops():
         "Simplex(cell='*:g1', word=(1, 0)), Simplex(cell='*:g1|g1', word=(2,)))"
     )
     assert "unit law fails at Simplex(cell='0.1.2', word=())" in _outcome(_check_units, corrupted)
-    assert "associativity fails" in _outcome(_check_associativity, corrupted)
+    assert "associativity fails" in _outcome(_exhaustive_associativity, corrupted)
+
+
+def test_associativity_check_composes_only_where_the_law_can_fail():
+    # the nerve of Z/3 has one vertex, and its m-simplices for m >= 2 are fixed
+    # by their faces: beyond the unit check, only pairs of 1-simplices are composed
+    E = CountingCategory(one_object_group_enriched(3, 3))
+    _check_units(E)
+    units = set(E.calls)
+    _check_associativity(E)
+    added = set(E.calls) - units
+    hom = E.hom("*", "*")
+    assert {hom.simplex_dim(z) for key in added for z in key[3:]} == {1}
+    assert len(added) == 5
 
 
 def test_associativity_check_composes_each_pair_once():
-    # the triples of 3-simplices alone are 27^3, and the unit check and the nerve
-    # compose pairs the associativity check composed: the category's table
-    # evaluates each pair once for all of them
+    # the unit check and the nerve compose pairs the associativity check composed:
+    # the category's table evaluates each pair once for all of them
     E = CountingCategory(one_object_group_enriched(3, 3))
     _check_units(E)
     _check_associativity(E)

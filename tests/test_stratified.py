@@ -11,7 +11,7 @@ from complicial.errors import (
     UnknownCell,
     ZeroDimensional,
 )
-from complicial.enriched import from_category, suspension, walking_iso
+from complicial.enriched import cyclic_group_category, from_category, suspension, walking_iso
 from complicial.nerve import build_nerve
 from complicial.operators import (
     all_operators,
@@ -404,6 +404,15 @@ def test_fillers_face_index_out_of_range():
     for j in (5, -1):
         with pytest.raises(OutOfRange):
             list(X.fillers(1, {j: vertex}, False))
+
+
+def test_face_determined_dimensions():
+    # Δ² has three vertices, and above them every simplex is fixed by its faces
+    assert [standard(2).face_determined(n) for n in range(4)] == [False, True, True, True]
+    # the nerve of Z/3: one vertex, then three loops with equal faces, then paths
+    # fixed by their faces
+    X = from_category(cyclic_group_category(3), 3)
+    assert [X.face_determined(n) for n in range(4)] == [True, False, True, True]
 
 
 def test_extensions_are_lexicographic():
