@@ -23,6 +23,7 @@ from .stratified import (
     make_thin,
     regular_generated,
     set_from_json,
+    set_json_chunks,
     set_to_json,
     subset_to_set,
 )

@@ -2,13 +2,15 @@
 
 Each verb is one row of ``VERBS``: its help text, its arguments and its
 handler.  A handler takes the parsed arguments and returns the JSON payload to
-write (or None) and its verdict; ``main`` writes the payload once, through
-``_write_json``, and maps the verdict or a ``ComplicialError`` to the exit
-status: 0 on pass, 1 on a verification failure, and 2 on usage or parse errors,
-an ``--out`` that cannot be written among them, refused before the handler
-runs when it is a directory or lies in a missing one.  A reader that closes
-stdout early leaves the exit status to the verdict.  Each JSON input is read
-once by the checked reader of its format (``set_from_json``,
+write (or None) and its verdict.  The payload is a dict, or for the verbs that
+write a whole set (``shape``, ``nerve``, ``from-category``) the text chunks of
+``set_json_chunks``, the same bytes as its dict would give.  ``main`` writes it
+once, through ``_write_json``, and maps the verdict or a ``ComplicialError`` to
+the exit status: 0 on pass, 1 on a verification failure, and 2 on usage or parse
+errors, an ``--out`` that cannot be written among them, refused before the
+handler runs when it is a directory or lies in a missing one.  A reader that
+closes stdout early leaves the exit status to the verdict.  Each JSON input is
+read once by the checked reader of its format (``set_from_json``,
 ``certificate_from_json``, ``tower_problem_from_json``, and the enriched and
 category readers below); malformed input exits 2.
 """
@@ -21,6 +23,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import islice, product
+from typing import Iterator
 
 from . import shapes
 from .anodyne import (
@@ -35,6 +38,7 @@ from .errors import BadParams, ComplicialError, ParseError
 from .stratified import (
     json_field,
     set_from_json,
+    set_json_chunks,
     set_to_json,
     simplex_from_json,
     simplex_to_json,
@@ -77,16 +81,19 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    """Write the payload as indented JSON with sorted keys and a final newline,
-    to stdout when path is None or "-", streamed in batches of encoder chunks
-    so the whole text is never held at once; BadParams if the file at path
-    cannot be opened or written."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+def _write_json(path: str | None, payload: dict | Iterator[str]) -> None:
+    """Write the payload, a dict or the chunks of its text, as indented JSON with
+    sorted keys and a final newline, to stdout when path is None or "-", streamed
+    in batches of chunks so the whole text is never held at once; BadParams if
+    the file at path cannot be opened or written."""
+    if isinstance(payload, dict):
+        chunks, per_batch = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload), 1 << 12
+    else:
+        chunks, per_batch = payload, 1 << 6  # set_json_chunks: one chunk per cell
     to_stdout = path in (None, "-")
     try:
         with nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
-            while batch := "".join(islice(chunks, 1 << 12)):
+            while batch := "".join(islice(chunks, per_batch)):
                 fh.write(batch)
             fh.write("\n")
     except OSError as exc:
@@ -196,7 +203,7 @@ def _category_from_json(data):
 
 
 def _shape(args):
-    return set_to_json(_build_shape(args.name, args.n, args.k)), True
+    return set_json_chunks(_build_shape(args.name, args.n, args.k)), True
 
 
 def _check(args):
@@ -210,10 +217,12 @@ def _nerve(args):
 
     E = _enriched_from_json(_load_json(args.input))
     N = build_nerve(E, args.dmax)
-    census, payload = N.count_nondegenerate(), set_to_json(N)
-    payload["census"] = {str(d): c for d, c in census.items()}
-    payload["thin_census"] = {str(d): sum(c in N.thin for c in N.cells_of_dim(d)) for d in census}
-    return payload, True
+    census = N.count_nondegenerate()
+    extra = {
+        "census": {str(d): c for d, c in census.items()},
+        "thin_census": {str(d): sum(c in N.thin for c in N.cells_of_dim(d)) for d in census},
+    }
+    return set_json_chunks(N, extra), True
 
 
 def _verify_cert(args):
@@ -249,7 +258,7 @@ def _from_category(args):
     from .enriched import from_category
 
     cat = _category_from_json(_load_json(args.input))
-    return set_to_json(from_category(cat, args.dmax)), True
+    return set_json_chunks(from_category(cat, args.dmax)), True
 
 
 def _validate_gray(args):

@@ -24,8 +24,10 @@ index stays valid because a set is never mutated; ``make_thin`` builds a new one
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -468,6 +470,45 @@ def set_to_json(X: FiniteStratifiedSet) -> dict:
         }
         cells.append(entry)
     return {"dim_cap": X.dim_cap, "cells": cells}
+
+
+def set_json_chunks(X: FiniteStratifiedSet, extra: Mapping | None = None) -> Iterator[str]:
+    """The text of ``json.dumps({**set_to_json(X), **extra}, indent=2, sort_keys=True)``,
+    one chunk per cell, written from the set without building that dict; BadParams,
+    raised by this call before any chunk, if two cells share a spelling."""
+    text = {c: encode_basestring_ascii(t) for c, t in spellings(X.cells()).items()}
+    return _set_json_text(X, text, {"dim_cap": X.dim_cap, **(extra or {})})
+
+
+def _set_json_text(X: FiniteStratifiedSet, text: dict, values: dict) -> Iterator[str]:
+    """The fixed indented layout of set_json_chunks: cells from the set, the other
+    top-level values through the stdlib, indented one level."""
+    words = {(): "[]"}  # a degeneracy word -> its indented text
+    for i, key in enumerate(sorted(values.keys() | {"cells"})):
+        yield f'{"," if i else "{"}\n  {encode_basestring_ascii(key)}: '
+        if key != "cells":
+            yield json.dumps(values[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            continue
+        sep = "["
+        for c in X.cells():
+            faces = []
+            for s in X.faces[c] if X.dims[c] >= 1 else ():
+                if s.word not in words:
+                    items = ",".join(f"\n            {j}" for j in s.word)
+                    words[s.word] = f"[{items}\n          ]"
+                faces.append(
+                    f'\n        {{\n          "cell": {text[s.cell]},'
+                    f'\n          "word": {words[s.word]}\n        }}'
+                )
+            faces_text = f'[{",".join(faces)}\n      ]' if faces else "[]"
+            thin = "true" if c in X.thin else "false"
+            yield (
+                f'{sep}\n    {{\n      "dim": {X.dims[c]},\n      "faces": {faces_text},'
+                f'\n      "id": {text[c]},\n      "thin": {thin}\n    }}'
+            )
+            sep = ","
+        yield "[]" if sep == "[" else "\n  ]"  # no cells: the stdlib writes []
+    yield "\n}"
 
 
 def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:

@@ -13,7 +13,7 @@ from complicial.cli import VERBS, _write_json, enriched_to_json, main
 from complicial.enriched import EnrichedCategory, point_set, suspension
 from complicial.errors import BadParams
 from complicial.shapes import big_C, big_H, cube, standard
-from complicial.stratified import set_from_json, set_to_json, subset_to_json
+from complicial.stratified import set_from_json, set_json_chunks, set_to_json, subset_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -563,14 +563,32 @@ def test_writer_bytes_match_json_dumps_on_every_output(tmp_path, capsys):
 
 
 def test_writer_streams_without_holding_the_text(tmp_path):
-    payload = set_to_json(cube(5))
-    out_file = tmp_path / "cube5.json"
-    tracemalloc.start()
-    try:
-        _write_json(str(out_file), payload)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    size = out_file.stat().st_size
-    assert out_file.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert peak < size
+    X = cube(5)
+    payload = set_to_json(X)
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # the stdlib path on a dict, and the set path, whose chunks are made while traced
+    for name, write in (
+        ("dict", lambda path: _write_json(path, payload)),
+        ("chunks", lambda path: _write_json(path, set_json_chunks(X))),
+    ):
+        out_file = tmp_path / f"cube5-{name}.json"
+        tracemalloc.start()
+        try:
+            write(str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out_file.stat().st_size
+        assert out_file.read_text() == expected, name
+        assert peak < size, name
+
+
+def test_spelling_clash_writes_no_out_file(tmp_path, capsys):
+    # the clash is found when the set's chunks are asked for, before --out is opened
+    in_file, out_file = tmp_path / "in.json", tmp_path / "f.json"
+    in_file.write_text(json.dumps(with_separator_in_arrow_name()))
+    code = main(["from-category", str(in_file), "--dmax", "2", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: two distinct cells are both spelled 'a:f|g'\n"
+    assert captured.out == "" and not out_file.exists()

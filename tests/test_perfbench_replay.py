@@ -1,9 +1,9 @@
-"""Seed 0 of two perfbench workloads, replayed against their recorded digests.
+"""Seed 0 of three perfbench workloads, replayed against their recorded digests.
 
 perfbench records the exit code and output digest of every job in
-``perfbench/expected.json``; this replays the seed-0 ``lifting`` and ``nerve``
-jobs in-process, through the same generator, arguments and check, so that a
-change of output shows up here first.  Inputs and outputs go to a temporary
+``perfbench/expected.json``; this replays the seed-0 ``lifting``, ``nerve`` and
+``build`` jobs in-process, through the same generator, arguments and check, so
+that a change of output shows up here first.  Inputs and outputs go to a temporary
 directory; nothing under ``perfbench/`` is written.
 """
 
@@ -27,7 +27,7 @@ def load_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["lifting", "nerve"])
+@pytest.mark.parametrize("workload", ["lifting", "nerve", "build"])
 def test_seed_zero_jobs_match_their_records(workload, tmp_path, capsys):
     workloads = load_workloads()
     expected = json.loads((PERFBENCH / "expected.json").read_text())
