@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Hashable, Iterator
 
 from .errors import BadParams, ParseError, StepViolation, UnknownCell
-from .operators import PLUS, Operator, admissible_vertices, all_injections, delta
+from .operators import PLUS, Operator, admissible_vertices, all_injections
 from .shapes import Coords, big_C, big_H
 from .stratified import (
     FiniteStratifiedSet,
@@ -109,7 +109,7 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     def candidates(j: int, assignment: dict) -> Iterator[Simplex]:
         thin = j not in admissible
         inner = _thin_faces(n - 1, k - (j < k), X.max_dim()) if thin else ()
-        faces = {i: X.act(t, delta(n - 1, j - 1)) for i, t in assignment.items()}
+        faces = {i: X.face(t, j - 1) for i, t in assignment.items()}
         fillers = X.fillers(n - 1, faces, thin)
         return (s for s in fillers if _unthin_face(X, s, inner, X.thin) is None)
 
@@ -158,7 +158,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
                 if next(X.fillers(n, problem, True), None) is None:
                     faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
                     report.failures.append({"instance": name, "faces": faces})
-            elif not X.is_thin(X.act(problem, delta(n, k))):
+            elif not X.is_thin(X.face(problem, k)):
                 report.failures.append({"instance": name, "simplex": simplex_to_json(problem)})
         report.checked.append((name, count))
     return report

@@ -93,7 +93,7 @@ def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
 
 
 @lru_cache(maxsize=None)
-def _split(w: tuple, m: int) -> tuple[int, Coords, Operator | None]:
+def _split(w: tuple, m: int) -> tuple[int, tuple, Operator | None]:
     """What _eval reads off the arrow w at dimension m alone: where its last
     indecomposable factor starts, that factor's core, and its degeneracy
     operator (None when nondegenerate)."""
@@ -204,12 +204,9 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
     faces = {}
     for n, layer in enumerate(cores[1:], 1):
         for f in layer:
-            entries = []
-            for j in range(n + 1):
-                face = nerve_act(f, delta(n, j))
-                core, word = normal.get(face, (face, ()))
-                entries.append(Simplex(ids[core], word))
-            faces[ids[f]] = tuple(entries)
+            images = (nerve_act(f, delta(n, j)) for j in range(n + 1))
+            normals = (normal.get(face, (face, ())) for face in images)
+            faces[ids[f]] = tuple(Simplex(ids[core], word) for core, word in normals)
     tops = (f for layer in cores[2:] for f in layer)
     thin = [ids[f] for f in tops if E.hom(f.obj[0], f.obj[-1]).is_thin(recover_arrow(f))]
     N = FiniteStratifiedSet(D, dims, faces, thin)
@@ -221,7 +218,7 @@ def _has_inverse(N: FiniteStratifiedSet, e) -> bool:
     with faces (d_2, d_1, d_0) equal to (e, id_x, back) and (back, id_y, e)."""
     y, x = (s.cell for s in N.faces[e])
     for u in N.fillers(2, {2: Simplex(e), 1: Simplex(x, (0,))}, True):
-        back = N.act(u, delta(2, 0))
+        back = N.face(u, 0)
         witness = N.fillers(2, {2: back, 0: Simplex(e), 1: Simplex(y, (0,))}, True)
         if next(witness, None) is not None:
             return True

@@ -16,10 +16,11 @@ alike, and the order of cells, which is the order of their spellings.
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
 with given faces, and ``extensions`` beside it the one backtracking search:
 nerve and horn enumeration fill each slot in turn with a filler of the faces
-already chosen.  ``fillers`` answers from a face index, built lazily per
-dimension on the first query: the n-simplices in ``simplices_of_dim`` order,
-the face tuple of each, and an inverted index from (j, face) to positions.  The
-index stays valid because a set is never mutated; ``make_thin`` builds a new one.
+already chosen.  Faces are computed in one place, a face index built per
+dimension on its first query: ``rows`` maps each n-simplex, in ``simplices_of_dim``
+order, to its face tuple, and ``having`` maps (j, face) to the simplices with
+that face at j, in that order.  ``face``, ``fillers`` and ``gray_product`` read
+it.  It stays valid because a set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations
@@ -164,44 +165,47 @@ class FiniteStratifiedSet:
         self._act_cache[key] = out
         return out
 
-    def _faces_of_dim(self, n: int) -> tuple:
-        """The face index of dimension n, built on its first query: the
-        n-simplices in simplices_of_dim order, the face tuple of each, and the
-        positions of the simplices with face s at j, increasing, keyed (j, s)."""
+    def _faces_of_dim(self, n: int) -> tuple[dict, dict]:
+        """The face index of dimension n, built on its first query: (rows, having),
+        rows mapping each n-simplex, in simplices_of_dim order, to its face tuple,
+        and having mapping (j, s) to the simplices with face s at j, in that order."""
         index = self._face_index.get(n)
         if index is None:
-            simplices = tuple(self.simplices_of_dim(n))
             ds = [delta(n, j) for j in range(n + 1)] if n else []  # 0-simplices have no faces
-            rows = tuple(tuple(self.act(z, d) for d in ds) for z in simplices)
-            positions: dict[tuple[int, Simplex], list[int]] = {}
-            for pos, row in enumerate(rows):
+            rows = {z: tuple(self.act(z, d) for d in ds) for z in self.simplices_of_dim(n)}
+            having: dict[tuple[int, Simplex], list[Simplex]] = {}
+            for z, row in rows.items():
                 for key in enumerate(row):
-                    positions.setdefault(key, []).append(pos)
-            index = self._face_index[n] = (simplices, rows, positions)
+                    having.setdefault(key, []).append(z)
+            index = self._face_index[n] = (rows, having)
         return index
+
+    def face(self, s: Simplex, j: int) -> Simplex:
+        """The jth face of s, read from the face index; OutOfRange if s has no face j."""
+        row = self._faces_of_dim(self.simplex_dim(s))[0][s]
+        if not 0 <= j < len(row):
+            raise OutOfRange(f"no face {j} of {s}")
+        return row[j]
 
     def fillers(self, n: int, faces: Mapping[int, Simplex], thin: bool) -> Iterator[Simplex]:
         """The n-simplices whose jth face is faces[j] for every given j, only thin
-        ones if thin, in simplices_of_dim order: the one boundary search.
-
-        It intersects the position lists of the given faces in the face index:
-        the shortest list, walked in increasing position, keeps the simplices
-        whose face tuples hold the other faces.  No faces means every position."""
+        ones if thin, in simplices_of_dim order: the one boundary search.  It walks
+        the shortest having list of the given faces (every row if none is given),
+        keeping the simplices whose rows hold the other faces."""
         for j in faces:
             if not 0 <= j <= n:
                 raise OutOfRange(f"face index {j} not in [{n}]")
-        simplices, rows, positions = self._faces_of_dim(n)
+        rows, having = self._faces_of_dim(n)
         wanted = list(faces.items())
-        hits = min((positions.get(key, ()) for key in wanted), key=len, default=None)
-        for pos in range(len(simplices)) if hits is None else hits:
-            z = simplices[pos]
-            if (not thin or self.is_thin(z)) and all(rows[pos][j] == s for j, s in wanted):
+        hits = min((having.get(key, ()) for key in wanted), key=len, default=None)
+        for z in rows if hits is None else hits:
+            if (not thin or self.is_thin(z)) and all(rows[z][j] == s for j, s in wanted):
                 yield z
 
     def face_determined(self, n: int) -> bool:
         """Whether no two n-simplices, degenerate ones included, share faces."""
-        rows = self._faces_of_dim(n)[1]
-        return len(set(rows)) == len(rows)
+        rows = self._faces_of_dim(n)[0]
+        return len(set(rows.values())) == len(rows)
 
     # -- validation -----------------------------------------------------
 
@@ -302,9 +306,7 @@ class StratifiedMap:
             if c in self.source.thin and not self.target.is_thin(img):
                 problems.append(f"thin cell {c} maps to non-thin simplex")
             for j in range(d + 1) if d >= 1 else ():
-                expected = self(self.source.faces[c][j])
-                got = self.target.act(img, delta(d, j))
-                if expected != got:
+                if self(self.source.faces[c][j]) != self.target.face(img, j):
                     problems.append(f"cell {c}: face {j} does not commute")
         return problems
 
@@ -368,6 +370,8 @@ def product_pair_simplex(sx: Simplex, sy: Simplex) -> Simplex:
     those flats stripped, each remaining flat f moved down by #{c common : c < f}.
     """
     common = set(sx.word) & set(sy.word)
+    if not common:
+        return Simplex(Pair((sx, sy)))
 
     def strip(s: Simplex) -> Simplex:
         rest = (f for f in s.word if f not in common)
@@ -385,6 +389,7 @@ def gray_product(
     Its cells are the pairs (x, y) of m-simplices whose words share no flat.
     The m - dim x flats of x and the m - dim y flats of y are disjoint only if
     m <= dim x + dim y, so there are no cells above X.max_dim() + Y.max_dim().
+    The faces of (x, y) are the factors' face rows of x and y, zipped.
     """
     if cap is None:
         cap = X.dim_cap + Y.dim_cap
@@ -392,19 +397,16 @@ def gray_product(
     faces: dict[Pair, tuple[Simplex, ...]] = {}
     thin: set[Pair] = set()
     for m in range(min(cap, X.max_dim() + Y.max_dim()) + 1):
-        ys = list(Y.simplices_of_dim(m))
-        for sx in X.simplices_of_dim(m):
+        rows_y = Y._faces_of_dim(m)[0]
+        for sx, row_x in X._faces_of_dim(m)[0].items():
             fx = set(sx.word)
-            for sy in ys:
+            for sy, row_y in rows_y.items():
                 if not fx.isdisjoint(sy.word):
                     continue
                 cell = Pair((sx, sy))
                 dims[cell] = m
                 if m >= 1:
-                    ds = [delta(m, j) for j in range(m + 1)]
-                    faces[cell] = tuple(
-                        product_pair_simplex(X.act(sx, d), Y.act(sy, d)) for d in ds
-                    )
+                    faces[cell] = tuple(map(product_pair_simplex, row_x, row_y))
                     if X.is_thin(sx) and Y.is_thin(sy):
                         thin.add(cell)
     return FiniteStratifiedSet(cap, dims, faces, thin)

@@ -15,6 +15,7 @@ from complicial.anodyne import builtin_certificates, certificate_to_json
 from complicial.cli import enriched_to_json
 from complicial.enriched import (
     FiniteCategory,
+    cyclic_group_category,
     from_category,
     one_object_group_enriched,
     suspension,
@@ -25,6 +26,7 @@ from complicial.shapes import big_C, big_H, boundary, complicial, cube, standard
 from complicial.stratified import (
     FiniteStratifiedSet,
     empty_set,
+    gray_product,
     set_from_json,
     set_json_chunks,
     set_to_json,
@@ -79,6 +81,18 @@ SET_PINS = {
     "fork nerve": (
         lambda: from_category(_fork_category(), 3),
         "a3a716cdc6255184d507c6eccb504daac809766051d3c9f675be8cedc3e4f046",
+    ),
+    "gray_product(standard(1), standard(2))": (
+        lambda: gray_product(standard(1), standard(2)),
+        "c74be95155ec5e001939703480e0b15ccdb104541a63e7e8edf2283bf06df3ce",
+    ),
+    "gray_product(cube(2), complicial(2, 1))": (
+        lambda: gray_product(cube(2), complicial(2, 1)),
+        "07d883f55f6c75336fa60f90444194c59c86b704046d17be21256bddd7700b0a",
+    ),
+    "gray_product(G, G, cap=3), G the nerve of Z/3": (
+        lambda: gray_product(*[from_category(cyclic_group_category(3), 3)] * 2, cap=3),
+        "9f3dfaf38250d0af4471a583081f301c8ce147f33c80089393bbdcd5686516f5",
     ),
     "nerve of suspension(standard(2))": (
         lambda: build_nerve(suspension(standard(2)), 3),

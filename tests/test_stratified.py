@@ -24,6 +24,7 @@ from complicial.shapes import (
     Vertices,
     big_C,
     big_H,
+    boundary,
     complicial,
     cube,
     horn,
@@ -413,6 +414,29 @@ def test_face_determined_dimensions():
     # fixed by their faces
     X = from_category(cyclic_group_category(3), 3)
     assert [X.face_determined(n) for n in range(4)] == [True, False, True, True]
+
+
+FACE_SETS = {
+    "cube(3)": lambda: cube(3),
+    "big_C(3, 2)": lambda: big_C(3, 2),
+    "horn(3, 1)": lambda: horn(3, 1),
+    "boundary(3)": lambda: boundary(3),
+    "walking-iso nerve": lambda: from_category(walking_iso(), 3),
+    "nerve of suspension(standard(2))": lambda: build_nerve(suspension(standard(2)), 3),
+    "gray_product(standard(1), standard(2))": lambda: gray_product(standard(1), standard(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACE_SETS))
+def test_face_reads_what_act_computes(name):
+    X = FACE_SETS[name]()
+    for n in range(4):
+        for s in X.simplices_of_dim(n):
+            js = range(n + 1) if n else ()  # 0-simplices have no faces
+            assert [X.face(s, j) for j in js] == [X.act(s, delta(n, j)) for j in js]
+            for j in (-1, n + 1) if n else (0,):
+                with pytest.raises(OutOfRange):
+                    X.face(s, j)
 
 
 def test_extensions_are_lexicographic():
