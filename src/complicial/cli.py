@@ -34,8 +34,10 @@ from .anodyne import (
     tower_problem_from_json,
     verify_certificate,
 )
-from .errors import BadParams, ComplicialError, ParseError
+from .errors import BadParams, ComplicialError, IllFormedCategory, LawViolation, ParseError
 from .stratified import (
+    StratifiedMap,
+    gray_product,
     json_field,
     set_from_json,
     set_json_chunks,
@@ -45,6 +47,9 @@ from .stratified import (
     spellings,
     subset_to_set,
 )
+
+# enriched, nerve and suite are imported by the handlers that need them, which
+# keeps importing this module cheap
 
 # name -> (constructor, least n, least k or None when the shape takes no k); k <= n
 SHAPES = {
@@ -117,8 +122,6 @@ def _enriched_from_json(data):
     of the product cells.  ParseError unless every key names exactly one product cell
     and the laws hold."""
     from .enriched import make_enriched
-    from .errors import LawViolation
-    from .stratified import StratifiedMap, gray_product
 
     path = "enriched"
     objects = _distinct(json_field(data, "objects", [str], path), f"{path}.objects")
@@ -176,9 +179,8 @@ def enriched_to_json(E) -> dict:
 
 def _category_from_json(data):
     """A finite category: arrows as name -> [source, target], an identity arrow
-    per object and composites keyed "g;f"; ParseError unless it is a category."""
+    per object and composites keyed "g;f"; from_category checks the laws."""
     from .enriched import FiniteCategory
-    from .errors import IllFormedCategory
 
     path = "category"
     objects = _distinct(json_field(data, "objects", [str], path), f"{path}.objects")
@@ -191,12 +193,7 @@ def _category_from_json(data):
         if key.count(";") != 1:
             raise ParseError(f"{path}.table.{key}: expected a key g;f")
         table[tuple(key.split(";"))] = json_field(table_json, key, str, f"{path}.table")
-    cat = FiniteCategory(tuple(objects), arrows, identities, table)
-    try:
-        cat.validate()
-    except IllFormedCategory as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return cat
+    return FiniteCategory(tuple(objects), arrows, identities, table)
 
 
 # -- one handler per verb: args -> (payload to write, or None, and the verdict) --
@@ -258,7 +255,10 @@ def _from_category(args):
     from .enriched import from_category
 
     cat = _category_from_json(_load_json(args.input))
-    return set_json_chunks(from_category(cat, args.dmax)), True
+    try:
+        return set_json_chunks(from_category(cat, args.dmax)), True
+    except IllFormedCategory as exc:
+        raise ParseError(f"category: {exc}") from exc
 
 
 def _validate_gray(args):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Mapping
 
+from .anodyne import rlp_report
 from .errors import CapExceeded, IllFormedCategory, LawViolation
 from .stratified import (
     Cell,
@@ -380,8 +381,6 @@ def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
     hom.dim_cap), never above the hom's cap: validate_gray(suspension(
     boundary(2)), 3) checks hom(0, 1) at dimension 1 only and passes, though
     the nerve fails the inner lifting report at dimension 3."""
-    from .anodyne import rlp_report
-
     reports = {}
     ok = True
     for (a, b), hom in sorted(E.homs.items()):

@@ -3,15 +3,16 @@
 An arrow from r to s at dimension m is its coordinate tuple w: a function on
 the half-open interval (r, s], position i holding w[i - r - 1], valued in
 {-, +, 1..m}, with the top position always the constant-0 coordinate -.  So
-s = r + len(w), and the identity on r is the empty tuple.  Composition is
-concatenation a_w + b_w; an arrow splits uniquely at its interior minus
-positions into indecomposables, so its last indecomposable factor starts
-after its last interior minus.  The nondegenerate core and degeneracy word of
-an arrow are ``shapes.cube_normal_form(w, m)``.  A simplicial operator alpha
-acts fiberwise: coordinate i' of the image over (alpha(r), alpha(s)] is the
-pointwise minimum of the coordinates at the positions alpha sends to i', the
-constant-1 coordinate + when there are none; positions sent to alpha(r) drop
-out.
+s = r + len(w), the identity on r is the empty tuple, and hom(r, s) is one
+set for each length s - r.  Composition is concatenation a_w + b_w; an arrow
+splits uniquely at its interior minus positions into indecomposables.
+``split`` cuts it after its last interior minus and gives the last factor's
+core and degeneracy operator from ``shapes.cube_normal_form``; the
+``generators`` are the nondegenerate arrows it leaves uncut.  A simplicial
+operator alpha acts fiberwise: coordinate i' of the image over (alpha(r),
+alpha(s)] is the pointwise minimum of the coordinates at the positions alpha
+sends to i', the constant-1 coordinate + when there are none; positions sent
+to alpha(r) drop out.
 
 A cell of hom(r, s) is a ``shapes.Coords`` holding the coordinates w of the
 arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
@@ -22,12 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BadInterval, OutOfRange
-from .operators import MINUS, PLUS, CubeCoordinate, Operator
-from .shapes import Coords, cube, in_big_H
+from .operators import MINUS, PLUS, CubeCoordinate, Operator, word_operator
+from .shapes import Coords, cube, cube_normal_form, in_big_H, special_top
 from .stratified import FiniteStratifiedSet, Simplex
 
 
-@lru_cache(maxsize=None)
 def hom_set(r: int, s: int) -> FiniteStratifiedSet:
     """The stratified homset from r to s: a point, or a cube one step down.
 
@@ -35,9 +35,14 @@ def hom_set(r: int, s: int) -> FiniteStratifiedSet:
     """
     if r > s:
         raise BadInterval(f"hom({r},{s}) is empty")
-    if r == s:
+    return _hom_of_length(s - r)
+
+
+@lru_cache(maxsize=None)
+def _hom_of_length(k: int) -> FiniteStratifiedSet:
+    if not k:
         return FiniteStratifiedSet(0, {Coords(()): 0}, {})
-    C = cube(s - r - 1)
+    C = cube(k - 1)
     top = {c: Coords(c.w + (MINUS,)) for c in C.dims}
     faces = {
         top[c]: tuple(Simplex(top[f.cell], f.word) for f in fs) for c, fs in C.faces.items()
@@ -45,6 +50,36 @@ def hom_set(r: int, s: int) -> FiniteStratifiedSet:
     return FiniteStratifiedSet(
         C.dim_cap, {top[c]: d for c, d in C.dims.items()}, faces, (top[c] for c in C.thin)
     )
+
+
+@lru_cache(maxsize=None)
+def split(
+    w: tuple[CubeCoordinate, ...], m: int
+) -> tuple[int, tuple[CubeCoordinate, ...], Operator | None]:
+    """The arrow w at dimension m cut before its last indecomposable factor:
+    (cut, core, op), the factor w[cut:] being the nondegenerate core acted on
+    by the degeneracy operator op (None when the factor is nondegenerate)."""
+    cut = max((i for i, v in enumerate(w[:-1], 1) if v == MINUS), default=0)
+    core, word = cube_normal_form(w[cut:], m)
+    return cut, core, word_operator(m, word) if word else None
+
+
+@lru_cache(maxsize=None)
+def generators(n: int) -> tuple[tuple[int, int, Coords, int], ...]:
+    """The nondegenerate indecomposable arrows of the coherent n-path, the hom
+    cells split leaves uncut, as (r, s, cell, dim) in (dim, r, s, cell) order."""
+    gens = []
+    for r in range(n + 1):
+        for s in range(r + 1, n + 1):
+            H = hom_set(r, s)
+            gens += [(r, s, c, H.dims[c]) for c in H.cells() if not split(c.w, H.dims[c])[0]]
+    gens.sort(key=lambda g: (g[3], g[0], g[1], g[2]))
+    return tuple(gens)
+
+
+def special_arrow(m: int) -> tuple[CubeCoordinate, ...]:
+    """hom(0, m + 1)'s top special arrow: the order reversing bijection, then the top minus."""
+    return special_top(m).w + (MINUS,)
 
 
 def _min_coord(u: CubeCoordinate, v: CubeCoordinate) -> CubeCoordinate:

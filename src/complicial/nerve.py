@@ -15,39 +15,31 @@ simplicial operator sends generators to generators or identities, so
 degeneracies and faces read generator images alone; degeneracies come from
 the layers below, and give every face its normal form.
 
-An arrow is handled as in ``hcpath``: the coordinate tuple w from r at
-dimension m.  What the evaluator reads off (w, m) alone, the split into the
-last factor's position, core and degeneracy operator, is cached across
-simplices and builds, and its composites come from the category's table, so
-a build evaluates each composite once.  Thinness of a nerve simplex above
-dimension one tests the image of the top special simplex of the long homset,
-the order reversing bijection followed by the top minus.  An edge is thin
-when ``fillers`` on the built set finds an equivalence witness pair of thin
-2-simplices.
+An arrow is handled by ``hcpath``: the coordinate tuple w from r at
+dimension m, its generators, and ``split``, which cuts it before its last
+factor and is cached across simplices and builds.  The composites come from
+the category's table, so a build evaluates each composite once.  Thinness of
+a nerve simplex above dimension one tests the image of the top special arrow
+of the long homset.  An edge is thin when ``fillers`` on the built set finds
+an equivalence witness pair of thin 2-simplices.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterator
 
 from .errors import OutOfRange
-from .operators import MINUS, Operator, delta, surjection_words, word_operator as _wop
+from .operators import Operator, delta, surjection_words, word_operator as _wop
 from .enriched import EnrichedCategory
-from .hcpath import hom_set, path_act
-from .shapes import (
-    Coords,
-    comparison_operator,
-    cube_face,
-    cube_normal_form,
-    special_top,
-)
+from .hcpath import generators, hom_set, path_act, special_arrow, split
+from .shapes import comparison_operator, cube_face
 from .stratified import FiniteStratifiedSet, Simplex, extensions, make_thin
 
 
 class NerveSimplex:
     """An enriched functor from the coherent n-path, held as its images of the
-    generators: (r, w) -> Simplex of E.hom for each cell of _generators(n).
+    generators: (r, w) -> Simplex of E.hom for each cell of generators(n).
     Every other arrow is evaluated from these on demand, and remembered."""
 
     def __init__(self, E: EnrichedCategory, n: int, obj: tuple[str, ...], images):
@@ -55,7 +47,7 @@ class NerveSimplex:
         self.n = n
         self.obj = obj
         self.images = images
-        self._key = (n, obj, tuple(images[(r, cell.w)] for r, _, cell, _ in _generators(n)))
+        self._key = (n, obj, tuple(images[(r, cell.w)] for r, _, cell, _ in generators(n)))
         self._evaluated: dict[tuple[int, tuple, int], Simplex] = {}
 
     def __eq__(self, other) -> bool:
@@ -82,7 +74,7 @@ def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
     degeneracy operator, composed after rest(r, w[:cut], m) for the arrow before it."""
     if not w:
         return E.identity_simplex(obj[r], m)
-    cut, core, op = _split(w, m)
+    cut, core, op = split(w, m)
     s = r + len(w)
     img = images[(r + cut, core)]
     if op is not None:
@@ -92,45 +84,22 @@ def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
     return E.compose(obj[r], obj[r + cut], obj[s], img, rest(r, w[:cut], m))
 
 
-@lru_cache(maxsize=None)
-def _split(w: tuple, m: int) -> tuple[int, tuple, Operator | None]:
-    """What _eval reads off the arrow w at dimension m alone: where its last
-    indecomposable factor starts, that factor's core, and its degeneracy
-    operator (None when nondegenerate)."""
-    cut = _last_factor(w)
-    core, word = cube_normal_form(w[cut:], m)
-    return cut, core, _wop(m, word) if word else None
-
-
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[tuple[int, int, Coords, int], ...]:
-    """Nondegenerate indecomposable hom cells as (r, s, cell, dim)."""
-    gens = []
-    for r in range(n + 1):
-        for s in range(r + 1, n + 1):
-            H = hom_set(r, s)
-            for cell in H.cells():
-                if MINUS not in cell.w[:-1]:
-                    gens.append((r, s, cell, H.dims[cell]))
-    gens.sort(key=lambda g: (g[3], g[0], g[1], g[2]))
-    return tuple(gens)
-
-
 def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[NerveSimplex]:
     """The n-simplices extending the (n - 1)-layer below, degenerate ones included;
     [] when below is empty.  They are ordered by the object ranks and then by the
-    images of _generators(n), in their order; the ids N{n}.{i} that build_nerve
+    images of generators(n), in their order; the ids N{n}.{i} that build_nerve
     writes are positions in this order.
 
     Each extends the images of its face d_n = g over the generators of
     hom(r, n), in (dim, r, cell) order, so the faces of each are known when
-    it is reached.  Every hom(r, s) with s < n is g's, already checked, so an
-    extension is kept when the thin cells of each hom(r, n) land thin."""
+    it is reached.  Every hom(r, s) with s < n is g's, already checked, and
+    ``fillers`` lands each thin generator thin, so an extension is kept when
+    the other thin cells of each hom(r, n) land thin."""
     if not below:
         return []
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
-    gens = _generators(n)
+    gens = generators(n)
     # the generators of hom(r, n), keyed (r, w), with dimension, face coordinates and thin flag
     last = {}
     for r, s, cell, d in gens:
@@ -138,6 +107,7 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
             face_ws = [cube_face(cell.w, d, j) for j in range(d + 1)] if d else []
             last[(r, cell.w)] = (d, face_ws, cell in hom_set(r, n).thin)
     thin = [(r, c.w, hom_set(r, n).dims[c]) for r in range(n) for c in sorted(hom_set(r, n).thin)]
+    thin = [(r, w, m) for r, w, m in thin if (r, w) not in last]
 
     def key(f: NerveSimplex) -> tuple:
         images = (E.hom(f.obj[r], f.obj[s]).sort_key(f.images[(r, c.w)]) for r, s, c, _ in gens)
@@ -159,15 +129,10 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
     return sorted(found, key=key)
 
 
-def _last_factor(w: tuple) -> int:
-    """Where the last indecomposable factor of w starts: after its last interior minus."""
-    return max((i for i, v in enumerate(w[:-1], 1) if v == MINUS), default=0)
-
-
 def _functor(E, n: int, obj: tuple[str, ...], image) -> NerveSimplex:
     """The n-simplex sending each generator, as the arrow w from r at dimension
     m, to image(r, w, m)."""
-    return NerveSimplex(E, n, obj, {(r, c.w): image(r, c.w, d) for r, _, c, d in _generators(n)})
+    return NerveSimplex(E, n, obj, {(r, c.w): image(r, c.w, d) for r, _, c, d in generators(n)})
 
 
 def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
@@ -247,4 +212,4 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
 
 def recover_arrow(f: NerveSimplex) -> Simplex:
     """Evaluate an (n+1)-simplex of the nerve at the top special simplex."""
-    return f.eval_arrow(0, special_top(f.n - 1).w + (MINUS,), f.n - 1)
+    return f.eval_arrow(0, special_arrow(f.n - 1), f.n - 1)

@@ -10,7 +10,7 @@ import pytest
 
 from complicial.anodyne import builtin_certificates, certificate_to_json
 from complicial.cli import VERBS, _write_json, enriched_to_json, main
-from complicial.enriched import EnrichedCategory, point_set, suspension
+from complicial.enriched import EnrichedCategory, FiniteCategory, point_set, suspension
 from complicial.errors import BadParams
 from complicial.shapes import big_C, big_H, cube, standard
 from complicial.stratified import set_from_json, set_json_chunks, set_to_json, subset_to_json
@@ -204,6 +204,20 @@ def test_from_category_cli(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert sum(1 for c in data["cells"] if c["dim"] == 1) == 1
+
+
+def test_from_category_validates_its_category_once(tmp_path, capsys, monkeypatch):
+    # the reader only parses; from_category checks the laws, once, and a
+    # failure still exits 2
+    calls = []
+    validate = FiniteCategory.validate
+    monkeypatch.setattr(FiniteCategory, "validate", lambda cat: calls.append(cat) or validate(cat))
+    in_file = tmp_path / "cat.json"
+    for doc, status in ((WALKING_ARROW, 0), (without_right_unit(), 2)):
+        in_file.write_text(json.dumps(doc))
+        calls.clear()
+        assert run(["from-category", str(in_file), "--dmax", "2"], capsys)[0] == status
+        assert len(calls) == 1
 
 
 def test_validate_gray_cli(tmp_path, capsys):

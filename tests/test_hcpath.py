@@ -14,8 +14,7 @@ from complicial.operators import (
     rho_operator,
     sigma,
 )
-from complicial.hcpath import hc_horn_member, hom_set, path_act
-from complicial.nerve import _generators
+from complicial.hcpath import generators, hc_horn_member, hom_set, path_act
 from complicial.shapes import Coords, big_H, cube, cube_normal_form, special_top
 from reference import (
     arrow_is_degenerate,
@@ -55,6 +54,12 @@ def test_hom_set_is_cube_one_down():
     assert H.count_nondegenerate() == cube(2).count_nondegenerate()
     assert sum(H.count_nondegenerate().values()) == 11
     assert H.validate() == []
+
+
+def test_hom_set_is_one_set_per_length():
+    for s in range(6):
+        for r in range(s + 1):
+            assert hom_set(r, s) is hom_set(r + 1, s + 1), (r, s)
 
 
 def test_hom_set_bad_interval():
@@ -246,7 +251,7 @@ def test_indecomposability():
     assert len(split_at_zeros(*indecomposable(1, 4)[:2])) == 1
     assert len(split_at_zeros(0, (MINUS, MINUS))) == 2
     for n in range(1, 5):
-        gens = {(r, s, cell) for r, s, cell, _ in _generators(n)}
+        gens = {(r, s, cell) for r, s, cell, _ in generators(n)}
         one_factor = {
             (r, s, cell)
             for r in range(n + 1)
@@ -327,7 +332,7 @@ def test_path_act_equals_elementary_replay():
 def test_path_act_sends_generators_to_indecomposable_arrows():
     # so nerve_act reads generator images alone and never composes
     for n in range(5):
-        for r, s, cell, _ in _generators(n):
+        for r, s, cell, _ in generators(n):
             for n2 in range(5):
                 for alpha in all_operators(n, n2):
                     _, w = path_act(alpha, r, cell.w)

@@ -14,11 +14,9 @@ from complicial.enriched import (
     suspension,
     walking_iso,
 )
-from complicial.hcpath import hom_set
+from complicial.hcpath import generators, hom_set, split
 from complicial.nerve import (
     NerveSimplex,
-    _generators,
-    _last_factor,
     build_nerve,
     nerve_act,
     recover_arrow,
@@ -200,7 +198,7 @@ def test_build_nerve_of_susp_point_is_interval():
 def test_build_nerve_reaches_dimension_six():
     # the homs into 6 have 1,267 generators, past the recursion limit: the
     # reason stratified.extensions keeps its search on a stack (see its docstring)
-    assert sum(1 for g in _generators(6) if g[1] == 6) == 1267
+    assert sum(1 for g in generators(6) if g[1] == 6) == 1267
     N = build_nerve(suspension(standard(0)), 6)
     assert N.count_nondegenerate() == {0: 2, 1: 1}
 
@@ -237,7 +235,7 @@ def test_last_factor_cut_matches_the_full_split():
     for s in range(1, 6):
         for r in range(s):
             for cell in hom_set(r, s).cells():
-                cut = _last_factor(cell.w)
+                cut = split(cell.w, hom_set(r, s).dims[cell])[0]
                 assert split_at_zeros(r, cell.w)[-1] == (r + cut, cell.w[cut:]), (r, cell)
 
 
@@ -419,7 +417,7 @@ def _eval_partial(E, obj, assigned, r, w, m):
 
 @lru_cache(maxsize=None)
 def _reference_simplices(E, n):
-    gens = _generators(n)
+    gens = generators(n)
     results = []
 
     def object_maps(prefix):
