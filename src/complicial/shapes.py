@@ -21,7 +21,8 @@ simplex for the consistency check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
+from typing import Iterator
 
 from .errors import OutOfRange
 from .operators import (
@@ -175,41 +176,54 @@ def cube_normal_form(
     return core, tuple(sorted((v - 1 for v in missing), reverse=True))
 
 
+def _surjective_words(n: int, m: int) -> Iterator[tuple[CubeCoordinate, ...]]:
+    """The words of length n in -, +, 1..m that take every integer value, in the
+    order ``itertools.product`` lists that alphabet; a prefix is dropped as soon
+    as the positions left are fewer than the integers it still misses."""
+    alphabet = [(MINUS, 0), (PLUS, 0)] + [(v, 1 << v) for v in range(1, m + 1)]
+
+    def grow(prefix, missing, left):
+        if not left:
+            yield prefix
+            return
+        for v, bit in alphabet:
+            rest = missing & ~bit
+            if rest.bit_count() < left:
+                yield from grow(prefix + (v,), rest, left - 1)
+
+    return grow((), sum(bit for _, bit in alphabet), n)
+
+
 @lru_cache(maxsize=None)
 def cube(n: int) -> FiniteStratifiedSet:
     """The n-fold tensor power of the 1-simplex with its directed stratification.
 
-    The jth face acts on each coordinate alone, so it is a table read off
-    ``cube_face`` once per (m, j); each distinct face is normalised once."""
+    Its m-cells are the surjective words, enumerated directly.  Every face of
+    one is nondegenerate, a cell itself: an inner face merges j and j + 1, an
+    outer face turns 1 or m into a sign and shifts the rest down.  So the jth
+    face is the (m-1)-cell whose one-letter-per-coordinate code is the cell's
+    code translated by a table read off ``cube_face`` once per (m, j)."""
     if n < 0:
         raise OutOfRange("cube needs n >= 0")
-    cells: dict[tuple[CubeCoordinate, ...], Coords] = {}
     dims = {}
     faces = {}
-    thin = []
+    level: dict[str, Simplex] = {}
     for m in range(n + 1):
-        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
-        integers = frozenset(range(1, m + 1))
-        tables = [{v: cube_face((v,), m, j)[0] for v in alphabet} for j in range(m + 1)]
-        simplices: dict[tuple[CubeCoordinate, ...], Simplex] = {}
-        for w in product(alphabet, repeat=n):
-            if not integers.issubset(w):
-                continue
-            cell = cells[w] = Coords(w)
+        below, level = level, {}
+        # a sign is its own letter, the integer v is chr(48 + v): the digit, for v <= 9
+        letter = {MINUS: MINUS, PLUS: PLUS} | {v: chr(48 + v) for v in range(1, m + 1)}
+        tables = [
+            str.maketrans({a: letter[cube_face((v,), m, j)[0]] for v, a in letter.items()})
+            for j in range(m + 1)
+        ]
+        for w in _surjective_words(n, m):
+            cell = Coords(w)
+            code = "".join(map(letter.__getitem__, w))
+            level[code] = Simplex(cell)
             dims[cell] = m
             if m >= 1:
-                row = []
-                for table in tables:
-                    face = tuple(map(table.__getitem__, w))
-                    s = simplices.get(face)
-                    if s is None:
-                        core, word = cube_normal_form(face, m - 1)
-                        s = simplices[face] = Simplex(cells[core], word)
-                    row.append(s)
-                faces[cell] = tuple(row)
-                if cube_thin(w, m):
-                    thin.append(cell)
-    return FiniteStratifiedSet(n, dims, faces, thin)
+                faces[cell] = tuple([below[code.translate(table)] for table in tables])
+    return FiniteStratifiedSet(n, dims, faces, (c for c in dims if cube_thin(c.w, dims[c])))
 
 
 def classify_cube_simplex(w: tuple[CubeCoordinate, ...], m: int) -> str:
@@ -229,15 +243,9 @@ def classify_cube_simplex(w: tuple[CubeCoordinate, ...], m: int) -> str:
 # highest ordinate, matching the tuple notation for cube elements.
 
 
-def cube_vertex_label(w: tuple[CubeCoordinate, ...], t: int, m: int) -> tuple[int, ...]:
-    coords = []
-    for v in reversed(w):
-        coords.append(rho_operator(v, m).values[t])
-    return tuple(coords)
-
-
 def vertex_chain(w: tuple[CubeCoordinate, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(cube_vertex_label(w, t, m) for t in range(m + 1))
+    ops = [rho_operator(v, m) for v in reversed(w)]
+    return tuple(tuple(op.values[t] for op in ops) for t in range(m + 1))
 
 
 # -- the comparison map onto the standard simplex ----------------------------
@@ -276,24 +284,14 @@ def c_map(n: int) -> StratifiedMap:
 
 
 def _criterion_i(w: tuple[CubeCoordinate, ...]) -> bool:
-    n = len(w)
-    for l in range(2, n):
-        if w[l - 1] != MINUS:
-            continue
-        if any(w[i - 1] not in (MINUS, PLUS) for i in range(1, l)) and any(
-            w[j - 1] not in (MINUS, PLUS) for j in range(l + 1, n + 1)
-        ):
-            return True
-    return False
+    """An interior minus flanked by integers: a minus between the first and last integer."""
+    ints = [i for i, v in enumerate(w) if v not in (MINUS, PLUS)]
+    return bool(ints) and MINUS in w[ints[0] + 1 : ints[-1]]
 
 
-def _criterion_ii(w: tuple[CubeCoordinate, ...], n: int, k: int) -> bool:
-    if w[k - 1] in (MINUS, PLUS):
-        return False
-    for i in (k - 1, k + 1):
-        if 1 <= i <= n and w[i - 1] == PLUS:
-            return False
-    return True
+def _criterion_ii(w: tuple[CubeCoordinate, ...], k: int) -> bool:
+    """An integer in ordinate k with no plus in ordinates k - 1 and k + 1."""
+    return w[k - 1] not in (MINUS, PLUS) and PLUS not in w[max(k - 2, 0) : k + 1]
 
 
 @lru_cache(maxsize=None)
@@ -312,7 +310,7 @@ def big_C(n: int, k: int) -> FiniteStratifiedSet:
         m = X.dims[c]
         if m == 0 or c in X.thin or not is_partial_bijection(c.w, m):
             continue
-        if _criterion_i(c.w) or _criterion_ii(c.w, n, k):
+        if _criterion_i(c.w) or _criterion_ii(c.w, k):
             extra.append(c)
     return make_thin(X, extra)
 

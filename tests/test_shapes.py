@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from complicial.errors import OutOfRange
@@ -6,6 +9,7 @@ from complicial.shapes import (
     C_ddot,
     C_dot,
     Coords,
+    _surjective_words,
     big_C,
     big_H,
     boundary,
@@ -14,6 +18,7 @@ from complicial.shapes import (
     complicial,
     cube,
     horn,
+    is_integer_surjective,
     is_partial_bijection,
     is_order_reversing,
     special_top,
@@ -121,6 +126,34 @@ def test_cube_matches_the_word_scan():
         assert X.dim_cap == Y.dim_cap
 
 
+def _surjections(k, m):
+    """Surj(k, m), the maps from a k-set onto an m-set, by inclusion-exclusion."""
+    return sum((-1) ** i * comb(m, i) * (m - i) ** k for i in range(m + 1))
+
+
+def test_cube_census_formula():
+    # an m-cell puts integers on some k of the n positions, onto 1..m, and a sign on each other
+    for n in range(7):
+        X = cube(n)
+        for m in range(n + 1):
+            census = sum(comb(n, k) * 2 ** (n - k) * _surjections(k, m) for k in range(n + 1))
+            assert len(X.cells_of_dim(m)) == census
+
+
+def test_surjective_words_are_the_cells_and_nothing_more():
+    for n in range(7):
+        X = cube(n)
+        for m in range(n + 1):
+            words = list(_surjective_words(n, m))
+            assert sorted(map(Coords, words)) == list(X.cells_of_dim(m))
+            if n <= 5:
+                alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+                scan = product(alphabet, repeat=n)
+                assert words == [w for w in scan if is_integer_surjective(w, m)]
+    # the word scan tests 446,963 words of length 6 to keep these
+    assert sum(1 for m in range(7) for _ in _surjective_words(6, m)) == 18731
+
+
 def test_classify_examples():
     assert classify_cube_simplex((2, 1), 2) == "special"
     assert classify_cube_simplex((1, 2), 2) == "thin"
@@ -131,8 +164,6 @@ def test_classify_examples():
 
 def test_classify_degenerate_matches_brute_force():
     # degeneracy is a common flat spot of the coordinate operators
-    from itertools import product
-
     for n in range(1, 4):
         for m in range(4):
             alphabet = [MINUS, PLUS] + list(range(1, m + 1))
