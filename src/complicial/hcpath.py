@@ -12,7 +12,9 @@ core and degeneracy operator from ``shapes.cube_normal_form``; the
 operator alpha acts fiberwise: coordinate i' of the image over (alpha(r),
 alpha(s)] is the pointwise minimum of the coordinates at the positions alpha
 sends to i', the constant-1 coordinate + when there are none; positions sent
-to alpha(r) drop out.
+to alpha(r) drop out.  In that minimum - absorbs, + is the unit, and of two
+integers the larger wins (the later flip).  ``generator_action`` tabulates an
+operator's action on the generators once, for the nerve to read.
 
 A cell of hom(r, s) is a ``shapes.Coords`` holding the coordinates w of the
 arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
@@ -82,17 +84,6 @@ def special_arrow(m: int) -> tuple[CubeCoordinate, ...]:
     return special_top(m).w + (MINUS,)
 
 
-def _min_coord(u: CubeCoordinate, v: CubeCoordinate) -> CubeCoordinate:
-    """Pointwise minimum of two 1-simplex coordinates; the later flip wins."""
-    if u == MINUS or v == MINUS:
-        return MINUS
-    if u == PLUS:
-        return v
-    if v == PLUS:
-        return u
-    return max(u, v)
-
-
 def path_act(
     alpha: Operator, r: int, w: tuple[CubeCoordinate, ...]
 ) -> tuple[int, tuple[CubeCoordinate, ...]]:
@@ -101,18 +92,28 @@ def path_act(
     Returns (alpha(r), w'), w' the fiberwise minimum: coordinate i' of w' over
     (alpha(r), alpha(s)] is the pointwise minimum of the coordinates alpha
     sends to i', and + when nothing goes there; positions sent to alpha(r)
-    drop out.  The dimension of the arrow is unchanged.
+    drop out.  In the minimum - absorbs, + is the unit, and of two integers
+    the larger wins (the later flip).  The dimension of the arrow is unchanged.
     """
     s = r + len(w)
     if not (0 <= r and s <= alpha.n):
         raise OutOfRange(f"arrow ({r},{s}] does not live over [{alpha.n}]")
-    lo = alpha(r)
-    out = [PLUS] * (alpha(s) - lo)
-    for i, v in enumerate(w, r + 1):
-        t = alpha(i) - lo - 1
-        if t >= 0:
-            out[t] = _min_coord(out[t], v)
+    lo = alpha.values[r]
+    out = [PLUS] * (alpha.values[s] - lo)
+    for t, v in zip(alpha.values[r + 1 : s + 1], w):
+        t -= lo + 1
+        if t < 0:
+            continue
+        u = out[t]
+        if v == MINUS or u == PLUS or (u != MINUS and v != PLUS and v > u):
+            out[t] = v
     return lo, tuple(out)
+
+
+@lru_cache(maxsize=None)
+def generator_action(alpha: Operator) -> tuple[tuple[tuple, tuple[int, tuple, int]], ...]:
+    """alpha on each generator (r, w) of generators(alpha.n), in order: ((r, w), (r', w', dim))."""
+    return tuple(((r, c.w), (*path_act(alpha, r, c.w), d)) for r, _, c, d in generators(alpha.n))
 
 
 def hc_horn_member(n: int, k: int, r: int, w: tuple[CubeCoordinate, ...]) -> bool:

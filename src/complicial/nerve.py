@@ -32,7 +32,7 @@ from typing import Iterator
 from .errors import OutOfRange
 from .operators import Operator, delta, surjection_words, word_operator as _wop
 from .enriched import EnrichedCategory
-from .hcpath import generators, hom_set, path_act, special_arrow, split
+from .hcpath import generator_action, generators, hom_set, special_arrow, split
 from .shapes import comparison_operator, cube_face
 from .stratified import FiniteStratifiedSet, Simplex, extensions, make_thin
 
@@ -137,11 +137,12 @@ def _functor(E, n: int, obj: tuple[str, ...], image) -> NerveSimplex:
 
 def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
     """Precomposition with the path functor of a simplicial operator, which sends
-    each generator to a generator or an identity."""
+    each generator to a generator or an identity, as ``generator_action`` lists."""
     if alpha.m != f.n:
         raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
-    obj = tuple(f.obj[alpha(t)] for t in range(alpha.n + 1))
-    return _functor(f.E, alpha.n, obj, lambda r, w, m: f.eval_arrow(*path_act(alpha, r, w), m))
+    obj = tuple(f.obj[t] for t in alpha.values)
+    images = {g: f.eval_arrow(*arrow) for g, arrow in generator_action(alpha)}
+    return NerveSimplex(f.E, alpha.n, obj, images)
 
 
 def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:

@@ -261,14 +261,12 @@ def comparison_operator(
     coordinate is 0 at t, or to n - lower when there is none: an arrow from
     lower names what the arrows through lower name.
     """
-    values = []
-    for t in range(m + 1):
-        zeros = [
-            n - i
-            for i in range(lower + 1, n + 1)
-            if rho_operator(w[i - lower - 1], m).values[t] == 0
-        ]
-        values.append(min([n - lower] + zeros))
+    span = list(zip(range(lower + 1, n + 1), w))
+    # coordinate v is 0 at vertex t
+    values = (
+        min((n - i for i, v in span if v == MINUS or (v != PLUS and t < v)), default=n - lower)
+        for t in range(m + 1)
+    )
     return Operator(m, n, tuple(values))
 
 

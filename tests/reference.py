@@ -39,6 +39,7 @@ from complicial.operators import (
     admissible_vertices,
     compose_ops,
     delta,
+    rho_operator,
     sigma,
 )
 from complicial.shapes import (
@@ -191,6 +192,21 @@ def cell_from_vertex_chain(chain) -> Coords:
                 raise OutOfRange(f"column {column} is not a 1-simplex of dimension {m}")
             w.append(flip)
     return Coords(w)
+
+
+def comparison_values(w: tuple, lower: int, n: int, m: int) -> tuple[int, ...]:
+    """The values of shapes.comparison_operator(w, lower, n, m), each coordinate
+    read as the m-simplex rho_operator(v, m) of the 1-simplex: vertex t goes to
+    the least n - i, lower < i <= n, with rho of w's coordinate at i 0 at t."""
+    values = []
+    for t in range(m + 1):
+        zeros = [
+            n - i
+            for i in range(lower + 1, n + 1)
+            if rho_operator(w[i - lower - 1], m).values[t] == 0
+        ]
+        values.append(min([n - lower] + zeros))
+    return tuple(values)
 
 
 def parse_vertex_chain(text: str) -> Coords:

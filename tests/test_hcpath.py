@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from complicial import suite
 from complicial.errors import BadInterval, OutOfRange
 from complicial.operators import (
     MINUS,
@@ -317,16 +318,104 @@ def every_arrow(n, max_dim=3):
                     yield (r, w + (MINUS,), m)
 
 
-def test_path_act_equals_elementary_replay():
-    checked = 0
+def _replay_cases():
+    """(alpha, arrow) for every operator [n] -> [n2], n, n2 <= 4, and every arrow over [n]."""
     for n in range(5):
         arrows = list(every_arrow(n))
         for n2 in range(5):
             for alpha in all_operators(n, n2):
                 for a in arrows:
-                    assert act(alpha, a) == _replay_act(alpha, a), (alpha, a)
-                    checked += 1
+                    yield alpha, a
+
+
+def test_path_act_equals_elementary_replay():
+    checked = 0
+    for alpha, a in _replay_cases():
+        assert act(alpha, a) == _replay_act(alpha, a), (alpha, a)
+        checked += 1
     assert checked > 100_000
+
+
+# -- negative controls: wrong fiberwise actions ---------------------------------
+
+
+def _minimum(u, v):
+    if MINUS in (u, v):
+        return MINUS
+    if u == PLUS:
+        return v
+    if v == PLUS:
+        return u
+    return max(u, v)
+
+
+def _plus_absorbs(u, v):
+    if PLUS in (u, v):
+        return PLUS
+    if u == MINUS:
+        return v
+    if v == MINUS:
+        return u
+    return max(u, v)
+
+
+def _smaller_integer_wins(u, v):
+    if MINUS in (u, v):
+        return MINUS
+    if u == PLUS:
+        return v
+    if v == PLUS:
+        return u
+    return min(u, v)
+
+
+def _mutant(merge, drop=True):
+    """path_act with merge in place of the minimum; with drop False the positions
+    alpha sends to alpha(r) merge into the first coordinate instead of dropping out."""
+
+    def action(alpha, r, w):
+        lo = alpha.values[r]
+        out = [PLUS] * (alpha.values[r + len(w)] - lo)
+        for t, v in zip(alpha.values[r + 1 : r + len(w) + 1], w):
+            t -= lo + 1
+            if t < 0 and not drop and out:
+                t = 0
+            if t >= 0:
+                out[t] = merge(out[t], v)
+        return lo, tuple(out)
+
+    return action
+
+
+def test_the_mutant_frame_with_the_minimum_is_path_act():
+    for alpha, (r, w, _) in _replay_cases():
+        assert _mutant(_minimum)(alpha, r, w) == path_act(alpha, r, w), (alpha, r, w)
+
+
+@pytest.mark.parametrize(
+    "wrong, failures",
+    [
+        (_mutant(lambda u, v: v), 264),
+        (_mutant(_minimum, drop=False), 926),
+    ],
+    ids=["last-coordinate-wins", "alpha-r-merges-into-the-first"],
+)
+def test_functoriality_sample_reports_a_wrong_fiberwise_action(monkeypatch, wrong, failures):
+    monkeypatch.setattr(suite, "path_act", wrong)
+    assert suite.functoriality_sample(0) == failures
+
+
+@pytest.mark.parametrize(
+    "merge",
+    [_plus_absorbs, _smaller_integer_wins, lambda u, v: v if u == PLUS else u],
+    ids=["plus-absorbs", "smaller-integer-wins", "first-coordinate-wins"],
+)
+def test_elementary_replay_rejects_the_merges_the_sample_misses(merge):
+    # functoriality_sample(0) reports no failure for any of these associative
+    # merges; the replay pins the minimum rule instead
+    wrong = _mutant(merge)
+    cases = _replay_cases()
+    assert any((*wrong(alpha, a[0], a[1]), a[2]) != _replay_act(alpha, a) for alpha, a in cases)
 
 
 def test_path_act_sends_generators_to_indecomposable_arrows():

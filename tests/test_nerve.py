@@ -289,6 +289,25 @@ def test_nerve_act_composes_nothing():
     assert not E.calls
 
 
+def test_build_nerve_acts_once_per_operator_and_generator(monkeypatch):
+    # nerve_act reads the cached hcpath.generator_action, so a build acts with
+    # each operator on each generator once, and a second build not at all
+    from complicial import hcpath, nerve
+
+    operators, calls = set(), []
+    act, path_act = nerve.nerve_act, hcpath.path_act
+    monkeypatch.setattr(nerve, "nerve_act", lambda f, alpha: operators.add(alpha) or act(f, alpha))
+    monkeypatch.setattr(hcpath, "path_act", lambda *args: calls.append(args) or path_act(*args))
+    hcpath.generator_action.cache_clear()
+    E = suspension(standard(2))
+    build_nerve(E, 4)
+    assert len(calls) == sum(len(generators(alpha.n)) for alpha in operators) > 0
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    build_nerve(E, 4)
+    assert calls == [] and operators
+
+
 def test_recover_arrow_round_trip():
     for X in (standard(0), standard(1), from_category(walking_iso(), 4)):
         E = suspension(X)

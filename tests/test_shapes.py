@@ -15,6 +15,7 @@ from complicial.shapes import (
     boundary,
     c_map,
     classify_cube_simplex,
+    comparison_operator,
     complicial,
     cube,
     horn,
@@ -28,6 +29,7 @@ from complicial.shapes import (
     vertex_chain,
 )
 from reference import (
+    comparison_values,
     complicial_dprimed,
     complicial_primed,
     cube_scan,
@@ -203,6 +205,23 @@ def test_c_map_vertices():
         cm = c_map(n)
         assert cm.assignment[Coords((PLUS,) * n)].cell == (n,)
         assert cm.assignment[Coords((MINUS,) * n)].cell == (0,)
+
+
+def test_comparison_operator_matches_the_rho_formulation():
+    # words run past n, as the arrows crossing n that yoneda_composite passes do
+    checked = longer = 0
+    for m in range(4):
+        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        for length in range(5):
+            for w in product(alphabet, repeat=length):
+                for lower in range(3):
+                    for n in range(lower, lower + length + 1):
+                        op = comparison_operator(w, lower, n, m)
+                        assert (op.n, op.m) == (m, n)
+                        assert op.values == comparison_values(w, lower, n, m), (w, lower, n)
+                        checked += 1
+                        longer += length > n - lower
+    assert checked > 10_000 and longer > checked // 2
 
 
 def test_c_map_stratified_up_to_four():
