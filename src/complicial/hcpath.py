@@ -7,7 +7,7 @@ s = r + len(w), the identity on r is the empty tuple, and hom(r, s) is one
 set for each length s - r.  Composition is concatenation a_w + b_w; an arrow
 splits uniquely at its interior minus positions into indecomposables.
 ``split`` cuts it after its last interior minus and gives the last factor's
-core and degeneracy operator from ``shapes.cube_normal_form``; the
+core and degeneracy word from ``shapes.cube_normal_form``; the
 ``generators`` are the nondegenerate arrows it leaves uncut.  A simplicial
 operator alpha acts fiberwise: coordinate i' of the image over (alpha(r),
 alpha(s)] is the pointwise minimum of the coordinates at the positions alpha
@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BadInterval, OutOfRange
-from .operators import MINUS, PLUS, CubeCoordinate, Operator, word_operator
+from .operators import MINUS, PLUS, CubeCoordinate, Operator
 from .shapes import Coords, cube, cube_normal_form, in_big_H, special_top
 from .stratified import FiniteStratifiedSet, Simplex
 
@@ -57,13 +57,12 @@ def _hom_of_length(k: int) -> FiniteStratifiedSet:
 @lru_cache(maxsize=None)
 def split(
     w: tuple[CubeCoordinate, ...], m: int
-) -> tuple[int, tuple[CubeCoordinate, ...], Operator | None]:
+) -> tuple[int, tuple[CubeCoordinate, ...], tuple[int, ...]]:
     """The arrow w at dimension m cut before its last indecomposable factor:
-    (cut, core, op), the factor w[cut:] being the nondegenerate core acted on
-    by the degeneracy operator op (None when the factor is nondegenerate)."""
+    (cut, core, word), the factor w[cut:] being the nondegenerate core
+    degenerated by the degeneracy word ((), when the factor is nondegenerate)."""
     cut = max((i for i, v in enumerate(w[:-1], 1) if v == MINUS), default=0)
-    core, word = cube_normal_form(w[cut:], m)
-    return cut, core, word_operator(m, word) if word else None
+    return (cut, *cube_normal_form(w[cut:], m))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,8 @@ n-path: an object map together with a stratified map on every homset,
 compatible with concatenation.  The path category is free on its
 nondegenerate indecomposable arrows, the generators, so a simplex is held as
 its generator images; one evaluator, ``_eval``, gives the image of any other
-arrow as that of its last indecomposable factor composed after the rest.
+arrow as that of its last indecomposable factor, a generator image
+degenerated by ``stratified.degenerate``, composed after the rest.
 The generators on hom(r, s) with s < n are the data of the face d_n.  So the
 nerve is built layer by layer from the face d_n: an n-simplex extends one of
 dimension n - 1 by images of the generators of hom(r, n), chosen dimension by
@@ -30,11 +31,11 @@ from functools import partial
 from typing import Iterator
 
 from .errors import OutOfRange
-from .operators import Operator, delta, surjection_words, word_operator as _wop
+from .operators import Operator, delta, surjection_words, word_operator
 from .enriched import EnrichedCategory
 from .hcpath import generator_action, generators, hom_set, special_arrow, split
 from .shapes import comparison_operator, cube_face
-from .stratified import FiniteStratifiedSet, Simplex, extensions, make_thin
+from .stratified import FiniteStratifiedSet, Simplex, degenerate, extensions, make_thin
 
 
 class NerveSimplex:
@@ -70,18 +71,17 @@ class NerveSimplex:
 
 def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
     """The image of the arrow w from r at dimension m under generator images:
-    the core of its last indecomposable factor, acted on by the factor's
-    degeneracy operator, composed after rest(r, w[:cut], m) for the arrow before it."""
+    the core of its last indecomposable factor, degenerated by the factor's
+    degeneracy word, composed after rest(r, w[:cut], m) for the arrow before it."""
     if not w:
         return E.identity_simplex(obj[r], m)
-    cut, core, op = split(w, m)
-    s = r + len(w)
+    cut, core, word = split(w, m)
     img = images[(r + cut, core)]
-    if op is not None:
-        img = E.hom(obj[r + cut], obj[s]).act(img, op)
+    if word:
+        img = degenerate(img, word)
     if not cut:
         return img
-    return E.compose(obj[r], obj[r + cut], obj[s], img, rest(r, w[:cut], m))
+    return E.compose(obj[r], obj[r + cut], obj[r + len(w)], img, rest(r, w[:cut], m))
 
 
 def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[NerveSimplex]:
@@ -163,7 +163,7 @@ def build_nerve(E: EnrichedCategory, D: int) -> FiniteStratifiedSet:
         for k, below in enumerate(cores):
             for word in surjection_words(n, k):
                 for c in below:
-                    normal[nerve_act(c, _wop(n, word))] = (c, word)
+                    normal[nerve_act(c, word_operator(n, word))] = (c, word)
         cores.append([f for f in layer if f not in normal])
     ids = {f: f"N{n}.{i}" for n, layer in enumerate(cores) for i, f in enumerate(layer)}
     dims = {ids[f]: n for n, layer in enumerate(cores) for f in layer}

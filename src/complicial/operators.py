@@ -86,8 +86,9 @@ def sigma(n: int, j: int) -> Operator:
     return elementary("sigma", n, j)
 
 
+@lru_cache(maxsize=None)
 def ez_factorize(alpha: Operator) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Unique face/degeneracy factorization in normal order.
+    """Unique face/degeneracy factorization in normal order, memoised.
 
     Returns (faces, degens) with alpha equal to the delta-composite applied
     after the sigma-composite: faces are the values missed by alpha, listed

@@ -16,18 +16,21 @@ alike, and the order of cells, which is the order of their spellings.
 ``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
 with given faces, and ``extensions`` beside it the one backtracking search:
 nerve and horn enumeration fill each slot in turn with a filler of the faces
-already chosen.  Faces are computed in one place, a face index built per
-dimension on its first query: ``rows`` maps each n-simplex, in ``simplices_of_dim``
-order, to its face tuple, and ``having`` maps (j, face) to the simplices with
-that face at j, in that order.  ``face``, ``fillers`` and ``gray_product`` read
-it.  It stays valid because a set is never mutated; ``make_thin`` builds a new one.
+already chosen.  One face calculus, ``_face_of``, gives d_j of (cell, word) by
+the simplicial identities on words, from the stored faces and ``degenerate``,
+the one degeneracy rule.  ``validate`` checks the stored faces with it; all
+other faces are read from a face index built per dimension on its first query:
+``rows`` maps each n-simplex, in ``simplices_of_dim`` order, to its face tuple,
+and ``having`` maps (j, face) to the simplices with that face at j, in that
+order.  ``face``, ``fillers``, ``gray_product`` and ``act`` read it.  It stays
+valid because a set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -39,14 +42,7 @@ from .errors import (
     UnknownCell,
     ZeroDimensional,
 )
-from .operators import (
-    Operator,
-    compose_ops,
-    delta,
-    ez_factorize,
-    surjection_words,
-    word_operator,
-)
+from .operators import Operator, ez_factorize, surjection_words
 
 
 class Cell(tuple):
@@ -86,7 +82,6 @@ class FiniteStratifiedSet:
         for c in sorted(self.dims, key=str):
             grouped.setdefault(self.dims[c], []).append(c)
         self._by_dim = {d: tuple(grouped[d]) for d in sorted(grouped)}
-        self._act_cache: dict[tuple[Hashable, tuple[int, ...]], Simplex] = {}
         self._face_index: dict[int, tuple] = {}
 
     # -- basic queries -------------------------------------------------
@@ -140,30 +135,25 @@ class FiniteStratifiedSet:
     # -- presheaf action ----------------------------------------------
 
     def act(self, s: Simplex, alpha: Operator) -> Simplex:
-        """Normal form of s . alpha, computed through the stored face tables."""
+        """Normal form of s . alpha: the faces alpha misses, largest first, then its flats."""
         q = self.simplex_dim(s)
         if alpha.m != q:
             raise Mismatch(f"operator targets [{alpha.m}], simplex has dim {q}")
-        beta = compose_ops(word_operator(q, s.word), alpha) if s.word else alpha
-        return self._act_cell(s.cell, beta)
+        missed, flats = ez_factorize(alpha)
+        for i in reversed(missed):
+            s = self.face(s, i)
+        return degenerate(s, flats)
 
-    def _act_cell(self, cell: Hashable, beta: Operator) -> Simplex:
-        key = (cell, beta.values)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        faces, degens = ez_factorize(beta)
-        if not faces:
-            out = Simplex(cell, degens)
-        else:
-            # peel the outermost face and recurse through the stored table
-            f = faces[-1]
-            inner = Operator(
-                beta.n, beta.m - 1, tuple(v - 1 if v > f else v for v in beta.values)
-            )
-            out = self.act(self.faces[cell][f], inner)
-        self._act_cache[key] = out
-        return out
+    def _face_of(self, s: Simplex, j: int) -> Simplex:
+        """d_j of s = (c, w) by the simplicial identities on words: c with the flat
+        j or j - 1 of w dropped, or else the stored face j - #{f in w : f < j} of c
+        degenerated by w; either way the flats of w above j are lowered by one."""
+        w = s.word
+        if j in w or j - 1 in w:
+            drop = j if j in w else j - 1
+            return Simplex(s.cell, tuple(f - (f > j) for f in w if f != drop))
+        below = sum(f < j for f in w)
+        return degenerate(self.faces[s.cell][j - below], tuple(f - (f > j) for f in w))
 
     def _faces_of_dim(self, n: int) -> tuple[dict, dict]:
         """The face index of dimension n, built on its first query: (rows, having),
@@ -171,8 +161,8 @@ class FiniteStratifiedSet:
         and having mapping (j, s) to the simplices with face s at j, in that order."""
         index = self._face_index.get(n)
         if index is None:
-            ds = [delta(n, j) for j in range(n + 1)] if n else []  # 0-simplices have no faces
-            rows = {z: tuple(self.act(z, d) for d in ds) for z in self.simplices_of_dim(n)}
+            js = range(n + 1) if n else ()  # 0-simplices have no faces
+            rows = {z: tuple(self._face_of(z, j) for j in js) for z in self.simplices_of_dim(n)}
             having: dict[tuple[int, Simplex], list[Simplex]] = {}
             for z, row in rows.items():
                 for key in enumerate(row):
@@ -240,11 +230,24 @@ class FiniteStratifiedSet:
                 continue
             for j in range(d + 1):
                 for i in range(j):
-                    lhs = self.act(self.faces[c][j], delta(d - 1, i))
-                    rhs = self.act(self.faces[c][i], delta(d - 1, j - 1))
+                    lhs = self._face_of(self.faces[c][j], i)
+                    rhs = self._face_of(self.faces[c][i], j - 1)
                     if lhs != rhs:
                         problems.append(f"cell {c}: identity d{i} d{j} fails")
         return problems
+
+
+def degenerate(s: Simplex, word: tuple[int, ...]) -> Simplex:
+    """s . sigma, sigma the surjection with flat spots word (s if word is empty),
+    memoised: free[v], the vth spot not in word, goes from v up to v + 1, so the
+    flats of the composite are word and free[v] for each flat v of s."""
+    return _degenerate(s, word) if word else s
+
+
+@lru_cache(maxsize=None)
+def _degenerate(s: Simplex, word: tuple[int, ...]) -> Simplex:
+    free = [t for t in range(len(word) + max(s.word, default=-1) + 1) if t not in word]
+    return Simplex(s.cell, tuple(sorted({*word, *(free[v] for v in s.word)}, reverse=True)))
 
 
 def extensions(slots: Sequence, candidates: Callable, start: Mapping = {}) -> Iterator[dict]:
@@ -287,11 +290,7 @@ class StratifiedMap:
     assignment: Mapping[Hashable, Simplex]
 
     def __call__(self, s: Simplex) -> Simplex:
-        img = self.assignment[s.cell]
-        if not s.word:
-            return img
-        q = self.source.simplex_dim(s)
-        return self.target.act(img, word_operator(q, s.word))
+        return degenerate(self.assignment[s.cell], s.word)
 
     def validate(self) -> list[str]:
         problems = [

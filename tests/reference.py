@@ -2,12 +2,13 @@
 
 No command, suite item, demo or benchmark job calls these, so they live
 beside the tests rather than in ``src/complicial``: independent recomputations
-(operator words, tower replays, exhaustive map enumeration, the primed
-complicial simplices, the split of a path arrow into indecomposables, the
-nerve layers stacked from dimension 0, the witness search for thin nerve
-edges, the linear boundary scan that the face index of ``fillers``
-replaced, the directed cube built by testing every word and acting on every
-face, the enrichment law loops run to the cap on every triple), fixtures
+(operator words, the presheaf action composed through operators, tower
+replays, exhaustive map enumeration, the primed complicial simplices, the
+split of a path arrow into indecomposables, the nerve layers stacked from
+dimension 0, the witness search for thin nerve edges, the linear boundary
+scan that the face index of ``fillers`` replaced, the directed cube built by
+testing every word and acting on every face, the enrichment law loops run to
+the cap on every triple), fixtures
 (enriched functors, the terminal enriched category, the discrete enrichment of
 a finite category, a category counting its compositions) and spellings in the
 paper's notation (vertex chains, path arrows).  Test modules import them
@@ -39,8 +40,10 @@ from complicial.operators import (
     admissible_vertices,
     compose_ops,
     delta,
+    ez_factorize,
     rho_operator,
     sigma,
+    word_operator,
 )
 from complicial.shapes import (
     Coords,
@@ -80,6 +83,23 @@ def recompose(n: int, m: int, faces: tuple[int, ...], degens: tuple[int, ...]) -
 
 
 # -- stratified sets ---------------------------------------------------------
+
+
+def act_by_operators(X: FiniteStratifiedSet, s: Simplex, alpha: Operator) -> Simplex:
+    """Normal form of s . alpha with no face index: compose alpha after the word
+    operator of s, factor the composite, peel its outermost face through the
+    stored face table of the cell and recurse on what is left."""
+    q = X.simplex_dim(s)
+    if alpha.m != q:
+        raise Mismatch(f"operator targets [{alpha.m}], simplex has dim {q}")
+    beta = compose_ops(word_operator(q, s.word), alpha)
+    faces, degens = ez_factorize(beta)
+    if not faces:
+        return Simplex(s.cell, degens)
+    f = faces[-1]
+    inner = Operator(beta.n, beta.m - 1, tuple(v - 1 if v > f else v for v in beta.values))
+    return act_by_operators(X, X.faces[s.cell][f], inner)
+
 
 
 def is_subset_kind(h: SubsetHandle) -> frozenset[str]:

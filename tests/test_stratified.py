@@ -19,6 +19,8 @@ from complicial.operators import (
     delta,
     ez_factorize,
     sigma,
+    surjection_words,
+    word_operator,
 )
 from complicial.shapes import (
     Vertices,
@@ -36,6 +38,7 @@ from complicial.stratified import (
     Pair,
     Simplex,
     SubsetHandle,
+    degenerate,
     extensions,
     gray_product,
     make_thin,
@@ -46,6 +49,7 @@ from complicial.stratified import (
     subset_to_set,
 )
 from reference import (
+    act_by_operators,
     enumerate_maps,
     fillers_scan,
     identity,
@@ -68,6 +72,36 @@ def test_validate_catches_swapped_face():
     faces[top] = tuple(fs)
     broken = FiniteStratifiedSet(X.dim_cap, X.dims, faces, X.thin)
     assert any("identity" in p for p in broken.validate())
+
+
+def test_validate_catches_a_wrong_degenerate_face():
+    # face 1 of the 2-cell x:f|g is the degenerate edge at x; naming the one at y
+    # instead breaks the identities that read it, through the word of the face
+    X = from_category(walking_iso(), 2)
+    cell = {str(c): c for c in X.cells()}
+    faces = dict(X.faces)
+    fs = list(faces[cell["x:f|g"]])
+    assert fs[1] == Simplex(cell["x:"], (0,))
+    fs[1] = Simplex(cell["y:"], (0,))
+    faces[cell["x:f|g"]] = tuple(fs)
+    broken = FiniteStratifiedSet(X.dim_cap, X.dims, faces, X.thin)
+    assert broken.validate() == [
+        "cell x:f|g: identity d0 d1 fails",
+        "cell x:f|g: identity d1 d2 fails",
+    ]
+
+
+def test_validate_reads_no_face_index():
+    # one cell per dimension up to 40, every face of c_d being c_{d-1}: a valid
+    # set with 2^q q-simplices, which validate checks from the stored faces alone
+    cells = [{"id": "c0", "dim": 0}] + [
+        {"id": f"c{d}", "dim": d, "faces": [{"cell": f"c{d - 1}", "word": []}] * (d + 1)}
+        for d in range(1, 41)
+    ]
+    X = set_from_json({"dim_cap": 40, "cells": cells})
+    assert X._face_index == {}
+    assert X.count_nondegenerate() == {d: 1 for d in range(41)}
+    assert sum(1 for _ in X.simplices_of_dim(10)) == 2**10
 
 
 def test_validate_rejects_thin_vertex():
@@ -433,10 +467,38 @@ def test_face_reads_what_act_computes(name):
     for n in range(4):
         for s in X.simplices_of_dim(n):
             js = range(n + 1) if n else ()  # 0-simplices have no faces
-            assert [X.face(s, j) for j in js] == [X.act(s, delta(n, j)) for j in js]
+            assert [X.face(s, j) for j in js] == [act_by_operators(X, s, delta(n, j)) for j in js]
             for j in (-1, n + 1) if n else (0,):
                 with pytest.raises(OutOfRange):
                     X.face(s, j)
+
+
+@pytest.mark.parametrize("name", sorted(FACE_SETS))
+def test_act_matches_the_operator_formulation(name):
+    # every operator [k] -> [q], k, q <= 3, on every q-simplex, degenerate ones included
+    X = FACE_SETS[name]()
+    for q in range(4):
+        ops = [alpha for k in range(4) for alpha in all_operators(k, q)]
+        for s in X.simplices_of_dim(q):
+            for alpha in ops:
+                assert X.act(s, alpha) == act_by_operators(X, s, alpha), (s, alpha)
+
+
+def test_degenerate_composes_the_surjections():
+    # s = (c, v) degenerated by w is c acted on by the composite of the word operators
+    pairs = 0
+    for p in range(7):
+        for q in range(p, 9):
+            for w in surjection_words(q, p):
+                for d in range(p + 1):
+                    for v in surjection_words(p, d):
+                        composite = compose_ops(word_operator(p, v), word_operator(q, w))
+                        want = Simplex("c", ez_factorize(composite)[1])
+                        assert degenerate(Simplex("c", v), w) == want, (v, w)
+                        pairs += 1
+    assert pairs > 5000
+    s = Simplex("c", (1, 0))
+    assert degenerate(s, ()) is s
 
 
 def test_extensions_are_lexicographic():
