@@ -76,9 +76,7 @@ def _eval(E, obj, images, r: int, w: tuple, m: int, rest) -> Simplex:
     if not w:
         return E.identity_simplex(obj[r], m)
     cut, core, word = split(w, m)
-    img = images[(r + cut, core)]
-    if word:
-        img = degenerate(img, word)
+    img = degenerate(images[(r + cut, core)], word)
     if not cut:
         return img
     return E.compose(obj[r], obj[r + cut], obj[r + len(w)], img, rest(r, w[:cut], m))
@@ -127,12 +125,6 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
             if all(E.hom(obj[r], o).is_thin(image(images, r, w, m)) for r, w, m in thin):
                 found.append(NerveSimplex(E, n, obj, images))
     return sorted(found, key=key)
-
-
-def _functor(E, n: int, obj: tuple[str, ...], image) -> NerveSimplex:
-    """The n-simplex sending each generator, as the arrow w from r at dimension
-    m, to image(r, w, m)."""
-    return NerveSimplex(E, n, obj, {(r, c.w): image(r, c.w, d) for r, _, c, d in generators(n)})
 
 
 def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
@@ -208,7 +200,8 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
             return E.identity_simplex(obj[r], m)
         return hom01.act(x, comparison_operator(w, r, n, m))
 
-    return _functor(E, n + 1, obj, image)
+    images = {(r, c.w): image(r, c.w, d) for r, _, c, d in generators(n + 1)}
+    return NerveSimplex(E, n + 1, obj, images)
 
 
 def recover_arrow(f: NerveSimplex) -> Simplex:

@@ -11,10 +11,9 @@ throughout the horn machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import Mismatch, NonMonotone, OutOfRange
 
@@ -24,9 +23,9 @@ PLUS = "+"
 CubeCoordinate = Union[str, int]
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Weakly increasing map [n] -> [m], n >= -1."""
+class Operator(NamedTuple):
+    """Weakly increasing map [n] -> [m], n >= -1, compared and hashed as the
+    tuple (n, m, values)."""
 
     n: int
     m: int

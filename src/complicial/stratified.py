@@ -1,7 +1,8 @@
 """Finite stratified simplicial sets in Eilenberg-Zilber normal form.
 
 A set stores only nondegenerate cells; every simplex is the pair
-(cell, degeneracy word) and all queries are answered through normal forms.
+(cell, degeneracy word), a named tuple, and all queries are answered through
+normal forms.
 A degeneracy word is the set of flat spots of its surjection, listed
 decreasing.  Thinness is a flag on nondegenerate cells of positive dimension,
 with degenerate simplices implicitly thin.  The module also provides
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadParams,
@@ -52,9 +53,10 @@ class Cell(tuple):
         return repr(str(self))
 
 
-@dataclass(frozen=True, slots=True)
-class Simplex:
-    """EZ normal form: a nondegenerate cell plus a degeneracy word."""
+class Simplex(NamedTuple):
+    """EZ normal form: a nondegenerate cell plus a degeneracy word, compared and
+    hashed as the tuple (cell, word).  Like a ``Cell``, it equals the plain tuple
+    it holds, so no table of the package keys on simplices and other tuples at once."""
 
     cell: Hashable
     word: tuple[int, ...] = ()
@@ -238,14 +240,11 @@ class FiniteStratifiedSet:
 
 
 def degenerate(s: Simplex, word: tuple[int, ...]) -> Simplex:
-    """s . sigma, sigma the surjection with flat spots word (s if word is empty),
-    memoised: free[v], the vth spot not in word, goes from v up to v + 1, so the
-    flats of the composite are word and free[v] for each flat v of s."""
-    return _degenerate(s, word) if word else s
-
-
-@lru_cache(maxsize=None)
-def _degenerate(s: Simplex, word: tuple[int, ...]) -> Simplex:
+    """s . sigma, sigma the surjection with flat spots word (s if word is empty):
+    free[v], the vth spot not in word, goes from v up to v + 1, so the flats of
+    the composite are word and free[v] for each flat v of s."""
+    if not word:
+        return s
     free = [t for t in range(len(word) + max(s.word, default=-1) + 1) if t not in word]
     return Simplex(s.cell, tuple(sorted({*word, *(free[v] for v in s.word)}, reverse=True)))
 

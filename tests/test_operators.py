@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,7 +58,8 @@ def test_compose_eta_epsilon():
 
 
 def test_compose_mismatch():
-    with pytest.raises(Mismatch):
+    message = "cannot compose Op[1]->[2][1, 2] after Op[2]->[3][1, 2, 3]"
+    with pytest.raises(Mismatch, match=re.escape(message)):
         compose_ops(delta(2, 0), delta(3, 0))
 
 

@@ -14,6 +14,7 @@ from complicial.errors import (
 from complicial.enriched import cyclic_group_category, from_category, suspension, walking_iso
 from complicial.nerve import build_nerve
 from complicial.operators import (
+    Operator,
     all_operators,
     compose_ops,
     delta,
@@ -499,6 +500,16 @@ def test_degenerate_composes_the_surjections():
     assert pairs > 5000
     s = Simplex("c", (1, 0))
     assert degenerate(s, ()) is s
+
+
+def test_simplices_and_operators_compare_and_hash_as_tuples():
+    # tuple's C slots, not methods written in Python, so dict lookups keyed on them stay cheap
+    for cls in (Simplex, Operator):
+        assert issubclass(cls, tuple)
+        assert cls.__eq__ is tuple.__eq__ and cls.__hash__ is tuple.__hash__, cls
+    assert Simplex("c", (1, 0)) == ("c", (1, 0)) and hash(Simplex("c")) == hash(("c", ()))
+    assert repr(Simplex("c", (0,))) == "Simplex(cell='c', word=(0,))"
+    assert Operator(1, 2, (0, 2)) == (1, 2, (0, 2)) and repr(delta(2, 1)) == "Op[1]->[2][0, 2]"
 
 
 def test_extensions_are_lexicographic():
