@@ -13,8 +13,12 @@ operator alpha acts fiberwise: coordinate i' of the image over (alpha(r),
 alpha(s)] is the pointwise minimum of the coordinates at the positions alpha
 sends to i', the constant-1 coordinate + when there are none; positions sent
 to alpha(r) drop out.  In that minimum - absorbs, + is the unit, and of two
-integers the larger wins (the later flip).  ``generator_action`` tabulates an
-operator's action on the generators once, for the nerve to read.
+integers the larger wins (the later flip).  ``hom_action`` acts on a list of
+arrows of one hom at once, a coordinate column at a time: each column of the
+image is an input column, a column of +, or the minimum over a run of input
+columns.  ``path_act`` is ``hom_action`` on one arrow.  ``generator_action``
+tabulates an operator's action on the generators once, for the nerve to read;
+the suite's functoriality sample acts on whole homs.
 
 A cell of hom(r, s) is a ``shapes.Coords`` holding the coordinates w of the
 arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
@@ -23,6 +27,7 @@ arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import BadInterval, OutOfRange
 from .operators import MINUS, PLUS, CubeCoordinate, Operator
@@ -86,27 +91,49 @@ def special_arrow(m: int) -> tuple[CubeCoordinate, ...]:
 def path_act(
     alpha: Operator, r: int, w: tuple[CubeCoordinate, ...]
 ) -> tuple[int, tuple[CubeCoordinate, ...]]:
-    """The action of a simplicial operator [n] -> [n'] on the arrow w from r.
+    """The action of a simplicial operator [n] -> [n'] on the arrow w from r:
+    (alpha(r), w'), w' the fiberwise minimum, as hom_action gives it on the one
+    arrow.  The dimension of the arrow is unchanged."""
+    lo, (image,) = hom_action(alpha, r, r + len(w), [w])
+    return lo, image
 
-    Returns (alpha(r), w'), w' the fiberwise minimum: coordinate i' of w' over
-    (alpha(r), alpha(s)] is the pointwise minimum of the coordinates alpha
-    sends to i', and + when nothing goes there; positions sent to alpha(r)
-    drop out.  In the minimum - absorbs, + is the unit, and of two integers
-    the larger wins (the later flip).  The dimension of the arrow is unchanged.
+
+def hom_action(
+    alpha: Operator, r: int, s: int, ws: list[tuple[CubeCoordinate, ...]]
+) -> tuple[int, list[tuple[CubeCoordinate, ...]]]:
+    """The action of alpha on a list ws of cells of hom_set(r, s), as their w.
+
+    Returns (alpha(r), images), images[k] the image of ws[k] over
+    (alpha(r), alpha(s)], built a coordinate column at a time.  Column i' of
+    the images is read off the run of positions alpha sends to i': the input
+    column itself for a run of one, a column of + for an empty run, and the
+    fiberwise minimum of the run's columns otherwise; the positions sent to
+    alpha(r) drop out.  Every w must have length s - r: columns are zipped,
+    so a shorter w would truncate the others unchecked.
     """
-    s = r + len(w)
-    if not (0 <= r and s <= alpha.n):
+    if not (0 <= r <= s <= alpha.n):
         raise OutOfRange(f"arrow ({r},{s}] does not live over [{alpha.n}]")
     lo = alpha.values[r]
-    out = [PLUS] * (alpha.values[s] - lo)
-    for t, v in zip(alpha.values[r + 1 : s + 1], w):
-        t -= lo + 1
-        if t < 0:
-            continue
-        u = out[t]
-        if v == MINUS or u == PLUS or (u != MINUS and v != PLUS and v > u):
-            out[t] = v
-    return lo, tuple(out)
+    runs: list[list] = [[] for _ in range(alpha.values[s] - lo)]
+    if not (ws and runs):
+        return lo, [()] * len(ws)
+    for t, column in zip(alpha.values[r + 1 : s + 1], zip(*ws)):
+        if t > lo:
+            runs[t - lo - 1].append(column)
+    columns = [
+        run[0] if len(run) == 1 else map(_fiber_min, *run) if run else repeat(PLUS, len(ws))
+        for run in runs
+    ]
+    return lo, list(zip(*columns))
+
+
+def _fiber_min(*vs: CubeCoordinate) -> CubeCoordinate:
+    """The minimum of the coordinates of one fiber: - absorbs, + is the unit,
+    and of two integers the larger wins (the later flip)."""
+    if MINUS in vs:
+        return MINUS
+    ints = [v for v in vs if v != PLUS]
+    return max(ints) if ints else PLUS
 
 
 @lru_cache(maxsize=None)

@@ -141,18 +141,18 @@ def is_order_reversing(w: tuple[CubeCoordinate, ...]) -> bool:
 
 
 def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
-    """Directed-cube thinness: some u < v with all u-positions below all v-positions."""
-    last: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for i, v in enumerate(w):
-        if v in (MINUS, PLUS):
-            continue
-        last[v] = i
-        first.setdefault(v, i)
-    for u in range(1, m + 1):
-        for v in range(u + 1, m + 1):
-            if u in last and v in first and last[u] < first[v]:
+    """Directed-cube thinness: some u < v with all u-positions below all v-positions.
+
+    One pass over the integers 1..m: thin iff the first position of some v
+    lies above the least last position of the integers u < v present in w.
+    """
+    least = len(w)  # the least last position of the integers below v
+    rev = w[::-1]
+    for v in range(1, m + 1):
+        if v in w:
+            if w.index(v) > least:
                 return True
+            least = min(least, len(w) - 1 - rev.index(v))
     return False
 
 

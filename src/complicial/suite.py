@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import ne
 
 from .anodyne import builtin_certificates, rlp_report, verify_certificate
 from .enriched import (
@@ -23,7 +24,7 @@ from .enriched import (
     suspension,
     walking_iso,
 )
-from .hcpath import hom_set, path_act
+from .hcpath import hom_action, hom_set
 from .nerve import build_nerve, recover_arrow, yoneda_composite
 from .operators import all_operators, compose_ops
 from .shapes import c_map, cube, special_top, standard
@@ -77,25 +78,29 @@ _MAX_ORD = 5
 
 
 def functoriality_sample(seed: int = 0) -> int:
-    """Seeded random composable operator pairs, each checked on every hom cell
-    of dimension at most 3 over its source ordinal."""
+    """Seeded random composable operator pairs alpha, beta, each checked on every
+    hom cell of dimension at most 3 over alpha's source ordinal.
+
+    The check is (beta alpha)_* = beta_* alpha_* as maps of homs: for each hom,
+    ``hom_action`` takes alpha on its cells, beta on their images and beta alpha
+    on the cells, and every cell whose two images differ counts as a failure."""
     rng = random.Random(seed)
     ords = range(_MAX_ORD + 1)
     ops = {(a, b): list(all_operators(a, b)) for a in ords for b in ords}
     homs = {(r, s): hom_set(r, s) for r in ords for s in ords[r:]}
-    arrows = {
-        a: [(r, c.w) for (r, s), H in homs.items() if s <= a for c in H.cells() if H.dims[c] <= 3]
-        for a in ords
-    }
+    cells = {rs: [c.w for c in H.cells() if H.dims[c] <= 3] for rs, H in homs.items()}
+    arrows = {a: [(r, s, ws) for (r, s), ws in cells.items() if s <= a] for a in ords}
     failures = 0
     for _ in range(_PAIRS):
         a, b, c = (rng.randrange(_MAX_ORD + 1) for _ in range(3))
         alpha = rng.choice(ops[(a, b)])
         beta = rng.choice(ops[(b, c)])
         comp = compose_ops(beta, alpha)
-        for r, w in arrows[a]:
-            if path_act(comp, r, w) != path_act(beta, *path_act(alpha, r, w)):
-                failures += 1
+        for r, s, ws in arrows[a]:
+            lo, images = hom_action(alpha, r, s, ws)
+            via = hom_action(beta, lo, alpha.values[s], images)
+            direct = hom_action(comp, r, s, ws)
+            failures += len(ws) if via[0] != direct[0] else sum(map(ne, via[1], direct[1]))
     return failures
 
 

@@ -7,7 +7,8 @@ replays, exhaustive map enumeration, the primed complicial simplices, the
 split of a path arrow into indecomposables, the nerve layers stacked from
 dimension 0, the witness search for thin nerve edges, the linear boundary
 scan that the face index of ``fillers`` replaced, the directed cube built by
-testing every word and acting on every face, the enrichment law loops run to
+testing every word and acting on every face, cube thinness tested on every
+pair of integers, the enrichment law loops run to
 the cap on every triple), fixtures
 (enriched functors, the terminal enriched category, the discrete enrichment of
 a finite category, a category counting its compositions) and spellings in the
@@ -172,6 +173,23 @@ def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
     return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
 
 
+def cube_thin_pairs(w: tuple, m: int) -> bool:
+    """Directed-cube thinness tested pair by pair: some u < v in 1..m with every
+    u-position below every v-position."""
+    last: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for i, v in enumerate(w):
+        if v in (MINUS, PLUS):
+            continue
+        last[v] = i
+        first.setdefault(v, i)
+    for u in range(1, m + 1):
+        for v in range(u + 1, m + 1):
+            if u in last and v in first and last[u] < first[v]:
+                return True
+    return False
+
+
 def cube_scan(n: int) -> FiniteStratifiedSet:
     """The n-fold tensor power of the 1-simplex with its directed stratification:
     every word tested for surjectivity, every face acted on and normalised."""
@@ -189,7 +207,7 @@ def cube_scan(n: int) -> FiniteStratifiedSet:
             if m >= 1:
                 nfs = (cube_normal_form(cube_face(w, m, j), m - 1) for j in range(m + 1))
                 faces[cell] = tuple(Simplex(cells[core], word) for core, word in nfs)
-                if cube_thin(w, m):
+                if cube_thin_pairs(w, m):
                     thin.append(cell)
     return FiniteStratifiedSet(n, dims, faces, thin)
 

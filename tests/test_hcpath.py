@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from complicial.operators import (
     rho_operator,
     sigma,
 )
-from complicial.hcpath import generators, hc_horn_member, hom_set, path_act
+from complicial.hcpath import generators, hc_horn_member, hom_action, hom_set, path_act
 from complicial.shapes import Coords, big_H, cube, cube_normal_form, special_top
 from reference import (
     arrow_is_degenerate,
@@ -173,6 +174,38 @@ def test_path_act_functoriality_sample():
         beta = rng.choice(ops[(b, c)])
         for arrow in all_arrows(a, max_dim=3):
             assert act(compose_ops(beta, alpha), arrow) == act(beta, act(alpha, arrow))
+
+
+def test_hom_action_is_path_act_on_every_arrow():
+    # hom_action on a whole hom agrees with it on each arrow alone (path_act), for
+    # every operator [n] -> [n2], n, n2 <= 4, on every cell of every hom over [n];
+    # the homs hom(r, r) hold the identity arrow (), and some alpha has alpha(r) == alpha(s)
+    checked = collapsed = 0
+    for n in range(5):
+        homs = [
+            (r, s, [c.w for c in hom_set(r, s).cells()])
+            for r in range(n + 1)
+            for s in range(r, n + 1)
+        ]
+        for n2 in range(5):
+            for alpha in all_operators(n, n2):
+                for r, s, ws in homs:
+                    lo, images = hom_action(alpha, r, s, ws)
+                    assert [(lo, w) for w in images] == [path_act(alpha, r, w) for w in ws]
+                    assert hom_action(alpha, r, s, []) == (lo, [])
+                    checked += len(ws)
+                    collapsed += r < s and alpha(r) == alpha(s)
+    assert (checked, collapsed) == (22_814, 1_194)
+    assert hom_action(sigma(1, 0), 0, 1, [(MINUS,), (MINUS,)]) == (0, [(), ()])
+    assert hom_action(delta(3, 1), 2, 2, [()]) == (3, [()])
+    # a hom not over [alpha.n] raises path_act's error
+    message = re.escape("arrow (1,4] does not live over [2]")
+    with pytest.raises(OutOfRange, match=message):
+        path_act(delta(3, 1), 1, (PLUS, 1, MINUS))
+    with pytest.raises(OutOfRange, match=message):
+        hom_action(delta(3, 1), 1, 4, [(PLUS, 1, MINUS)])
+    with pytest.raises(OutOfRange, match=message):
+        hom_action(delta(3, 1), 1, 4, [])
 
 
 def test_path_act_delta_image():
@@ -401,8 +434,36 @@ def test_the_mutant_frame_with_the_minimum_is_path_act():
     ids=["last-coordinate-wins", "alpha-r-merges-into-the-first"],
 )
 def test_functoriality_sample_reports_a_wrong_fiberwise_action(monkeypatch, wrong, failures):
-    monkeypatch.setattr(suite, "path_act", wrong)
+    def wrong_on_hom(alpha, r, s, ws):
+        return alpha.values[r], [wrong(alpha, r, w)[1] for w in ws]
+
+    monkeypatch.setattr(suite, "hom_action", wrong_on_hom)
     assert suite.functoriality_sample(0) == failures
+
+
+def test_functoriality_sample_checks_every_arrow_of_its_pairs(monkeypatch):
+    # per pair and hom: alpha on the hom's arrows, beta on their images, beta alpha
+    # on the arrows; alpha's arguments over the 200 pairs are 17,021 arrows
+    pairs, calls = [], []
+
+    def composing(beta, alpha):
+        pairs.append((alpha, beta, compose_ops(beta, alpha)))
+        return pairs[-1][2]
+
+    def acting(alpha, r, s, ws):
+        calls.append((len(pairs), alpha, ws, hom_action(alpha, r, s, ws)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(suite, "compose_ops", composing)
+    monkeypatch.setattr(suite, "hom_action", acting)
+    assert suite.functoriality_sample(0) == 0
+    assert len(pairs) == 200 and len(calls) % 3 == 0
+    for first, second, third in zip(calls[0::3], calls[1::3], calls[2::3]):
+        alpha, beta, comp = pairs[first[0] - 1]
+        assert first[0] == second[0] == third[0]
+        assert (first[1], second[1], third[1]) == (alpha, beta, comp)
+        assert second[2] is first[3][1] and third[2] is first[2]
+    assert sum(len(first[2]) for first in calls[0::3]) == 17_021
 
 
 @pytest.mark.parametrize(

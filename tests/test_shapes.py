@@ -18,6 +18,7 @@ from complicial.shapes import (
     comparison_operator,
     complicial,
     cube,
+    cube_thin,
     horn,
     is_integer_surjective,
     is_partial_bijection,
@@ -33,6 +34,7 @@ from reference import (
     complicial_dprimed,
     complicial_primed,
     cube_scan,
+    cube_thin_pairs,
     is_subset_kind,
     parse_vertex_chain,
 )
@@ -126,6 +128,16 @@ def test_cube_matches_the_word_scan():
         assert X.faces == Y.faces
         assert X.thin == Y.thin
         assert X.dim_cap == Y.dim_cap
+
+
+def test_cube_thin_is_the_pairwise_rule():
+    # every word of length <= 7 over -, +, 1..m, m <= 3, surjective or not;
+    # test_cube_matches_the_word_scan compares the cells of cube(n), n <= 5
+    for m in range(4):
+        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        for n in range(8):
+            words = product(alphabet, repeat=n)
+            assert [w for w in words if cube_thin(w, m) != cube_thin_pairs(w, m)] == [], (m, n)
 
 
 def _surjections(k, m):
