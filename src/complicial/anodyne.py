@@ -9,7 +9,8 @@ horn map is a filler of the faces it shares with those chosen before it.
 One pure check, ``_step_violation``, decides whether an elementary-anodyne
 pushout ``Step`` extends a subset (members, thin flags) of a fixed ambient
 set, and ``_applied`` builds the extended subset; ``replay_states``,
-``verify_certificate`` and ``search_tower`` run on the pair.  A horn step glues
+``verify_certificate`` and ``search_tower`` run on the pair, the tower search
+on ``extensions`` too, one slot per thin flag it adds.  A horn step glues
 a thin top cell along a horn that must already be present; a thinness step
 upgrades one face to thin.  Two invariants hold throughout: the subset is
 face-closed, and its flags are thin in the ambient.  ``_start_problem`` checks
@@ -373,47 +374,54 @@ def hatted_C23() -> FiniteStratifiedSet:
 def search_tower(
     start: SubsetHandle, finish: SubsetHandle, budget: int
 ) -> AnodyneCertificate | None:
-    """Depth-first search for a tower from start to finish, or None.
+    """Depth-first search by ``extensions`` for a tower from start to finish, or None.
 
-    Every step (cell, k, kind) is a candidate, tried in that order with the
-    cells in the ambient's order.  The budget bounds the steps applied, and
-    each subset (members, flags) is expanded at most once.
+    A step adds the same cells and flags to any subset it extends, and subsets
+    only grow, so the candidates are the horn and thinness steps that add a
+    flag and nothing outside finish - start, by cell in the ambient's order,
+    then k, horn first.  Each adds one flag: a tower has a slot per flag of
+    finish - start.  A thin-horn step is never a candidate, since its horn step
+    and then its thinness step reach its subset first.  The budget bounds the
+    steps applied, and each subset (members, flags) is expanded at most once.
     """
     if start.ambient is not finish.ambient:
         raise UnknownCell("start and finish live in different ambient sets")
-    Z = start.ambient
-    if _start_problem(Z, start) is not None:
+    Z, target = start.ambient, (finish.members, finish.thin_members)
+    gained = (target[0] - start.members, target[1] - start.thin_members)
+    inside = start.members <= target[0] and start.thin_members <= target[1]
+    if _start_problem(Z, start) is not None or not inside:
         return None
-    target = (finish.members, finish.thin_members)
-    candidates = [
-        Step(kind, Z.dims[c], k, c) for c in Z.cells() for k in range(Z.dims[c] + 1)
-        for kind in STEP_KINDS
-    ]
+    steps = []
+    for c, k in ((c, k) for c in Z.cells() if Z.dims[c] for k in range(Z.dims[c] + 1)):
+        for step in (Step("horn", Z.dims[c], k, c), Step("thinness", Z.dims[c], k, c)):
+            members, flags = _applied(Z, frozenset(), frozenset(), step)
+            if flags and members <= gained[0] and flags <= gained[1]:
+                steps.append(step)
+    states = [(start.members, start.thin_members)] * (len(gained[1]) + 1)
     expanded = set()
     attempts = 0
 
-    def dfs(members: frozenset, flags: frozenset, steps: tuple) -> tuple[Step, ...] | None:
+    def candidates(slot: int, assignment: dict) -> Iterator[Step]:
         nonlocal attempts
-        if (members, flags) == target:
-            return steps
-        expanded.add((members, flags))
-        for step in candidates:
-            if _step_violation(Z, members, flags, step) is not None:
-                continue
-            nxt = _applied(Z, members, flags, step)
-            if nxt in expanded or not (nxt[0] <= target[0] and nxt[1] <= target[1]):
-                continue
-            attempts += 1
-            found = None if attempts > budget else dfs(*nxt, steps + (step,))
-            if found is not None or attempts > budget:
-                return found
-        return None
+        members, flags = states[slot]
+        expanded.add(states[slot])
+        for step in steps:
+            if _step_violation(Z, members, flags, step) is None:
+                states[slot + 1] = _applied(Z, members, flags, step)
+                if states[slot + 1] not in expanded:
+                    attempts += 1
+                    if attempts <= budget:
+                        yield step
+                    if attempts > budget:
+                        return
 
-    found = dfs(start.members, start.thin_members, ())
-    if found is None:
-        return None
-    cert = AnodyneCertificate(Z, start, finish, found, note="found by search")
-    return cert if not verify_certificate(cert) else None
+    for assignment in extensions(range(len(gained[1])), candidates):
+        if states[-1] == target:
+            found = tuple(assignment.values())
+            cert = AnodyneCertificate(Z, start, finish, found, note="found by search")
+            return cert if not verify_certificate(cert) else None
+        expanded.add(states[-1])
+    return None
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -10,11 +10,11 @@ degenerated by ``stratified.degenerate``, composed after the rest.
 The generators on hom(r, s) with s < n are the data of the face d_n.  So the
 nerve is built layer by layer from the face d_n: an n-simplex extends one of
 dimension n - 1 by images of the generators of hom(r, n), chosen dimension by
-dimension by ``stratified.extensions``, the one backtracking search, with face
-and thinness consistency pruning it.  A
-simplicial operator sends generators to generators or identities, so
-degeneracies and faces read generator images alone; degeneracies come from
-the layers below, and give every face its normal form.
+dimension by ``stratified.extensions``, the one backtracking search (horn
+enumeration and the tower search run on it too), with face and thinness
+consistency pruning it.  A simplicial operator sends generators to generators
+or identities, so degeneracies and faces read generator images alone;
+degeneracies come from the layers below, and give every face its normal form.
 
 An arrow is handled by ``hcpath``: the coordinate tuple w from r at
 dimension m, its generators, and ``split``, which cuts it before its last

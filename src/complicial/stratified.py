@@ -14,17 +14,18 @@ value in a built one (a product cell is its ``Pair`` of simplices).  Its
 spelling ``str(cell)`` serves the JSON writers, which refuse two cells spelled
 alike, and the order of cells, which is the order of their spellings.
 
-``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices
-with given faces, and ``extensions`` beside it the one backtracking search:
-nerve and horn enumeration fill each slot in turn with a filler of the faces
-already chosen.  One face calculus, ``_face_of``, gives d_j of (cell, word) by
-the simplicial identities on words, from the stored faces and ``degenerate``,
-the one degeneracy rule.  ``validate`` checks the stored faces with it; all
-other faces are read from a face index built per dimension on its first query:
-``rows`` maps each n-simplex, in ``simplices_of_dim`` order, to its face tuple,
-and ``having`` maps (j, face) to the simplices with that face at j, in that
-order.  ``face``, ``fillers``, ``gray_product`` and ``act`` read it.  It stays
-valid because a set is never mutated; ``make_thin`` builds a new one.
+``FiniteStratifiedSet.fillers`` is the one boundary search, the simplices with
+given faces, and ``extensions`` beside it the one backtracking search: nerve
+and horn enumeration fill each slot in turn with a filler of the faces already
+chosen, and the tower search with a step adding one thin flag.  One face
+calculus, ``_face_of``, gives d_j of (cell, word) by the simplicial identities
+on words, from the stored faces and ``degenerate``, the one degeneracy rule.
+``validate`` checks the stored faces with it; all other faces are read from a
+face index built per dimension on its first query: ``rows`` maps each
+n-simplex, in ``simplices_of_dim`` order, to its face tuple, and ``having``
+maps (j, face) to the simplices with that face at j, in that order.  ``face``,
+``fillers``, ``gray_product`` and ``act`` read it.  It stays valid because a
+set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 No command, suite item, demo or benchmark job calls these, so they live
 beside the tests rather than in ``src/complicial``: independent recomputations
 (operator words, the presheaf action composed through operators, tower
-replays, exhaustive map enumeration, the primed complicial simplices, the
-split of a path arrow into indecomposables, the nerve layers stacked from
+replays, the recursive tower search, exhaustive map enumeration, the primed
+complicial simplices, the split of a path arrow into indecomposables, the
+nerve layers stacked from
 dimension 0, the witness search for thin nerve edges, the linear boundary
 scan that the face index of ``fillers`` replaced, the directed cube built by
 testing every word and acting on every face, cube thinness tested on every
@@ -24,7 +25,15 @@ from functools import lru_cache
 from itertools import product
 from typing import Hashable, Iterator, Mapping
 
-from complicial.anodyne import AnodyneCertificate
+from complicial.anodyne import (
+    STEP_KINDS,
+    AnodyneCertificate,
+    Step,
+    _applied,
+    _start_problem,
+    _step_violation,
+    verify_certificate,
+)
 from complicial.enriched import (
     EnrichedCategory,
     FiniteCategory,
@@ -32,7 +41,14 @@ from complicial.enriched import (
     make_enriched,
     point_set,
 )
-from complicial.errors import BadInterval, CapExceeded, LawViolation, Mismatch, OutOfRange
+from complicial.errors import (
+    BadInterval,
+    CapExceeded,
+    LawViolation,
+    Mismatch,
+    OutOfRange,
+    UnknownCell,
+)
 from complicial.nerve import NerveSimplex, nerve_act, nerve_simplices, recover_arrow
 from complicial.operators import (
     MINUS,
@@ -454,6 +470,53 @@ def replay_members(cert: AnodyneCertificate) -> tuple[frozenset, frozenset]:
             if not kface.is_degenerate:
                 flags.add(kface.cell)
     return frozenset(members), frozenset(flags)
+
+
+def search_tower_dfs(
+    start: SubsetHandle, finish: SubsetHandle, budget: int
+) -> AnodyneCertificate | None:
+    """Depth-first search for a tower from start to finish, or None: the
+    recursive search that ``anodyne.search_tower`` replaced, kept as its oracle.
+
+    Every step (cell, k, kind) is a candidate, tried in that order with the
+    cells in the ambient's order.  The budget bounds the steps applied, and
+    each subset (members, flags) is expanded at most once.
+    """
+    if start.ambient is not finish.ambient:
+        raise UnknownCell("start and finish live in different ambient sets")
+    Z = start.ambient
+    if _start_problem(Z, start) is not None:
+        return None
+    target = (finish.members, finish.thin_members)
+    candidates = [
+        Step(kind, Z.dims[c], k, c) for c in Z.cells() for k in range(Z.dims[c] + 1)
+        for kind in STEP_KINDS
+    ]
+    expanded = set()
+    attempts = 0
+
+    def dfs(members: frozenset, flags: frozenset, steps: tuple) -> tuple[Step, ...] | None:
+        nonlocal attempts
+        if (members, flags) == target:
+            return steps
+        expanded.add((members, flags))
+        for step in candidates:
+            if _step_violation(Z, members, flags, step) is not None:
+                continue
+            nxt = _applied(Z, members, flags, step)
+            if nxt in expanded or not (nxt[0] <= target[0] and nxt[1] <= target[1]):
+                continue
+            attempts += 1
+            found = None if attempts > budget else dfs(*nxt, steps + (step,))
+            if found is not None or attempts > budget:
+                return found
+        return None
+
+    found = dfs(start.members, start.thin_members, ())
+    if found is None:
+        return None
+    cert = AnodyneCertificate(Z, start, finish, found, note="found by search")
+    return cert if not verify_certificate(cert) else None
 
 
 def v_tower_generators() -> list[tuple[str, Hashable]]:

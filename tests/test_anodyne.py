@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from collections import Counter
 from dataclasses import replace
@@ -35,13 +36,14 @@ from complicial.shapes import (
     standard,
     standard_thin,
 )
-from complicial.stratified import SubsetHandle, make_thin, regular_generated
+from complicial.stratified import FiniteStratifiedSet, SubsetHandle, make_thin, regular_generated
 from reference import (
     complicial_dprimed,
     complicial_primed,
     enumerate_maps,
     parse_vertex_chain,
     replay_members,
+    search_tower_dfs,
     v_tower_generators,
 )
 
@@ -322,6 +324,79 @@ def test_search_tower_checks_each_step_once_per_subset(monkeypatch):
     assert search_tower(big_H(3, 2), full_handle(big_C(3, 2)), 2000) is None
     assert max(checks.values()) == 1
     assert sum(checks.values()) <= 20_000
+
+
+def test_search_tower_call_counts(monkeypatch):
+    # the C^2_3 search at budget 2000 judges only steps that add a flag inside
+    # finish - start; the recursive search made 18,228 step checks and 803 act calls
+    start, finish = big_H(3, 2), full_handle(big_C(3, 2))
+    calls = Counter()
+    step_violation, act = anodyne._step_violation, FiniteStratifiedSet.act
+
+    def counted_step_violation(*args):
+        calls["step"] += 1
+        return step_violation(*args)
+
+    def counted_act(*args):
+        calls["act"] += 1
+        return act(*args)
+
+    monkeypatch.setattr(anodyne, "_step_violation", counted_step_violation)
+    monkeypatch.setattr(FiniteStratifiedSet, "act", counted_act)
+    assert search_tower(start, finish, 2000) is None
+    assert calls == {"step": 1078, "act": 389}
+
+
+def _oracle_problems() -> list[tuple[SubsetHandle, SubsetHandle]]:
+    """Tower problems for the recursive oracle: each H^k_n in C^k_n, n = 2, 3,
+    the hatted cube, the builtin towers, starts outside their finish, and
+    seeded random pairs.  Cells are drawn in spelling order, so the family
+    does not change with the hash seed."""
+    problems = [(big_H(n, k), full_handle(big_C(n, k))) for n in (2, 3) for k in range(1, n + 1)]
+    Chat, H23 = hatted_C23(), big_H(3, 2)
+    problems.append((SubsetHandle(Chat, H23.members, H23.members & Chat.thin), full_handle(Chat)))
+    certs = builtin_certificates()
+    problems += [(cert.start, cert.finish) for cert in certs]
+    # more flags, then more members, than the finish
+    problems += [(certs[3].finish, certs[3].start), (certs[0].finish, certs[0].start)]
+    rng = random.Random(0)
+    spelled = lambda cells: sorted(cells, key=str)
+    shapes = [standard(2), standard(3), cube(2), complicial(3, 1), complicial(3, 2), big_C(2, 1),
+              big_C(2, 2), big_C(3, 1)]
+    for i in range(24):
+        X = shapes[i % len(shapes)]
+        cells = spelled(X.dims)
+        seeds = rng.sample(cells, rng.randint(1, len(cells))) if i % 2 else cells
+        finish = regular_generated(X, seeds)
+        members = spelled(finish.members)
+        start = regular_generated(X, rng.sample(members, rng.randint(0, len(members))))
+        flags = frozenset(c for c in spelled(start.thin_members) if rng.random() < 0.7)
+        problems.append((SubsetHandle(X, start.members, flags), finish))
+    # segments of the builtin towers and of the C^1_3 tower, some start flags dropped
+    towers = certs + [search_tower_dfs(big_H(3, 1), full_handle(big_C(3, 1)), 100)]
+    for _ in range(16):
+        cert = rng.choice(towers)
+        Z = cert.ambient
+        states = [(cert.start.members, cert.start.thin_members)]
+        states += [(members, flags) for _, members, flags in replay_states(cert)]
+        i = rng.randrange(len(states))
+        (members, flags), finish = states[i], states[rng.randrange(i, len(states))]
+        flags = frozenset(c for c in spelled(flags) if rng.random() < 0.8)
+        problems.append((SubsetHandle(Z, members, flags), SubsetHandle(Z, *finish)))
+    return problems
+
+
+def test_search_tower_matches_the_recursive_search():
+    # the search on extensions applies the same steps as the recursive one
+    # it replaced, or fails alike, at every budget
+    lengths = Counter()
+    for start, finish in _oracle_problems():
+        for budget in [*range(31), 2000]:
+            cert = search_tower(start, finish, budget)
+            oracle = search_tower_dfs(start, finish, budget)
+            assert (cert and cert.steps) == (oracle and oracle.steps), budget
+        lengths[cert and len(cert.steps)] += 1
+    assert lengths == {None: 30, 0: 11, 1: 2, 2: 5, 3: 1, 9: 1, 10: 2}
 
 
 def test_search_tower_not_found_for_boundary():

@@ -179,6 +179,37 @@ def test_search_tower_cli(tmp_path, capsys):
     assert json.loads(out)["found"]
 
 
+def test_search_tower_longer_than_the_recursion_limit(tmp_path, capsys):
+    # a path of 1,200 thin edges from its first vertex: one horn step per edge,
+    # a tower deeper than the recursion limit, which the recursive search hit
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    vertex = lambda i: {"id": f"v{i:04d}", "dim": 0, "thin": False, "faces": []}
+    edge = lambda i: {
+        "id": f"e{i:04d}",
+        "dim": 1,
+        "thin": True,
+        "faces": [{"cell": f"v{i + 1:04d}", "word": []}, {"cell": f"v{i:04d}", "word": []}],
+    }
+    cells = [vertex(i) for i in range(n + 1)] + [edge(i) for i in range(n)]
+    problem = {
+        "ambient": {"dim_cap": 1, "cells": cells},
+        "start": {"members": ["v0000"], "thin": []},
+        "finish": {
+            "members": [c["id"] for c in cells],
+            "thin": [c["id"] for c in cells if c["thin"]],
+        },
+    }
+    in_file, cert_file = tmp_path / "path.json", tmp_path / "cert.json"
+    in_file.write_text(json.dumps(problem))
+    argv = ["search-tower", str(in_file), "--budget", "5000", "--out", str(cert_file)]
+    assert main(argv) == 0
+    cert = json.loads(cert_file.read_text())
+    assert cert["found"] and len(cert["steps"]) == n
+    code, out = run(["verify-cert", str(cert_file)], capsys)
+    assert code == 0 and json.loads(out)["pass"]
+
+
 def test_paper_suite_exit_zero(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, out = run(["paper-suite", "--out", str(out_file)], capsys)
