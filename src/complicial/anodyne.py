@@ -23,9 +23,8 @@ a passing certificate is a machine-checked anodyne decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Hashable, Iterator
+from typing import Hashable, Iterator, NamedTuple
 
 from .errors import BadParams, ParseError, StepViolation, UnknownCell
 from .operators import PLUS, Operator, admissible_vertices, all_injections
@@ -47,10 +46,12 @@ from .stratified import (
 # -- lifting reports ---------------------------------------------------------
 
 
-@dataclass
-class LiftingReport:
-    checked: list[tuple[str, int]] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
+class LiftingReport(NamedTuple):
+    """The instances checked, as (name, problem count), and the failures found:
+    ``rlp_report`` passes fresh lists and appends to them."""
+
+    checked: list[tuple[str, int]]
+    failures: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -149,7 +150,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
     nerve or ``from_category(cat, D)``, lacks its cells above D as horn faces
     and as fillers alike, so a report there need not hold of the whole set.
     """
-    report = LiftingReport()
+    report = LiftingReport([], [])
     for name, n, k, problems in _instances(X, dmax, mode):
         horn = name.startswith("horn")
         count = 0
@@ -171,8 +172,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
 STEP_KINDS = ("horn", "thinness", "thin-horn")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One elementary-anodyne pushout: a ``horn`` step glues the thin top cell
     ``attach`` along its k-horn, a ``thinness`` step flags the face through k of
     the present top cell, and a ``thin-horn`` step (the paper's thin horns) is a
@@ -184,8 +184,7 @@ class Step:
     attach: Hashable  # image of the top cell: a nondegenerate cell of the ambient
 
 
-@dataclass
-class AnodyneCertificate:
+class AnodyneCertificate(NamedTuple):
     ambient: FiniteStratifiedSet
     start: SubsetHandle
     finish: SubsetHandle

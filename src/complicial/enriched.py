@@ -15,9 +15,8 @@ category is its path, a ``Path`` (start, arrows) spelled ``start:arrow|arrow``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, NamedTuple
 
 from .anodyne import rlp_report
 from .errors import CapExceeded, IllFormedCategory, LawViolation
@@ -199,8 +198,7 @@ def suspension(X: FiniteStratifiedSet) -> EnrichedCategory:
 # -- finite categories and their nerves --------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(NamedTuple):
     objects: tuple[str, ...]
     arrows: Mapping[str, tuple[str, str]]  # name -> (source, target)
     identities: Mapping[str, str]  # object -> identity arrow

@@ -3,7 +3,7 @@
 An operator is a weakly increasing map [n] -> [m] between finite ordinals,
 stored as its value sequence.  The ordinal [n] has n+1 elements; n = -1 is
 the empty ordinal, so the unique maps out of it typecheck.  Alongside the
-elementary face/degeneracy/vertex operators this module provides the unique
+elementary face and degeneracy operators this module provides the unique
 normal-form factorization into elementaries, the step-operator calculus for
 the 1-simplex (coordinates of cubes), and the face-admissibility test used
 throughout the horn machinery.
@@ -57,8 +57,8 @@ def compose_ops(outer: Operator, inner: Operator) -> Operator:
     return Operator(inner.n, outer.m, tuple(outer.values[v] for v in inner.values))
 
 
-def elementary(kind: str, n: int, j: int = 0) -> Operator:
-    """The elementary operators: delta/sigma/epsilon/eta with standard indexing."""
+def elementary(kind: str, n: int, j: int) -> Operator:
+    """The elementary operators: the face delta and the degeneracy sigma at index j."""
     if kind == "delta":
         if not 0 <= j <= n:
             raise OutOfRange(f"delta index {j} not in [{n}]")
@@ -68,12 +68,6 @@ def elementary(kind: str, n: int, j: int = 0) -> Operator:
             raise OutOfRange(f"sigma index {j} not in [{n}]")
         vals = list(range(j + 1)) + list(range(j, n + 1))
         return Operator(n + 1, n, tuple(vals))
-    if kind == "epsilon":
-        if not 0 <= j <= n:
-            raise OutOfRange(f"vertex index {j} not in [{n}]")
-        return Operator(0, n, (j,))
-    if kind == "eta":
-        return Operator(n, 0, (0,) * (n + 1))
     raise OutOfRange(f"unknown elementary kind {kind!r}")
 
 

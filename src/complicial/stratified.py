@@ -31,7 +31,6 @@ set is never mutated; ``make_thin`` builds a new one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -283,8 +282,7 @@ def empty_set() -> FiniteStratifiedSet:
 # -- stratified maps ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StratifiedMap:
+class StratifiedMap(NamedTuple):
     source: FiniteStratifiedSet
     target: FiniteStratifiedSet
     assignment: Mapping[Hashable, Simplex]
@@ -313,8 +311,7 @@ class StratifiedMap:
 # -- subsets --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubsetHandle:
+class SubsetHandle(NamedTuple):
     ambient: FiniteStratifiedSet
     members: frozenset
     thin_members: frozenset

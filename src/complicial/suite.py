@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import ne
+from typing import NamedTuple
 
 from .anodyne import builtin_certificates, rlp_report, verify_certificate
 from .enriched import (
@@ -30,16 +30,16 @@ from .operators import all_operators, compose_ops
 from .shapes import c_map, cube, special_top, standard
 
 
-@dataclass
-class SuiteItem:
+class SuiteItem(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass
-class SuiteReport:
-    items: list[SuiteItem] = field(default_factory=list)
+class SuiteReport(NamedTuple):
+    """The suite's items in order; ``add`` appends to the list ``paper_suite`` passes."""
+
+    items: list[SuiteItem]
 
     @property
     def ok(self) -> bool:
@@ -167,7 +167,7 @@ def check_nerve_rlp(report: SuiteReport) -> None:
 
 
 def paper_suite(seed: int = 0) -> SuiteReport:
-    report = SuiteReport()
+    report = SuiteReport([])
     check_cube_census(report)
     check_c_map(report)
     check_functoriality(report, seed=seed)

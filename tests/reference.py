@@ -356,12 +356,13 @@ class CountingCategory(EnrichedCategory):
         return super().compose(*key)
 
 
-@dataclass(frozen=True)
 class _CountedMap(StratifiedMap):
     """A composition map at key (a, b, c) adding each evaluation to counter."""
 
-    key: tuple = ()
-    counter: Counter = None
+    def __new__(cls, source, target, assignment, key, counter):
+        self = super().__new__(cls, source, target, assignment)
+        self.key, self.counter = key, counter
+        return self
 
     def __call__(self, s: Simplex) -> Simplex:
         self.counter[self.key + (s,)] += 1

@@ -127,6 +127,18 @@ def test_nerve_at_dimension_six_exits_cleanly(tmp_path):
     assert json.loads(proc.stdout)["census"] == {"0": 2, "1": 1}
 
 
+def test_import_path_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter without site hooks: what importing the CLI and the suite loads
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "import complicial.cli, complicial.suite, complicial.nerve, complicial.enriched; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b"[]", proc.stdout.decode()
+
+
 def test_reader_closing_stdout_early_is_not_an_error():
     # run as a process whose reader takes 100 bytes of an 800 kB document and
     # closes the pipe, as `complicial shape cube --n 5 | head -c 100` does

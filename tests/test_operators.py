@@ -49,12 +49,12 @@ def test_compose_section_of_degeneracy():
 
 
 def test_compose_faces_give_vertex():
-    eps = compose_ops(delta(2, 2), delta(1, 0))
-    assert eps == elementary("epsilon", 2, 1)
+    assert compose_ops(delta(2, 2), delta(1, 0)) == Operator(0, 2, (1,))
 
 
 def test_compose_eta_epsilon():
-    assert compose_ops(elementary("eta", 2), elementary("epsilon", 2, 1)) == identity(0)
+    # the unique map [2] -> [0] after the vertex 1 of [2]
+    assert compose_ops(Operator(2, 0, (0, 0, 0)), Operator(0, 2, (1,))) == identity(0)
 
 
 def test_compose_mismatch():
@@ -66,8 +66,8 @@ def test_compose_mismatch():
 def test_elementary_values():
     assert elementary("delta", 2, 1).values == (0, 2)
     assert elementary("sigma", 1, 0).values == (0, 0, 1)
-    assert elementary("epsilon", 2, 1).values == (1,)
-    assert elementary("eta", 3).values == (0, 0, 0, 0)
+    with pytest.raises(OutOfRange, match="unknown elementary kind 'eta'"):
+        elementary("eta", 3, 0)
 
 
 def test_elementary_out_of_range():

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from complicial.anodyne import hatted_C23
+from complicial.anodyne import AnodyneCertificate, LiftingReport, Step, hatted_C23
 from complicial.errors import (
     BadParams,
     CapExceeded,
@@ -11,7 +11,13 @@ from complicial.errors import (
     UnknownCell,
     ZeroDimensional,
 )
-from complicial.enriched import cyclic_group_category, from_category, suspension, walking_iso
+from complicial.enriched import (
+    FiniteCategory,
+    cyclic_group_category,
+    from_category,
+    suspension,
+    walking_iso,
+)
 from complicial.nerve import build_nerve
 from complicial.operators import (
     Operator,
@@ -38,6 +44,7 @@ from complicial.stratified import (
     FiniteStratifiedSet,
     Pair,
     Simplex,
+    StratifiedMap,
     SubsetHandle,
     degenerate,
     extensions,
@@ -49,6 +56,7 @@ from complicial.stratified import (
     set_to_json,
     subset_to_set,
 )
+from complicial.suite import SuiteItem, SuiteReport
 from reference import (
     act_by_operators,
     enumerate_maps,
@@ -503,13 +511,17 @@ def test_degenerate_composes_the_surjections():
 
 
 def test_simplices_and_operators_compare_and_hash_as_tuples():
-    # tuple's C slots, not methods written in Python, so dict lookups keyed on them stay cheap
-    for cls in (Simplex, Operator):
+    # tuple's C slots, not methods written in Python, so dict lookups keyed on them stay cheap;
+    # the records share the one idiom, so each equals the plain tuple of its fields
+    records = (StratifiedMap, SubsetHandle, LiftingReport, Step, AnodyneCertificate)
+    for cls in (Simplex, Operator) + records + (FiniteCategory, SuiteItem, SuiteReport):
         assert issubclass(cls, tuple)
         assert cls.__eq__ is tuple.__eq__ and cls.__hash__ is tuple.__hash__, cls
     assert Simplex("c", (1, 0)) == ("c", (1, 0)) and hash(Simplex("c")) == hash(("c", ()))
     assert repr(Simplex("c", (0,))) == "Simplex(cell='c', word=(0,))"
     assert Operator(1, 2, (0, 2)) == (1, 2, (0, 2)) and repr(delta(2, 1)) == "Op[1]->[2][0, 2]"
+    assert Step("horn", 2, 1, "c") == ("horn", 2, 1, "c")
+    assert hash(Step("horn", 2, 1, "c")) == hash(("horn", 2, 1, "c"))
 
 
 def test_extensions_are_lexicographic():
