@@ -12,7 +12,9 @@ handler runs when it is a directory or lies in a missing one.  A reader that
 closes stdout early leaves the exit status to the verdict.  Each JSON input is
 read once by the checked reader of its format (``set_from_json``,
 ``certificate_from_json``, ``tower_problem_from_json``, and the enriched and
-category readers below); malformed input exits 2.
+category readers below); malformed input exits 2.  The parser is built on the
+first ``main`` call and reused by later calls in the process, so ``main`` can be
+called in a loop.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from functools import lru_cache
 from itertools import islice, product
 from typing import Iterator
 
@@ -239,9 +242,11 @@ def _paper_suite(args):
     from .suite import paper_suite
 
     report = paper_suite(seed=args.seed)
+    # the status lines stay off stdout when the report itself goes there
+    status_to = sys.stderr if args.out == "-" else sys.stdout
     for item in report.items:
         status = "PASS" if item.ok else "FAIL"
-        print(f"{status} {item.name}" + (f" ({item.detail})" if item.detail else ""))
+        print(f"{status} {item.name}" + (f" ({item.detail})" if item.detail else ""), file=status_to)
     return report.to_json() if args.out else None, report.ok
 
 
@@ -283,7 +288,9 @@ VERBS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and the subparser of each verb, built on the first call."""
     parser = argparse.ArgumentParser(prog="complicial")
     sub = parser.add_subparsers(dest="verb", required=True)
     verbs = {}
@@ -299,7 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     verbs["check"].add_argument("--mode", choices=["inner", "all"], default="inner")
     verbs["search-tower"].add_argument("--budget", type=int, default=100)
     verbs["paper-suite"].add_argument("--seed", type=int, default=0)
+    return parser, verbs
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser, verbs = _parser()
     try:
         args = parser.parse_args(argv)
         least_dmax = VERBS[args.verb][2]

@@ -139,6 +139,63 @@ def test_import_path_leaves_out_dataclasses_and_inspect():
     assert proc.stdout.strip() == b"[]", proc.stdout.decode()
 
 
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter without site hooks: the parser is built by the first main call
+    code = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import argparse, contextlib, os
+built, init = [], argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import complicial.cli
+print(len(built))
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    code = complicial.cli.main(["--help"])
+print(code, len(built))
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    # none at import; the parser and its nine subparsers at the first call
+    assert proc.stdout.split() == [b"0", b"0", b"10"], proc.stdout.decode()
+
+
+def test_main_builds_its_parser_once_and_calls_stay_independent(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    main(["shape", "delta", "--n", "0"])  # warm-up: the parser exists whatever ran before
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    d2, problem = tmp_path / "d2.json", tmp_path / "problem.json"
+    d2.write_text(json.dumps(delta2()))
+    problem.write_text(json.dumps(tower_problem()))
+    assert main(["check", str(d2), "--dmax", "1"]) == 0
+    assert main(["shape", "cube", "--n", "1", "--k", "1"]) == 2
+    assert main(["check", "--help"]) == 0
+    # neither a usage error nor a parsed value carries over to the next call
+    assert main(["shape", "cube", "--n", "1"]) == 0
+    assert main(["search-tower", str(problem), "--budget", "-1"]) == 2
+    assert main(["search-tower", str(problem)]) in (0, 1)
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        assert main(["check", "--help"]) == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--mode" in helps[0]
+    assert built == []
+
+
 def test_reader_closing_stdout_early_is_not_an_error():
     # run as a process whose reader takes 100 bytes of an 800 kB document and
     # closes the pipe, as `complicial shape cube --n 5 | head -c 100` does
@@ -232,6 +289,15 @@ def test_paper_suite_exit_zero(tmp_path, capsys):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
         "8aac1947a318e3828db3b5a8f94c32abdfd6b71de9072dc2970f2bab3fc3d593"
     )
+
+
+def test_paper_suite_to_stdout_is_json(capsys):
+    # with --out - the report takes stdout and the status lines go to stderr
+    code = main(["paper-suite", "--out", "-"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["pass"] is True
+    assert captured.err.startswith("PASS ") and "FAIL" not in captured.err
 
 
 def test_from_category_cli(tmp_path, capsys):
