@@ -201,7 +201,7 @@ def _start_problem(Z: FiniteStratifiedSet, start: SubsetHandle) -> str | None:
     if not start.thin_members <= start.members & Z.thin:
         return "start thin flags exceed the ambient stratification"
     for c in Z.cells():
-        if c in start.members and any(s.cell not in start.members for s in Z.faces.get(c, ())):
+        if c in start.members and any(s.cell not in start.members for s in Z.faces[c]):
             return f"start is not face-closed at {c!r}"
     return None
 
@@ -379,9 +379,11 @@ def search_tower(
     only grow, so the candidates are the horn and thinness steps that add a
     flag and nothing outside finish - start, by cell in the ambient's order,
     then k, horn first.  Each adds one flag: a tower has a slot per flag of
-    finish - start.  A thin-horn step is never a candidate, since its horn step
-    and then its thinness step reach its subset first.  The budget bounds the
-    steps applied, and each subset (members, flags) is expanded at most once.
+    finish - start.  A candidate whose flag is set is skipped unchecked, since
+    as a horn step its top cell is present and as a thinness step it keeps the
+    subset.  A thin-horn step is never a candidate, since its horn step and then
+    its thinness step reach its subset first.  The budget bounds the steps
+    applied, and each subset (members, flags) is expanded at most once.
     """
     if start.ambient is not finish.ambient:
         raise UnknownCell("start and finish live in different ambient sets")
@@ -395,7 +397,7 @@ def search_tower(
         for step in (Step("horn", Z.dims[c], k, c), Step("thinness", Z.dims[c], k, c)):
             members, flags = _applied(Z, frozenset(), frozenset(), step)
             if flags and members <= gained[0] and flags <= gained[1]:
-                steps.append(step)
+                steps.append((step, *flags))
     states = [(start.members, start.thin_members)] * (len(gained[1]) + 1)
     expanded = set()
     attempts = 0
@@ -404,8 +406,8 @@ def search_tower(
         nonlocal attempts
         members, flags = states[slot]
         expanded.add(states[slot])
-        for step in steps:
-            if _step_violation(Z, members, flags, step) is None:
+        for step, flag in steps:
+            if flag not in flags and _step_violation(Z, members, flags, step) is None:
                 states[slot + 1] = _applied(Z, members, flags, step)
                 if states[slot + 1] not in expanded:
                     attempts += 1

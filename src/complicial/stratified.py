@@ -1,8 +1,9 @@
 """Finite stratified simplicial sets in Eilenberg-Zilber normal form.
 
-A set stores only nondegenerate cells; every simplex is the pair
-(cell, degeneracy word), a named tuple, and all queries are answered through
-normal forms.
+A set stores only nondegenerate cells, each with a row in the face table
+``faces``: the n + 1 faces of an n-cell, ``()`` for a 0-cell, which a
+constructor may leave out.  Every simplex is the pair (cell, degeneracy
+word), a named tuple, and all queries are answered through normal forms.
 A degeneracy word is the set of flat spots of its surjection, listed
 decreasing.  Thinness is a flag on nondegenerate cells of positive dimension,
 with degenerate simplices implicitly thin.  The module also provides
@@ -78,7 +79,7 @@ class FiniteStratifiedSet:
     ):
         self.dim_cap = dim_cap
         self.dims = dict(dims)
-        self.faces = {c: tuple(fs) for c, fs in faces.items()}
+        self.faces = {c: tuple(faces.get(c, ())) for c in self.dims}
         self.thin = frozenset(thin)
         grouped: dict[int, list] = {}
         for c in sorted(self.dims, key=str):
@@ -158,13 +159,16 @@ class FiniteStratifiedSet:
         return degenerate(self.faces[s.cell][j - below], tuple(f - (f > j) for f in w))
 
     def _faces_of_dim(self, n: int) -> tuple[dict, dict]:
-        """The face index of dimension n, built on its first query: (rows, having),
-        rows mapping each n-simplex, in simplices_of_dim order, to its face tuple,
-        and having mapping (j, s) to the simplices with face s at j, in that order."""
+        """The face index of dimension n, built on its first query: (rows, having), rows
+        mapping each n-simplex, in simplices_of_dim order, to its face tuple (a cell's
+        stored row), and having mapping (j, s) to the simplices with face s at j, in order."""
         index = self._face_index.get(n)
         if index is None:
-            js = range(n + 1) if n else ()  # 0-simplices have no faces
-            rows = {z: tuple(self._face_of(z, j) for j in js) for z in self.simplices_of_dim(n)}
+            js = range(n + 1)
+            rows = {
+                z: tuple(self._face_of(z, j) for j in js) if z.word else self.faces[z.cell]
+                for z in self.simplices_of_dim(n)
+            }
             having: dict[tuple[int, Simplex], list[Simplex]] = {}
             for z, row in rows.items():
                 for key in enumerate(row):
@@ -209,7 +213,7 @@ class FiniteStratifiedSet:
                 problems.append(f"cell {c}: negative dimension")
             if d > self.dim_cap:
                 problems.append(f"cell {c}: dimension {d} exceeds cap {self.dim_cap}")
-            fs = self.faces.get(c, ())
+            fs = self.faces[c]
             want = d + 1 if d >= 1 else 0
             if len(fs) != want:
                 problems.append(f"cell {c}: expected {want} faces, got {len(fs)}")
@@ -302,8 +306,8 @@ class StratifiedMap(NamedTuple):
             img = self.assignment[c]
             if c in self.source.thin and not self.target.is_thin(img):
                 problems.append(f"thin cell {c} maps to non-thin simplex")
-            for j in range(d + 1) if d >= 1 else ():
-                if self(self.source.faces[c][j]) != self.target.face(img, j):
+            for j, s in enumerate(self.source.faces[c]):
+                if self(s) != self.target.face(img, j):
                     problems.append(f"cell {c}: face {j} does not commute")
         return problems
 
@@ -328,8 +332,7 @@ def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[Hashable]) -> Subs
         if c in members:
             continue
         members.add(c)
-        if X.dims[c] >= 1:
-            todo.extend(s.cell for s in X.faces[c])
+        todo.extend(s.cell for s in X.faces[c])
     return SubsetHandle(X, frozenset(members), frozenset(members) & X.thin)
 
 
@@ -344,9 +347,8 @@ def make_thin(X: FiniteStratifiedSet, extra: Iterable[Hashable]) -> FiniteStrati
 def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:
     """The subset as a standalone stratified set (cells preserved)."""
     dims = {c: h.ambient.dims[c] for c in h.members}
-    faces = {c: h.ambient.faces[c] for c in h.members if dims[c] >= 1}
     cap = max(dims.values(), default=0)
-    return FiniteStratifiedSet(cap, dims, faces, h.thin_members)
+    return FiniteStratifiedSet(cap, dims, h.ambient.faces, h.thin_members)
 
 
 # -- the cartesian product (componentwise thinness) -------------------------
@@ -401,10 +403,9 @@ def gray_product(
                     continue
                 cell = Pair((sx, sy))
                 dims[cell] = m
-                if m >= 1:
-                    faces[cell] = tuple(map(product_pair_simplex, row_x, row_y))
-                    if X.is_thin(sx) and Y.is_thin(sy):
-                        thin.add(cell)
+                faces[cell] = tuple(map(product_pair_simplex, row_x, row_y))
+                if X.is_thin(sx) and Y.is_thin(sy):
+                    thin.add(cell)
     return FiniteStratifiedSet(cap, dims, faces, thin)
 
 
@@ -459,12 +460,11 @@ def set_to_json(X: FiniteStratifiedSet) -> dict:
     text = spellings(X.cells())
     cells = []
     for c in X.cells():
-        fs = X.faces[c] if X.dims[c] >= 1 else ()
         entry = {
             "id": text[c],
             "dim": X.dims[c],
             "thin": c in X.thin,
-            "faces": [{"cell": text[s.cell], "word": list(s.word)} for s in fs],
+            "faces": [{"cell": text[s.cell], "word": list(s.word)} for s in X.faces[c]],
         }
         cells.append(entry)
     return {"dim_cap": X.dim_cap, "cells": cells}
@@ -490,7 +490,7 @@ def _set_json_text(X: FiniteStratifiedSet, text: dict, values: dict) -> Iterator
         sep = "["
         for c in X.cells():
             faces = []
-            for s in X.faces[c] if X.dims[c] >= 1 else ():
+            for s in X.faces[c]:
                 if s.word not in words:
                     items = ",".join(f"\n            {j}" for j in s.word)
                     words[s.word] = f"[{items}\n          ]"
@@ -514,9 +514,7 @@ def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:
     dim_cap = json_field(data, "dim_cap", int, path)
     if dim_cap < 0:
         raise ParseError(f"{path}.dim_cap: must be at least 0")
-    dims = {}
-    faces = {}
-    thin = []
+    dims, faces, thin = {}, {}, []
     for i, entry in enumerate(json_field(data, "cells", list, path)):
         at = f"{path}.cells[{i}]"
         cid = json_field(entry, "id", str, at)
@@ -524,8 +522,7 @@ def set_from_json(data, path: str = "set") -> FiniteStratifiedSet:
             raise ParseError(f"{at}.id: duplicate cell id {cid!r}")
         dims[cid] = json_field(entry, "dim", int, at)
         fs = json_field(entry, "faces", list, at, [])
-        if fs:
-            faces[cid] = tuple(simplex_from_json(f, f"{at}.faces[{j}]") for j, f in enumerate(fs))
+        faces[cid] = tuple(simplex_from_json(f, f"{at}.faces[{j}]") for j, f in enumerate(fs))
         if json_field(entry, "thin", bool, at, False):
             thin.append(cid)
     X = FiniteStratifiedSet(dim_cap, dims, faces, thin)

@@ -122,12 +122,7 @@ def act_by_operators(X: FiniteStratifiedSet, s: Simplex, alpha: Operator) -> Sim
 def is_subset_kind(h: SubsetHandle) -> frozenset[str]:
     """Classify a handle as regular and/or entire; {'neither'} otherwise."""
     kinds = set()
-    closed = all(
-        s.cell in h.members
-        for c in h.members
-        if h.ambient.dims[c] >= 1
-        for s in h.ambient.faces[c]
-    )
+    closed = all(s.cell in h.members for c in h.members for s in h.ambient.faces[c])
     if closed and h.thin_members == h.members & h.ambient.thin:
         kinds.add("regular")
     if h.members == frozenset(h.ambient.dims):
@@ -160,7 +155,7 @@ def enumerate_maps(A: FiniteStratifiedSet, X: FiniteStratifiedSet) -> list[Strat
             out.append(StratifiedMap(A, X, dict(assignment)))
             return
         cell = order[i]
-        faces = {j: partial(s) for j, s in enumerate(A.faces.get(cell, ()))}
+        faces = {j: partial(s) for j, s in enumerate(A.faces[cell])}
         for img in sorted(X.fillers(A.dims[cell], faces, cell in A.thin), key=X.sort_key):
             assignment[cell] = img
             search(i + 1)

@@ -35,7 +35,13 @@ from complicial.shapes import (
     standard,
     standard_thin,
 )
-from complicial.stratified import FiniteStratifiedSet, SubsetHandle, make_thin, regular_generated
+from complicial.stratified import (
+    FiniteStratifiedSet,
+    Simplex,
+    SubsetHandle,
+    make_thin,
+    regular_generated,
+)
 from reference import (
     complicial_dprimed,
     complicial_primed,
@@ -327,7 +333,8 @@ def test_search_tower_checks_each_step_once_per_subset(monkeypatch):
 
 def test_search_tower_call_counts(monkeypatch):
     # the C^2_3 search at budget 2000 judges only steps that add a flag inside
-    # finish - start; the recursive search made 18,228 step checks and 803 act calls
+    # finish - start and not yet set; the recursive search made 18,228 step
+    # checks and 803 act calls, and one that judged set flags too 1,078 and 389
     start, finish = big_H(3, 2), full_handle(big_C(3, 2))
     calls = Counter()
     step_violation, act = anodyne._step_violation, FiniteStratifiedSet.act
@@ -343,7 +350,28 @@ def test_search_tower_call_counts(monkeypatch):
     monkeypatch.setattr(anodyne, "_step_violation", counted_step_violation)
     monkeypatch.setattr(FiniteStratifiedSet, "act", counted_act)
     assert search_tower(start, finish, 2000) is None
-    assert calls == {"step": 1078, "act": 389}
+    assert calls == {"step": 596, "act": 164}
+
+
+def test_search_tower_checks_each_step_of_a_path_once(monkeypatch):
+    # on a path of 1,200 thin edges from its first vertex the search finds each
+    # step with one check, skipping the edges already flagged, and verifying the
+    # tower checks each step once more; rescanning every candidate took 1,440,001
+    n = 1200
+    edges = [f"e{i:04d}" for i in range(n)]
+    dims = {**{f"v{i:04d}": 0 for i in range(n + 1)}, **dict.fromkeys(edges, 1)}
+    faces = {e: (Simplex(f"v{i + 1:04d}"), Simplex(f"v{i:04d}")) for i, e in enumerate(edges)}
+    Z = FiniteStratifiedSet(1, dims, faces, edges)
+    calls = Counter()
+    step_violation = anodyne._step_violation
+
+    def counted(*args):
+        calls["step"] += 1
+        return step_violation(*args)
+
+    monkeypatch.setattr(anodyne, "_step_violation", counted)
+    cert = search_tower(SubsetHandle(Z, frozenset({"v0000"}), frozenset()), full_handle(Z), 5000)
+    assert len(cert.steps) == n and calls["step"] == 2 * n
 
 
 def _oracle_problems() -> list[tuple[SubsetHandle, SubsetHandle]]:

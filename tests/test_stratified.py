@@ -56,7 +56,7 @@ from complicial.stratified import (
     set_to_json,
     subset_to_set,
 )
-from complicial.suite import SuiteItem, SuiteReport
+from complicial.suite import SuiteItem, SuiteReport, desk_nerves
 from reference import (
     act_by_operators,
     enumerate_maps,
@@ -345,6 +345,28 @@ def test_json_round_trip():
     X = big_C(2, 1)
     Y = set_from_json(set_to_json(X))
     assert Y.dims == X.dims and Y.thin == X.thin and Y.faces == X.faces
+
+
+def test_every_cell_has_a_face_row():
+    # a 0-cell's row is (), also where a builder or the JSON leaves it out,
+    # and the face index holds each cell's stored row itself
+    data = set_to_json(standard(1))
+    for entry in data["cells"]:
+        if entry["dim"] == 0:
+            del entry["faces"]
+    sets = [
+        standard(2),
+        cube(2),
+        gray_product(standard(1), standard(1)),
+        dict(desk_nerves())["susp-iso-nerve"],
+        set_from_json(data),
+    ]
+    for X in sets:
+        assert X.faces.keys() == X.dims.keys()
+        assert all(X.faces[c] == () for c in X.cells_of_dim(0))
+        for n in range(X.max_dim() + 1):
+            rows = X._faces_of_dim(n)[0]
+            assert all(rows[Simplex(c)] is X.faces[c] for c in X.cells_of_dim(n))
 
 
 def test_subset_to_set_keeps_ids():
