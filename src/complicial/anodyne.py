@@ -65,14 +65,6 @@ class LiftingReport(NamedTuple):
         }
 
 
-def _ks_for_mode(n: int, mode: str) -> list[int]:
-    if mode == "inner":
-        return list(range(1, n))
-    if mode == "all":
-        return list(range(n + 1))
-    raise BadParams(f"unknown mode {mode!r}")
-
-
 @lru_cache(maxsize=None)
 def _thin_faces(n: int, k: int, top: int, primed: bool = False) -> tuple[Operator, ...]:
     """The proper faces of [n] up to dimension top that the k-complicial n-simplex
@@ -126,32 +118,34 @@ def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simpl
             yield z
 
 
-def _instances(X: FiniteStratifiedSet, dmax: int, mode: str) -> Iterator[tuple]:
-    """Every lifting instance up to dmax as (name, n, k, problems), in report order.
+def _instances(X: FiniteStratifiedSet, dmax: int, inner: bool) -> Iterator[tuple]:
+    """Every lifting instance up to dmax as (name, n, k, problems), in report order,
+    k inner (0 < k < n) or any k in [n].
 
     A horn problem is a horn map, as face index -> simplex; a thinness
     problem is a simplex carrying a map from the primed complicial simplex.
     """
-    for n in range(1, dmax + 1):
-        for k in _ks_for_mode(n, mode):
-            yield f"horn[{n},{k}]", n, k, _horn_problems(X, n, k)
-    for n in range(2, dmax + 1):
-        for k in _ks_for_mode(n, mode):
-            yield f"thinness[{n},{k}]", n, k, _thinness_problems(X, n, k)
+    for kind, low, problems in (("horn", 1, _horn_problems), ("thinness", 2, _thinness_problems)):
+        for n in range(low, dmax + 1):
+            for k in range(1, n) if inner else range(n + 1):
+                yield f"{kind}[{n},{k}]", n, k, problems(X, n, k)
 
 
 def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> LiftingReport:
     """Check the right lifting property against the elementary extensions.
 
     Horn instances run for 1 <= n <= dmax and thinness instances for
-    2 <= n <= dmax, with k inner or unrestricted according to mode.  Above the
+    2 <= n <= dmax, with k inner or unrestricted according to mode, "inner" or
+    "all"; any other mode is refused with BadParams before any check.  Above the
     storage cap a report is exact only for a set complete at its cap, whose
     simplices there are degeneracies of stored cells.  A truncation, such as a
     nerve or ``from_category(cat, D)``, lacks its cells above D as horn faces
     and as fillers alike, so a report there need not hold of the whole set.
     """
+    if mode not in ("inner", "all"):
+        raise BadParams(f"unknown mode {mode!r}")
     report = LiftingReport([], [])
-    for name, n, k, problems in _instances(X, dmax, mode):
+    for name, n, k, problems in _instances(X, dmax, mode == "inner"):
         horn = name.startswith("horn")
         count = 0
         for problem in problems:

@@ -108,8 +108,9 @@ def hom_action(
     the images is read off the run of positions alpha sends to i': the input
     column itself for a run of one, a column of + for an empty run, and the
     fiberwise minimum of the run's columns otherwise; the positions sent to
-    alpha(r) drop out.  Every w must have length s - r: columns are zipped,
-    so a shorter w would truncate the others unchecked.
+    alpha(r) drop out.  A w whose length is not s - r is refused with
+    OutOfRange, unless alpha(r) = alpha(s): then every image is the identity ()
+    and no column is read.
     """
     if not (0 <= r <= s <= alpha.n):
         raise OutOfRange(f"arrow ({r},{s}] does not live over [{alpha.n}]")
@@ -117,9 +118,12 @@ def hom_action(
     runs: list[list] = [[] for _ in range(alpha.values[s] - lo)]
     if not (ws and runs):
         return lo, [()] * len(ws)
-    for t, column in zip(alpha.values[r + 1 : s + 1], zip(*ws)):
-        if t > lo:
-            runs[t - lo - 1].append(column)
+    try:
+        for t, column in zip(alpha.values[r + 1 : s + 1], zip(*ws, strict=True), strict=True):
+            if t > lo:
+                runs[t - lo - 1].append(column)
+    except ValueError:
+        raise OutOfRange(f"an arrow of hom({r},{s}) has length {s - r}") from None
     columns = [
         run[0] if len(run) == 1 else map(_fiber_min, *run) if run else repeat(PLUS, len(ws))
         for run in runs

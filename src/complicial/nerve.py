@@ -30,11 +30,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .errors import OutOfRange
+from .errors import Mismatch
 from .operators import Operator, delta, surjection_words, word_operator
 from .enriched import EnrichedCategory
 from .hcpath import generator_action, generators, hom_set, special_arrow, split
-from .shapes import comparison_operator, cube_face
+from .shapes import comparison_operator
 from .stratified import FiniteStratifiedSet, Simplex, degenerate, extensions, make_thin
 
 
@@ -98,12 +98,13 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
     gens = generators(n)
-    # the generators of hom(r, n), keyed (r, w), with dimension, face coordinates and thin flag
+    # the generators of hom(r, n), keyed (r, w), with dimension, the w of each face and
+    # thin flag; every face of a hom cell is a cell, so its stored row holds them
     last = {}
     for r, s, cell, d in gens:
         if s == n:
-            face_ws = [cube_face(cell.w, d, j) for j in range(d + 1)] if d else []
-            last[(r, cell.w)] = (d, face_ws, cell in hom_set(r, n).thin)
+            H = hom_set(r, n)
+            last[(r, cell.w)] = (d, [f.cell.w for f in H.faces[cell]], cell in H.thin)
     thin = [(r, c.w, hom_set(r, n).dims[c]) for r in range(n) for c in sorted(hom_set(r, n).thin)]
     thin = [(r, w, m) for r, w, m in thin if (r, w) not in last]
 
@@ -131,7 +132,7 @@ def nerve_act(f: NerveSimplex, alpha: Operator) -> NerveSimplex:
     """Precomposition with the path functor of a simplicial operator, which sends
     each generator to a generator or an identity, as ``generator_action`` lists."""
     if alpha.m != f.n:
-        raise OutOfRange(f"operator targets [{alpha.m}], simplex has dimension {f.n}")
+        raise Mismatch(f"operator targets [{alpha.m}], simplex has dim {f.n}")
     obj = tuple(f.obj[t] for t in alpha.values)
     images = {g: f.eval_arrow(*arrow) for g, arrow in generator_action(alpha)}
     return NerveSimplex(f.E, alpha.n, obj, images)

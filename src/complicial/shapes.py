@@ -125,19 +125,9 @@ class Coords(str):
         return self
 
 
-def is_integer_surjective(w: tuple[CubeCoordinate, ...], m: int) -> bool:
-    ints = {v for v in w if v not in (MINUS, PLUS)}
-    return ints == set(range(1, m + 1))
-
-
 def is_partial_bijection(w: tuple[CubeCoordinate, ...], m: int) -> bool:
     ints = [v for v in w if v not in (MINUS, PLUS)]
     return sorted(ints) == list(range(1, m + 1))
-
-
-def is_order_reversing(w: tuple[CubeCoordinate, ...]) -> bool:
-    ints = [v for v in w if v not in (MINUS, PLUS)]
-    return all(ints[i] >= ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints)))
 
 
 def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
@@ -154,12 +144,6 @@ def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
                 return True
             least = min(least, len(w) - 1 - rev.index(v))
     return False
-
-
-def cube_face(w: tuple[CubeCoordinate, ...], m: int, j: int) -> tuple[CubeCoordinate, ...]:
-    """The jth face of the m-simplex w of a cube, coordinatewise (not in normal form)."""
-    d = delta(m, j)
-    return tuple(rho_precompose(v, d) for v in w)
 
 
 def cube_normal_form(
@@ -202,7 +186,8 @@ def cube(n: int) -> FiniteStratifiedSet:
     one is nondegenerate, a cell itself: an inner face merges j and j + 1, an
     outer face turns 1 or m into a sign and shifts the rest down.  So the jth
     face is the (m-1)-cell whose one-letter-per-coordinate code is the cell's
-    code translated by a table read off ``cube_face`` once per (m, j)."""
+    code translated by a table that ``rho_precompose(v, delta(m, j))`` fills in
+    once per (m, j), letter by letter."""
     if n < 0:
         raise OutOfRange("cube needs n >= 0")
     dims = {}
@@ -213,8 +198,8 @@ def cube(n: int) -> FiniteStratifiedSet:
         # a sign is its own letter, the integer v is chr(48 + v): the digit, for v <= 9
         letter = {MINUS: MINUS, PLUS: PLUS} | {v: chr(48 + v) for v in range(1, m + 1)}
         tables = [
-            str.maketrans({a: letter[cube_face((v,), m, j)[0]] for v, a in letter.items()})
-            for j in range(m + 1)
+            str.maketrans({a: letter[rho_precompose(v, d)] for v, a in letter.items()})
+            for d in (delta(m, j) for j in range(m + 1))
         ]
         for w in _surjective_words(n, m):
             cell = Coords(w)
@@ -227,14 +212,15 @@ def cube(n: int) -> FiniteStratifiedSet:
 
 
 def classify_cube_simplex(w: tuple[CubeCoordinate, ...], m: int) -> str:
-    """One of 'degenerate', 'special', 'thin', 'plain' for the m-simplex w of a cube."""
-    if not is_integer_surjective(w, m):
+    """One of 'degenerate', 'special', 'thin', 'plain' for the m-simplex w of a cube,
+    a word in -, +, 1..m: special is a partial bijection that is not thin."""
+    if not set(w) <= {MINUS, PLUS, *range(1, m + 1)}:
+        raise OutOfRange(f"{w} is not a word in -, +, 1..{m}")
+    if cube_normal_form(w, m)[1]:
         return "degenerate"
-    if is_partial_bijection(w, m) and is_order_reversing(w):
-        return "special"
     if cube_thin(w, m):
         return "thin"
-    return "plain"
+    return "special" if is_partial_bijection(w, m) else "plain"
 
 
 # -- vertex labels -----------------------------------------------------------

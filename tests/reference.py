@@ -10,7 +10,10 @@ dimension 0, the witness search for thin nerve edges, the linear boundary
 scan that the face index of ``fillers`` replaced, the directed cube built by
 testing every word and acting on every face, cube thinness tested on every
 pair of integers, the enrichment law loops run to
-the cap on every triple), fixtures
+the cap on every triple), the cube-cell rules the package states once and
+the tests restate on their own (``cube_face``, a face by composing operators;
+``is_integer_surjective``, nondegeneracy; ``is_order_reversing``, the special
+partial bijections), fixtures
 (enriched functors, the terminal enriched category, the discrete enrichment of
 a finite category, a category counting its compositions) and spellings in the
 paper's notation (vertex chains, path arrows).  Test modules import them
@@ -66,10 +69,8 @@ from complicial.shapes import (
     Coords,
     Vertices,
     complicial,
-    cube_face,
     cube_normal_form,
     cube_thin,
-    is_integer_surjective,
 )
 from complicial.stratified import (
     FiniteStratifiedSet,
@@ -134,10 +135,14 @@ def fillers_scan(
     X: FiniteStratifiedSet, n: int, faces: Mapping[int, Simplex], thin: bool
 ) -> Iterator[Simplex]:
     """The n-simplices whose jth face is faces[j] for every given j, only thin
-    ones if thin, in simplices_of_dim order: a scan calling act on every face slot."""
+    ones if thin, in simplices_of_dim order: a scan acting on every face slot
+    through ``act_by_operators``, so the face index that ``fillers`` reads is
+    not consulted."""
     wanted = [(delta(n, j), s) for j, s in faces.items()]
     for z in X.simplices_of_dim(n):
-        if (not thin or X.is_thin(z)) and all(X.act(z, d) == s for d, s in wanted):
+        if (not thin or X.is_thin(z)) and all(
+            act_by_operators(X, z, d) == s for d, s in wanted
+        ):
             yield z
 
 
@@ -182,6 +187,27 @@ def complicial_primed(n: int, k: int) -> FiniteStratifiedSet:
 def complicial_dprimed(n: int, k: int) -> FiniteStratifiedSet:
     X = complicial_primed(n, k)
     return make_thin(X, [Vertices(v for v in range(n + 1) if v != k)])
+
+
+def is_integer_surjective(w: tuple, m: int) -> bool:
+    """Whether the word w takes every integer value 1..m: nondegeneracy."""
+    ints = {v for v in w if v not in (MINUS, PLUS)}
+    return ints == set(range(1, m + 1))
+
+
+def is_order_reversing(w: tuple) -> bool:
+    """Whether the integers of w, read left to right, never increase."""
+    ints = [v for v in w if v not in (MINUS, PLUS)]
+    return all(ints[i] >= ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints)))
+
+
+def cube_face(w: tuple, m: int, j: int) -> tuple:
+    """The jth face of the m-simplex w of a cube, coordinatewise (not in normal
+    form): each coordinate's operator rho_operator(v, m) composed after
+    delta(m, j), and read back as the coordinate of the composite [m - 1] -> [1]."""
+    d = delta(m, j)
+    composites = (compose_ops(rho_operator(v, m), d).values for v in w)
+    return tuple(MINUS if 1 not in c else PLUS if 0 not in c else c.index(1) for c in composites)
 
 
 def cube_thin_pairs(w: tuple, m: int) -> bool:

@@ -32,7 +32,6 @@ from complicial.shapes import (
     big_H,
     c_map,
     cube,
-    is_integer_surjective,
     standard,
 )
 from complicial.stratified import SubsetHandle, regular_generated
@@ -40,6 +39,7 @@ from complicial.suite import desk_examples, desk_nerves, functoriality_sample
 from reference import (
     EnrichedFunctor,
     enumerate_maps,
+    is_integer_surjective,
     nerve_layer,
     nerve_thin,
     parse_vertex_chain,

@@ -116,6 +116,10 @@ def test_rlp_beyond_cap_is_exact():
 
 
 def test_rlp_unknown_mode_is_bad_params():
+    # the mode is checked before any instance, so dmax 0, with none, refuses it too
+    for dmax in (0, 1):
+        with pytest.raises(BadParams, match="unknown mode 'bogus'"):
+            rlp_report(standard(1), dmax, "bogus")
     with pytest.raises(BadParams):
         rlp_report(standard(1), 1, mode="outer")
 

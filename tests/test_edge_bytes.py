@@ -159,7 +159,7 @@ def test_set_bytes_ignore_the_order_cells_are_given_in(name):
     order = list(X.dims)
     random.Random(0).shuffle(order)
     dims = {c: X.dims[c] for c in order}
-    faces = {c: X.faces[c] for c in order if c in X.faces}
+    faces = {c: X.faces[c] for c in order}
     Y = FiniteStratifiedSet(X.dim_cap, dims, faces, [c for c in order if c in X.thin])
     assert _digest(set_to_json(Y)) == digest
     assert "".join(set_json_chunks(Y)) == "".join(set_json_chunks(X))

@@ -9,6 +9,7 @@ from complicial.errors import BadInterval, OutOfRange
 from complicial.operators import (
     MINUS,
     PLUS,
+    Operator,
     all_operators,
     compose_ops,
     delta,
@@ -206,6 +207,23 @@ def test_hom_action_is_path_act_on_every_arrow():
         hom_action(delta(3, 1), 1, 4, [(PLUS, 1, MINUS)])
     with pytest.raises(OutOfRange, match=message):
         hom_action(delta(3, 1), 1, 4, [])
+
+
+def test_hom_action_refuses_an_arrow_of_the_wrong_length():
+    # zipped columns would truncate the batch to its shortest arrow
+    a = Operator(2, 2, (0, 1, 2))
+    assert hom_action(a, 0, 2, [(1, MINUS)]) == (0, [(1, MINUS)])
+    message = re.escape("an arrow of hom(0,2) has length 2")
+    for ws in ([(1, MINUS), (MINUS,)], [(1, MINUS, 2, MINUS)], [(MINUS,), (1, MINUS)], [()]):
+        with pytest.raises(OutOfRange, match=message):
+            hom_action(a, 0, 2, ws)
+
+
+def test_every_face_row_of_a_cube_or_hom_holds_cells():
+    # every face of a nondegenerate cube cell is a cell, so the nerve reads the
+    # face arrows of each generator off the stored rows
+    for X in [cube(n) for n in range(7)] + [hom_set(0, k) for k in range(8)]:
+        assert all(f.word == () for row in X.faces.values() for f in row)
 
 
 def test_path_act_delta_image():

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from complicial.anodyne import rlp_report
+from complicial.errors import Mismatch
 from complicial.operators import delta, sigma, word_operator
 from complicial.enriched import (
     cyclic_group_category,
@@ -30,7 +31,6 @@ from complicial.shapes import (
     c_map,
     comparison_operator,
     complicial,
-    cube_face,
     cube_normal_form,
     standard,
 )
@@ -38,6 +38,7 @@ from complicial.stratified import FiniteStratifiedSet, Simplex, make_thin, set_t
 from reference import (
     CountingCategory,
     EnrichedFunctor,
+    cube_face,
     discrete_enriched,
     enumerate_maps,
     identity,
@@ -76,6 +77,18 @@ def test_nerve_act_simplicial_identity():
     E = suspension(standard(1))
     for f in nerve_layer(E, 1):
         assert nerve_act(nerve_act(f, sigma(1, 0)), delta(2, 0)) == f
+
+
+def test_nerve_act_refuses_an_operator_of_the_wrong_target_as_act_does():
+    # both raise Mismatch with the same message
+    E = suspension(standard(1))
+    f = nerve_layer(E, 2)[0]
+    X = build_nerve(E, 2)
+    top = next(iter(X.simplices_of_dim(2)))
+    message = r"operator targets \[1\], simplex has dim 2"
+    for act, simplex in ((nerve_act, f), (X.act, top)):
+        with pytest.raises(Mismatch, match=message):
+            act(simplex, delta(1, 0))
 
 
 def test_nerve_act_object_restriction():

@@ -20,9 +20,7 @@ from complicial.shapes import (
     cube,
     cube_thin,
     horn,
-    is_integer_surjective,
     is_partial_bijection,
-    is_order_reversing,
     special_top,
     special_w,
     standard,
@@ -35,6 +33,8 @@ from reference import (
     complicial_primed,
     cube_scan,
     cube_thin_pairs,
+    is_integer_surjective,
+    is_order_reversing,
     is_subset_kind,
     parse_vertex_chain,
 )
@@ -174,6 +174,29 @@ def test_classify_examples():
     assert classify_cube_simplex((1, PLUS), 1) == "special"
     assert classify_cube_simplex((1, 1), 1) == "plain"
     assert classify_cube_simplex((1, PLUS), 2) == "degenerate"
+
+
+def test_classify_matches_the_reference_predicates():
+    # degenerate unless integer surjective, then special for an order reversing
+    # partial bijection, thin by the pairwise test, plain otherwise
+    def rule(w, m):
+        if not is_integer_surjective(w, m):
+            return "degenerate"
+        if is_partial_bijection(w, m) and is_order_reversing(w):
+            return "special"
+        return "thin" if cube_thin_pairs(w, m) else "plain"
+
+    for m in range(6):
+        alphabet = [MINUS, PLUS] + list(range(1, m + 1))
+        for n in range(6):
+            for w in product(alphabet, repeat=n):
+                assert classify_cube_simplex(w, m) == rule(w, m), (w, m)
+
+
+def test_classify_refuses_an_integer_outside_1_to_m():
+    for w, m in [((1, 2), 1), ((0, PLUS), 1), ((3,), 2), ((1,), 0)]:
+        with pytest.raises(OutOfRange, match="is not a word in"):
+            classify_cube_simplex(w, m)
 
 
 def test_classify_degenerate_matches_brute_force():
