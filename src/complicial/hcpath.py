@@ -20,8 +20,9 @@ columns.  ``path_act`` is ``hom_action`` on one arrow.  ``generator_action``
 tabulates an operator's action on the generators once, for the nerve to read;
 the suite's functoriality sample acts on whole homs.
 
-A cell of hom(r, s) is a ``shapes.Coords`` holding the coordinates w of the
-arrow it names; tables indexed by arrows, as in the nerve, are keyed by w.
+A cell of hom(r, s) is a ``shapes.Coords`` spelling the coordinates w of the
+arrow it names; tables indexed by arrows, as in the nerve, are keyed by w,
+and ``generator_keys`` reads each generator's w from its spelling once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import repeat
 
 from .errors import BadInterval, OutOfRange
 from .operators import MINUS, PLUS, CubeCoordinate, Operator
-from .shapes import Coords, cube, cube_normal_form, in_big_H, special_top
+from .shapes import Coords, cube, cube_normal_form, in_big_H
 from .stratified import FiniteStratifiedSet, Simplex
 
 
@@ -50,7 +51,8 @@ def _hom_of_length(k: int) -> FiniteStratifiedSet:
     if not k:
         return FiniteStratifiedSet(0, {Coords(()): 0}, {})
     C = cube(k - 1)
-    top = {c: Coords(c.w + (MINUS,)) for c in C.dims}
+    # the cube cell's spelling, a run of coordinates, then the top coordinate
+    top = {c: Coords((c, MINUS) if c else (MINUS,)) for c in C.dims}
     faces = {
         top[c]: tuple(Simplex(top[f.cell], f.word) for f in fs) for c, fs in C.faces.items()
     }
@@ -83,9 +85,15 @@ def generators(n: int) -> tuple[tuple[int, int, Coords, int], ...]:
     return tuple(gens)
 
 
+@lru_cache(maxsize=None)
+def generator_keys(n: int) -> tuple[tuple[int, tuple[CubeCoordinate, ...]], ...]:
+    """The key (r, w) of each generator of generators(n), in order, each w read once."""
+    return tuple((r, c.w) for r, _, c, _ in generators(n))
+
+
 def special_arrow(m: int) -> tuple[CubeCoordinate, ...]:
     """hom(0, m + 1)'s top special arrow: the order reversing bijection, then the top minus."""
-    return special_top(m).w + (MINUS,)
+    return (*range(m, 0, -1), MINUS)
 
 
 def path_act(
@@ -143,7 +151,8 @@ def _fiber_min(*vs: CubeCoordinate) -> CubeCoordinate:
 @lru_cache(maxsize=None)
 def generator_action(alpha: Operator) -> tuple[tuple[tuple, tuple[int, tuple, int]], ...]:
     """alpha on each generator (r, w) of generators(alpha.n), in order: ((r, w), (r', w', dim))."""
-    return tuple(((r, c.w), (*path_act(alpha, r, c.w), d)) for r, _, c, d in generators(alpha.n))
+    gens = zip(generator_keys(alpha.n), generators(alpha.n))
+    return tuple(((r, w), (*path_act(alpha, r, w), d)) for (r, w), (*_, d) in gens)
 
 
 def hc_horn_member(n: int, k: int, r: int, w: tuple[CubeCoordinate, ...]) -> bool:

@@ -33,7 +33,7 @@ from typing import Iterator
 from .errors import Mismatch
 from .operators import Operator, delta, surjection_words, word_operator
 from .enriched import EnrichedCategory
-from .hcpath import generator_action, generators, hom_set, special_arrow, split
+from .hcpath import generator_action, generator_keys, generators, hom_set, special_arrow, split
 from .shapes import comparison_operator
 from .stratified import FiniteStratifiedSet, Simplex, degenerate, extensions, make_thin
 
@@ -48,7 +48,7 @@ class NerveSimplex:
         self.n = n
         self.obj = obj
         self.images = images
-        self._key = (n, obj, tuple(images[(r, cell.w)] for r, _, cell, _ in generators(n)))
+        self._key = (n, obj, tuple(map(images.__getitem__, generator_keys(n))))
         self._evaluated: dict[tuple[int, tuple, int], Simplex] = {}
 
     def __eq__(self, other) -> bool:
@@ -97,19 +97,19 @@ def nerve_simplices(E: EnrichedCategory, below: list[NerveSimplex]) -> list[Nerv
         return []
     n = below[0].n + 1
     rank = {o: i for i, o in enumerate(E.objects)}
-    gens = generators(n)
+    gens = list(zip(generators(n), generator_keys(n)))
     # the generators of hom(r, n), keyed (r, w), with dimension, the w of each face and
     # thin flag; every face of a hom cell is a cell, so its stored row holds them
     last = {}
-    for r, s, cell, d in gens:
+    for (r, s, cell, d), g in gens:
         if s == n:
             H = hom_set(r, n)
-            last[(r, cell.w)] = (d, [f.cell.w for f in H.faces[cell]], cell in H.thin)
+            last[g] = (d, [f.cell.w for f in H.faces[cell]], cell in H.thin)
     thin = [(r, c.w, hom_set(r, n).dims[c]) for r in range(n) for c in sorted(hom_set(r, n).thin)]
     thin = [(r, w, m) for r, w, m in thin if (r, w) not in last]
 
     def key(f: NerveSimplex) -> tuple:
-        images = (E.hom(f.obj[r], f.obj[s]).sort_key(f.images[(r, c.w)]) for r, s, c, _ in gens)
+        images = (E.hom(f.obj[r], f.obj[s]).sort_key(f.images[g]) for (r, s, _, _), g in gens)
         return tuple(rank[o] for o in f.obj), tuple(images)
 
     def candidates(obj: tuple, image, slot: tuple, images: dict) -> Iterator[Simplex]:
@@ -201,7 +201,8 @@ def yoneda_composite(E: EnrichedCategory, x: Simplex, n: int) -> NerveSimplex:
             return E.identity_simplex(obj[r], m)
         return hom01.act(x, comparison_operator(w, r, n, m))
 
-    images = {(r, c.w): image(r, c.w, d) for r, _, c, d in generators(n + 1)}
+    gens = zip(generator_keys(n + 1), generators(n + 1))
+    images = {(r, w): image(r, w, d) for (r, w), (*_, d) in gens}
     return NerveSimplex(E, n + 1, obj, images)
 
 

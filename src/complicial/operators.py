@@ -100,7 +100,10 @@ def ez_factorize(alpha: Operator) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def word_operator(q: int, word: tuple[int, ...]) -> Operator:
-    """The surjection [q]->[q-len(word)] whose flat spots are the word: t |-> t - #{f < t}."""
+    """The surjection [q]->[q-len(word)] whose flat spots are the word: t |-> t - #{f < t}.
+    OutOfRange unless the word is strictly decreasing inside [0, q - 1]."""
+    if not all(a > b for a, b in zip((q,) + word, word + (-1,))):
+        raise OutOfRange(f"{word} is not a degeneracy word of [{q}]")
     return Operator(q, q - len(word), tuple(t - sum(f < t for f in word) for t in range(q + 1)))
 
 
@@ -116,9 +119,11 @@ def rho_operator(v: CubeCoordinate, r: int) -> Operator:
 
 
 def rho_precompose(v: CubeCoordinate, alpha: Operator) -> CubeCoordinate:
-    """The coordinate v' with rho_v . alpha = rho_v'."""
+    """The coordinate v' with rho_v . alpha = rho_v', for v in -, +, 1..alpha.m."""
     if v == MINUS or v == PLUS:
         return v
+    if not (isinstance(v, int) and 1 <= v <= alpha.m):
+        raise OutOfRange(f"step index {v!r} not in 1..{alpha.m}")
     # least t with alpha(t) >= v; a hit at 0 means the composite is constant 1
     for t in range(alpha.n + 1):
         if alpha.values[t] >= v:

@@ -6,7 +6,8 @@ pointed set {-, +, 1..m}; position i records which m-simplex of the 1-simplex
 sits in ordinate i.  Ordinates are indexed from the right, so the vertex tuple
 of a cube cell prints as (a_n, ..., a_1).  A cell is degenerate exactly when w
 misses some integer below m.  A cube cell is a ``Coords``, the string
-``w(1),...,w(n)`` holding w, so callers can sort it and write it to JSON as is.
+``w(1),...,w(n)`` alone, sorted and written to JSON as is; its w is read back
+from the spelling, and code that reads many cells reads each one's w once.
 
 Thinness of the directed cube: a nondegenerate cell is thin iff there are
 integers u < v such that every w-position carrying u lies strictly below
@@ -63,14 +64,14 @@ def standard(n: int) -> FiniteStratifiedSet:
         raise OutOfRange("standard simplex needs n >= 0")
     dims = {}
     faces = {}
+    made: dict[tuple[int, ...], Simplex] = {}  # each cell's simplex, keyed by its vertices
     for d in range(n + 1):
         for comb in combinations(range(n + 1), d + 1):
             cell = Vertices(comb)
             dims[cell] = d
             if d >= 1:
-                faces[cell] = tuple(
-                    Simplex(Vertices(comb[:j] + comb[j + 1 :])) for j in range(d + 1)
-                )
+                faces[cell] = tuple([made[comb[:j] + comb[j + 1 :]] for j in range(d + 1)])
+            made[comb] = Simplex(cell)
     return FiniteStratifiedSet(n, dims, faces)
 
 
@@ -114,15 +115,22 @@ def horn(n: int, k: int) -> FiniteStratifiedSet:
 
 # -- cube cells -------------------------------------------------------------
 
+_READ = {MINUS: MINUS, PLUS: PLUS} | {str(v): v for v in range(1, 10)}  # one-letter spellings
+
 
 class Coords(str):
-    """A cube or hom cell: the string w(1),...,w(n), spelled once, holding the
-    coordinates w; nothing parses it, and equal cells have equal w."""
+    """A cube or hom cell: the string w(1),...,w(n) of its coordinates w, each
+    spelled by ``str``; it holds no other state, and w is read back from it."""
+
+    __slots__ = ()
 
     def __new__(cls, w):
-        self = super().__new__(cls, ",".join(map(str, w)))
-        self.w = tuple(w)
-        return self
+        return super().__new__(cls, ",".join(map(str, w)))
+
+    @property
+    def w(self) -> tuple[CubeCoordinate, ...]:
+        """The coordinates, parsed from the spelling."""
+        return tuple([_READ[v] if v in _READ else int(v) for v in self.split(",")]) if self else ()
 
 
 def is_partial_bijection(w: tuple[CubeCoordinate, ...], m: int) -> bool:
@@ -149,8 +157,10 @@ def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
 def cube_normal_form(
     w: tuple[CubeCoordinate, ...], q: int
 ) -> tuple[tuple[CubeCoordinate, ...], tuple[int, ...]]:
-    """EZ normal form of an arbitrary cube function at dimension q: the
-    coordinates of its nondegenerate core and its degeneracy word."""
+    """EZ normal form of a cube function at dimension q, a word in -, +, 1..q (else
+    OutOfRange): the coordinates of its nondegenerate core and its degeneracy word."""
+    if not {*w} <= {MINUS, PLUS, *range(1, q + 1)}:
+        raise OutOfRange(f"{w} is not a word in -, +, 1..{q}")
     present = sorted({v for v in w if v not in (MINUS, PLUS)})
     if present == list(range(1, q + 1)):
         return w, ()
@@ -192,30 +202,31 @@ def cube(n: int) -> FiniteStratifiedSet:
         raise OutOfRange("cube needs n >= 0")
     dims = {}
     faces = {}
+    thin = []
     level: dict[str, Simplex] = {}
     for m in range(n + 1):
         below, level = level, {}
-        # a sign is its own letter, the integer v is chr(48 + v): the digit, for v <= 9
+        # a sign is its own letter, v is chr(48 + v): its digit for v <= 9, so code spells cell
         letter = {MINUS: MINUS, PLUS: PLUS} | {v: chr(48 + v) for v in range(1, m + 1)}
         tables = [
             str.maketrans({a: letter[rho_precompose(v, d)] for v, a in letter.items()})
             for d in (delta(m, j) for j in range(m + 1))
         ]
         for w in _surjective_words(n, m):
-            cell = Coords(w)
             code = "".join(map(letter.__getitem__, w))
+            cell = Coords(code if m <= 9 else w)
             level[code] = Simplex(cell)
             dims[cell] = m
             if m >= 1:
                 faces[cell] = tuple([below[code.translate(table)] for table in tables])
-    return FiniteStratifiedSet(n, dims, faces, (c for c in dims if cube_thin(c.w, dims[c])))
+                if cube_thin(w, m):
+                    thin.append(cell)
+    return FiniteStratifiedSet(n, dims, faces, thin)
 
 
 def classify_cube_simplex(w: tuple[CubeCoordinate, ...], m: int) -> str:
     """One of 'degenerate', 'special', 'thin', 'plain' for the m-simplex w of a cube,
     a word in -, +, 1..m: special is a partial bijection that is not thin."""
-    if not set(w) <= {MINUS, PLUS, *range(1, m + 1)}:
-        raise OutOfRange(f"{w} is not a word in -, +, 1..{m}")
     if cube_normal_form(w, m)[1]:
         return "degenerate"
     if cube_thin(w, m):
@@ -292,17 +303,16 @@ def big_C(n: int, k: int) -> FiniteStratifiedSet:
     extra = []
     for c in X.cells():
         m = X.dims[c]
-        if m == 0 or c in X.thin or not is_partial_bijection(c.w, m):
+        if m == 0 or c in X.thin:
             continue
-        if _criterion_i(c.w) or _criterion_ii(c.w, k):
+        if is_partial_bijection(w := c.w, m) and (_criterion_i(w) or _criterion_ii(w, k)):
             extra.append(c)
     return make_thin(X, extra)
 
 
 def in_big_H(w: tuple[CubeCoordinate, ...], k: int) -> bool:
-    return any(
-        v == MINUS or (i != k and v == PLUS) for i, v in enumerate(w, start=1)
-    )
+    """A minus in some ordinate, or a plus in an ordinate other than k."""
+    return MINUS in w or PLUS in w[: k - 1] or PLUS in w[k:]
 
 
 def big_H(n: int, k: int) -> SubsetHandle:

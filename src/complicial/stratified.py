@@ -178,7 +178,7 @@ class FiniteStratifiedSet:
 
     def face(self, s: Simplex, j: int) -> Simplex:
         """The jth face of s, read from the face index; OutOfRange if s has no face j."""
-        row = self._faces_of_dim(self.simplex_dim(s))[0][s]
+        row = self._faces_of_dim(self.simplex_dim(s))[0].get(s, ())
         if not 0 <= j < len(row):
             raise OutOfRange(f"no face {j} of {s}")
         return row[j]
@@ -337,11 +337,15 @@ def regular_generated(X: FiniteStratifiedSet, seeds: Iterable[Hashable]) -> Subs
 
 
 def make_thin(X: FiniteStratifiedSet, extra: Iterable[Hashable]) -> FiniteStratifiedSet:
+    """X with the extra cells flagged thin too, sharing X's cell table, face rows, cell
+    order and face index, none of which reads the flags: a set is never mutated."""
     extra = frozenset(extra)
     for c in extra:
         if X.dim(c) == 0:
             raise ZeroDimensional(f"cannot make 0-cell {c} thin")
-    return FiniteStratifiedSet(X.dim_cap, X.dims, X.faces, X.thin | extra)
+    Y = FiniteStratifiedSet.__new__(FiniteStratifiedSet)
+    vars(Y).update(vars(X), thin=X.thin | extra)
+    return Y
 
 
 def subset_to_set(h: SubsetHandle) -> FiniteStratifiedSet:

@@ -17,7 +17,7 @@ from complicial.operators import (
     rho_operator,
     sigma,
 )
-from complicial.hcpath import generators, hc_horn_member, hom_action, hom_set, path_act
+from complicial.hcpath import generators, hc_horn_member, hom_action, hom_set, path_act, split
 from complicial.shapes import Coords, big_H, cube, cube_normal_form, special_top
 from reference import (
     arrow_is_degenerate,
@@ -522,3 +522,11 @@ def test_path_act_sends_thin_cells_to_thin_or_degenerate_arrows():
                 for a in thin:
                     b = act(alpha, a)
                     assert arrow_thin(b) or arrow_is_degenerate(b), (alpha, a)
+
+
+def test_split_refuses_an_integer_above_the_dimension():
+    with pytest.raises(OutOfRange, match="is not a word in"):
+        split((1, 2, MINUS), 1)
+    with pytest.raises(OutOfRange, match="is not a word in"):
+        split((1, MINUS, 3, MINUS), 2)
+    assert split((1, 2, MINUS), 2) == (0, (1, 2, MINUS), ())

@@ -194,3 +194,18 @@ def test_admissible_monotone_in_image():
                         m + 1, n, tuple(sorted(alpha.values + (extra,)))
                     )
                     assert admissible_vertices(bigger.m, k) <= set(bigger.values)
+
+
+def test_word_operator_refuses_a_word_that_is_not_a_degeneracy_word():
+    for q, word in [(2, (0, 0)), (2, (5,)), (2, (0, 1)), (2, (2,)), (3, (-1,)), (1, (0, 0))]:
+        with pytest.raises(OutOfRange, match="is not a degeneracy word"):
+            word_operator(q, word)
+    assert word_operator(2, (1, 0)) == Operator(2, 0, (0, 0, 0))
+    assert word_operator(0, ()) == Operator(0, 0, (0,))
+
+
+def test_rho_precompose_refuses_a_coordinate_that_is_not_one():
+    for v, alpha in [("x", delta(1, 0)), (0, delta(1, 0)), (2, delta(1, 1)), (None, sigma(1, 0))]:
+        with pytest.raises(OutOfRange, match="step index"):
+            rho_precompose(v, alpha)
+    assert rho_precompose(MINUS, delta(1, 0)) == MINUS

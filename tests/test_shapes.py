@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import comb
 
@@ -18,6 +19,7 @@ from complicial.shapes import (
     comparison_operator,
     complicial,
     cube,
+    cube_normal_form,
     cube_thin,
     horn,
     is_partial_bijection,
@@ -27,6 +29,7 @@ from complicial.shapes import (
     standard_thin,
     vertex_chain,
 )
+from complicial.hcpath import hom_set
 from reference import (
     comparison_values,
     complicial_dprimed,
@@ -314,3 +317,40 @@ def test_special_w_values():
 def test_special_w_out_of_range():
     with pytest.raises(OutOfRange):
         special_w(2, 3)
+
+
+def test_a_cube_cell_reads_back_its_coordinates():
+    """A cell is its spelling alone: Coords(w) spells w and w reads it back, and
+    cube() and the homs (hom_set(r, s) is hom_set(0, s - r)) spell as Coords(w)."""
+    for w in [(), (MINUS,), (10, PLUS, 12, MINUS, 1)]:
+        assert Coords(w) == ",".join(map(str, w)) and Coords(w).w == w, w
+    cells = [c for n in range(6) for c in cube(n).dims]
+    cells += [c for s in range(6) for c in hom_set(0, s).dims]
+    for cell in cells:
+        w = cell.w
+        assert Coords(w) == cell and Coords(w).w == w, cell
+        assert all(v in (MINUS, PLUS) or type(v) is int for v in w), cell
+    assert all(c.w[-1] == MINUS for s in range(1, 6) for c in hom_set(0, s).dims)
+
+
+def test_a_cube_cell_holds_no_instance_dict():
+    assert not any(hasattr(c, "__dict__") for c in cube(4).dims)
+
+
+def test_a_cube_cell_is_small():
+    """cube(5) built afresh holds under 500 bytes per cell (over 800 when a cell
+    carried a dict and a second copy of its coordinates)."""
+    tracemalloc.start()
+    try:
+        X = cube.__wrapped__(5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / len(X.dims) < 500
+
+
+def test_cube_normal_form_refuses_an_integer_above_q():
+    for w, q in [((1, 2), 1), ((3, MINUS), 2), ((1, PLUS, 4), 3), ((1,), 0)]:
+        with pytest.raises(OutOfRange, match="is not a word in"):
+            cube_normal_form(w, q)
+    assert cube_normal_form((1, PLUS, 1), 2) == ((1, PLUS, 1), (1,))

@@ -218,6 +218,39 @@ def test_make_thin_maximal():
     assert all(c in Y.thin for c in Y.cells() if Y.dims[c] >= 1)
 
 
+def test_make_thin_answers_as_its_parent_and_leaves_it_alone():
+    """make_thin shares its parent's tables: faces and fillers read the same, and
+    only the thin flags differ, on the new set alone."""
+    for X in [cube(3), standard(3), big_C(3, 2)]:
+        before = X.thin
+        extra = [c for c in X.cells() if X.dims[c] >= 1 and c not in X.thin][:3]
+        Y = make_thin(X, extra)
+        assert Y.thin == before | frozenset(extra) and X.thin == before
+        assert Y.cells() == X.cells() and Y.dims == X.dims and Y.faces == X.faces
+        for n in range(X.dim_cap + 2):
+            js = range(n + 1 if n else 0)  # a 0-simplex has no faces
+            for s in X.simplices_of_dim(n):
+                assert [Y.face(s, j) for j in js] == [X.face(s, j) for j in js]
+            for z in list(X.simplices_of_dim(n))[:20]:
+                faces = {j: X.face(z, j) for j in range(1, n + 1)} if n else {}
+                assert list(Y.fillers(n, faces, False)) == list(X.fillers(n, faces, False))
+                thin_fillers = [f for f in Y.fillers(n, faces, False) if Y.is_thin(f)]
+                assert list(Y.fillers(n, faces, True)) == thin_fillers
+                assert list(X.fillers(n, faces, True)) == [
+                    f for f in X.fillers(n, faces, False) if f.is_degenerate or f.cell in before
+                ]
+        assert X.thin == before
+
+
+def test_face_refuses_a_simplex_not_in_normal_form():
+    X = standard(2)
+    for s in [Simplex(Vertices((0,)), (0, 0)), Simplex(Vertices((0,)), (1,)), Simplex(Vertices((0, 1)), (2,))]:
+        with pytest.raises(OutOfRange, match="no face 0 of"):
+            X.face(s, 0)
+    with pytest.raises(UnknownCell):
+        X.face(Simplex("nowhere"), 0)
+
+
 def test_union_regular_builds_U():
     # H^1_2 with the filled square triangle is the intermediate subset U
     X = big_C(2, 1)
