@@ -1,10 +1,9 @@
 """Lifting reports and certified anodyne towers.
 
-One enumerator, ``_instances``, lists every horn[n,k] and thinness[n,k]
-instance with its lifting problems; ``rlp_report`` consumes it, and looks
-for thin fillers through ``FiniteStratifiedSet.fillers``.  Horn enumeration runs
-``extensions``, the one backtracking search, over ``fillers``: each face of a
-horn map is a filler of the faces it shares with those chosen before it.
+``rlp_report`` loops over the horn[n,k] and thinness[n,k] instances, each
+family with its problem search.  Horn enumeration runs ``extensions``, the one
+backtracking search, over ``FiniteStratifiedSet.fillers``: each face of a horn
+map is a filler of the faces it shares with those chosen before it.
 
 One pure check, ``_step_violation``, decides whether an elementary-anodyne
 pushout ``Step`` extends a subset (members, thin flags) of a fixed ambient
@@ -118,45 +117,36 @@ def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simpl
             yield z
 
 
-def _instances(X: FiniteStratifiedSet, dmax: int, inner: bool) -> Iterator[tuple]:
-    """Every lifting instance up to dmax as (name, n, k, problems), in report order,
-    k inner (0 < k < n) or any k in [n].
-
-    A horn problem is a horn map, as face index -> simplex; a thinness
-    problem is a simplex carrying a map from the primed complicial simplex.
-    """
-    for kind, low, problems in (("horn", 1, _horn_problems), ("thinness", 2, _thinness_problems)):
-        for n in range(low, dmax + 1):
-            for k in range(1, n) if inner else range(n + 1):
-                yield f"{kind}[{n},{k}]", n, k, problems(X, n, k)
-
-
 def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> LiftingReport:
     """Check the right lifting property against the elementary extensions.
 
     Horn instances run for 1 <= n <= dmax and thinness instances for
-    2 <= n <= dmax, with k inner or unrestricted according to mode, "inner" or
-    "all"; any other mode is refused with BadParams before any check.  Above the
-    storage cap a report is exact only for a set complete at its cap, whose
-    simplices there are degeneracies of stored cells.  A truncation, such as a
-    nerve or ``from_category(cat, D)``, lacks its cells above D as horn faces
-    and as fillers alike, so a report there need not hold of the whole set.
+    2 <= n <= dmax, k inner (0 < k < n) for mode "inner" and any k in [n] for
+    "all"; any other mode is refused with BadParams before any check.  A horn
+    problem, a horn map as face index -> simplex, needs a thin filler; a
+    thinness problem, a simplex carrying a map from the primed complicial
+    simplex, needs a thin face through k.  Above the storage cap a report is
+    exact only for a set complete at its cap, whose simplices there are
+    degeneracies of stored cells.  A truncation, such as a nerve or
+    ``from_category(cat, D)``, lacks its cells above D as horn faces and as
+    fillers alike, so a report there need not hold of the whole set.
     """
     if mode not in ("inner", "all"):
         raise BadParams(f"unknown mode {mode!r}")
     report = LiftingReport([], [])
-    for name, n, k, problems in _instances(X, dmax, mode == "inner"):
-        horn = name.startswith("horn")
-        count = 0
-        for problem in problems:
-            count += 1
-            if horn:
-                if next(X.fillers(n, problem, True), None) is None:
-                    faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
-                    report.failures.append({"instance": name, "faces": faces})
-            elif not X.is_thin(X.face(problem, k)):
-                report.failures.append({"instance": name, "simplex": simplex_to_json(problem)})
-        report.checked.append((name, count))
+    for kind, low, search in (("horn", 1, _horn_problems), ("thinness", 2, _thinness_problems)):
+        for n in range(low, dmax + 1):
+            for k in range(1, n) if mode == "inner" else range(n + 1):
+                name, count = f"{kind}[{n},{k}]", 0
+                for problem in search(X, n, k):
+                    count += 1
+                    if kind == "horn" and next(X.fillers(n, problem, True), None) is None:
+                        faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
+                        report.failures.append({"instance": name, "faces": faces})
+                    elif kind == "thinness" and not X.is_thin(X.face(problem, k)):
+                        simplex = simplex_to_json(problem)
+                        report.failures.append({"instance": name, "simplex": simplex})
+                report.checked.append((name, count))
     return report
 
 

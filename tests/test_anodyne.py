@@ -80,6 +80,37 @@ def test_rlp_report_far_above_the_top_dimension_is_quick():
     assert time.perf_counter() - started < 3
 
 
+@pytest.mark.parametrize(
+    "shape, dmax, counts",
+    [
+        (standard(1), 6, (300, 248, 2338, 735)),
+        (standard(1), 12, (1760, 1510, 47438, 8112)),
+        (boundary(2), 6, (745, 626, 6043, 1844)),
+        (boundary(2), 12, (4747, 4082, 130363, 22103)),
+    ],
+)
+def test_rlp_report_call_counts(monkeypatch, shape, dmax, counts):
+    # the cost of the report as (problems, act, face, fillers) calls, free of the
+    # host: the horn and thinness searches stop at the top dimension of the set
+    # and never build a domain, so the counts grow polynomially in dmax
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(FiniteStratifiedSet, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("act", "face", "fillers"):
+        monkeypatch.setattr(FiniteStratifiedSet, name, counted(name))
+    rep = rlp_report(shape, dmax, mode="all")
+    problems = sum(n for _, n in rep.checked)
+    assert (problems, calls["act"], calls["face"], calls["fillers"]) == counts
+
+
 def test_rlp_cube_four_is_pinned_and_quick():
     # a fresh copy of cube(4), so neither its face index nor its act cache is built
     X = make_thin(cube(4), ())
