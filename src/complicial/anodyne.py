@@ -3,7 +3,9 @@
 ``rlp_report`` loops over the horn[n,k] and thinness[n,k] instances, each
 family with its problem search.  Horn enumeration runs ``extensions``, the one
 backtracking search, over ``FiniteStratifiedSet.fillers``: each face of a horn
-map is a filler of the faces it shares with those chosen before it.
+map is a filler of the faces it shares with those chosen before it.  Both
+searches and ``_step_violation`` read thin faces as precompiled face paths,
+walked over the face index rows they fetch once per search or step check.
 
 One pure check, ``_step_violation``, decides whether an elementary-anodyne
 pushout ``Step`` extends a subset (members, thin flags) of a fixed ambient
@@ -26,7 +28,7 @@ from functools import lru_cache
 from typing import Hashable, Iterator, NamedTuple
 
 from .errors import BadParams, ParseError, StepViolation, UnknownCell
-from .operators import PLUS, Operator, admissible_vertices, all_injections
+from .operators import PLUS, Operator, admissible_vertices, all_injections, ez_factorize
 from .shapes import Coords, big_C, big_H
 from .stratified import (
     FiniteStratifiedSet,
@@ -79,11 +81,22 @@ def _thin_faces(n: int, k: int, top: int, primed: bool = False) -> tuple[Operato
     )
 
 
-def _unthin_face(X: FiniteStratifiedSet, s: Simplex, faces, thin) -> Operator | None:
-    """The first of faces whose image under s is neither degenerate nor in thin, or None."""
-    for alpha in faces:
-        img = X.act(s, alpha)
-        if not img.is_degenerate and img.cell not in thin:
+@lru_cache(maxsize=None)
+def _face_paths(n: int, k: int, top: int, primed: bool = False) -> tuple:
+    """Each alpha of _thin_faces(n, k, top, primed) with its face path, the faces act
+    takes: (d, v), face v of a d-simplex, for each v alpha misses, largest first."""
+    faces = _thin_faces(n, k, top, primed)
+    return tuple((a, tuple(zip(range(n, 0, -1), reversed(ez_factorize(a)[0])))) for a in faces)
+
+
+def _unthin_face(rows: list[dict], s: Simplex, paths: tuple, thin) -> Operator | None:
+    """The first alpha of paths with s . alpha neither degenerate nor in thin, or None,
+    read along alpha's face path over rows by dimension: act's rule restricted to injections."""
+    for alpha, path in paths:
+        z = s
+        for d, v in path:
+            z = rows[d][z][v]
+        if not z.word and z.cell not in thin:
             return alpha
     return None
 
@@ -97,23 +110,22 @@ def _horn_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[dict]:
     and otherwise the thin (k - [j < k])-complicial (n-1)-simplex, whose thin
     faces are checked as soon as it is chosen.
     """
-    admissible = admissible_vertices(n, k)
+    admissible, rows, top = admissible_vertices(n, k), X._rows_up_to(n - 1), X.max_dim()
+    inner = {j: _face_paths(n - 1, k - (j < k), top) for j in range(n + 1) if j not in admissible}
 
     def candidates(j: int, assignment: dict) -> Iterator[Simplex]:
-        thin = j not in admissible
-        inner = _thin_faces(n - 1, k - (j < k), X.max_dim()) if thin else ()
-        faces = {i: X.face(t, j - 1) for i, t in assignment.items()}
-        fillers = X.fillers(n - 1, faces, thin)
-        return (s for s in fillers if _unthin_face(X, s, inner, X.thin) is None)
+        faces = {i: rows[n - 1][t][j - 1] for i, t in assignment.items()}
+        hits, paths = X.fillers(n - 1, faces, j in inner), inner.get(j)
+        return (s for s in hits if _unthin_face(rows, s, paths, X.thin) is None) if paths else hits
 
     return extensions([j for j in range(n + 1) if j != k], candidates)
 
 
 def _thinness_problems(X: FiniteStratifiedSet, n: int, k: int) -> Iterator[Simplex]:
     """Simplices carrying a map from the primed complicial simplex."""
-    faces = _thin_faces(n, k, X.max_dim(), primed=True)
-    for z in X.simplices_of_dim(n):
-        if X.is_thin(z) and _unthin_face(X, z, faces, X.thin) is None:
+    rows, paths, thin = X._rows_up_to(n), _face_paths(n, k, X.max_dim(), True), X.thin
+    for z in rows[n]:
+        if (z.word or z.cell in thin) and _unthin_face(rows, z, paths, thin) is None:
             yield z
 
 
@@ -133,6 +145,8 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
     """
     if mode not in ("inner", "all"):
         raise BadParams(f"unknown mode {mode!r}")
+    if dmax < 0:
+        raise BadParams(f"dmax must be at least 0, got {dmax}")
     report = LiftingReport([], [])
     for kind, low, search in (("horn", 1, _horn_problems), ("thinness", 2, _thinness_problems)):
         for n in range(low, dmax + 1):
@@ -212,7 +226,8 @@ def _step_violation(
             if j != k and Z.faces[cell][j].cell not in members:
                 face = [v for v in range(n + 1) if v != j]
                 return f"horn face {face} not inside the current subset"
-        alpha = _unthin_face(Z, Simplex(cell), _thin_faces(n, k, Z.max_dim()), flags)
+        paths = _face_paths(n, k, Z.max_dim())
+        alpha = _unthin_face(Z._rows_up_to(n), Simplex(cell), paths, flags)
         if alpha is not None:
             return f"thin horn face {list(alpha.values)} lacks its thin flag"
         missing = Z.faces[cell][k]
@@ -231,7 +246,8 @@ def _step_violation(
         return "face through k is not thin in the ambient"
     if cell not in flags:
         return "top cell lacks its thin flag"
-    alpha = _unthin_face(Z, Simplex(cell), _thin_faces(n, k, Z.max_dim(), primed=True), flags)
+    paths = _face_paths(n, k, Z.max_dim(), True)
+    alpha = _unthin_face(Z._rows_up_to(n), Simplex(cell), paths, flags)
     if alpha is not None:
         return f"thin face {list(alpha.values)} of the primed simplex lacks its thin flag"
     return None

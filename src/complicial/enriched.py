@@ -19,7 +19,7 @@ from itertools import product
 from typing import Hashable, Mapping, NamedTuple
 
 from .anodyne import rlp_report
-from .errors import CapExceeded, IllFormedCategory, LawViolation
+from .errors import BadParams, CapExceeded, IllFormedCategory, LawViolation
 from .stratified import (
     Cell,
     FiniteStratifiedSet,
@@ -378,14 +378,9 @@ def validate_gray(E: EnrichedCategory, dmax: int) -> dict:
     """Run the lifting report on every nonempty homset up to min(dmax,
     hom.dim_cap), never above the hom's cap: validate_gray(suspension(
     boundary(2)), 3) checks hom(0, 1) at dimension 1 only and passes, though
-    the nerve fails the inner lifting report at dimension 3."""
-    reports = {}
-    ok = True
-    for (a, b), hom in sorted(E.homs.items()):
-        if not hom.dims:
-            continue
-        d = min(dmax, hom.dim_cap)
-        rep = rlp_report(hom, d, mode="all")
-        reports[(a, b)] = rep
-        ok = ok and rep.ok
-    return {"pass": ok, "homs": reports}
+    the nerve fails the inner lifting report at dimension 3.  BadParams if dmax < 0."""
+    if dmax < 0:
+        raise BadParams(f"dmax must be at least 0, got {dmax}")
+    homs = sorted(E.homs.items())
+    reports = {ab: rlp_report(hom, min(dmax, hom.dim_cap), "all") for ab, hom in homs if hom.dims}
+    return {"pass": all(rep.ok for rep in reports.values()), "homs": reports}

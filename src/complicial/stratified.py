@@ -25,8 +25,8 @@ on words, from the stored faces and ``degenerate``, the one degeneracy rule.
 face index built per dimension on its first query: ``rows`` maps each
 n-simplex, in ``simplices_of_dim`` order, to its face tuple, and ``having``
 maps (j, face) to the simplices with that face at j, in that order.  ``face``,
-``fillers``, ``gray_product`` and ``act`` read it.  It stays valid because a
-set is never mutated; ``make_thin`` builds a new one.
+``fillers``, ``gray_product``, ``act`` and the lifting searches' face walk read
+it.  It stays valid because a set is never mutated; ``make_thin`` builds a new one.
 """
 
 from __future__ import annotations
@@ -176,6 +176,10 @@ class FiniteStratifiedSet:
             index = self._face_index[n] = (rows, having)
         return index
 
+    def _rows_up_to(self, n: int) -> list[dict]:
+        """The rows of the face index of dimensions 0..n, listed by dimension."""
+        return [self._faces_of_dim(d)[0] for d in range(n + 1)]
+
     def face(self, s: Simplex, j: int) -> Simplex:
         """The jth face of s, read from the face index; OutOfRange if s has no face j."""
         row = self._faces_of_dim(self.simplex_dim(s))[0].get(s, ())
@@ -193,9 +197,14 @@ class FiniteStratifiedSet:
                 raise OutOfRange(f"face index {j} not in [{n}]")
         rows, having = self._faces_of_dim(n)
         wanted = list(faces.items())
-        hits = min((having.get(key, ()) for key in wanted), key=len, default=None)
-        for z in rows if hits is None else hits:
-            if (not thin or self.is_thin(z)) and all(rows[z][j] == s for j, s in wanted):
+        for z in min([having.get(key, ()) for key in wanted], key=len, default=rows):
+            if thin and not (z.word or z.cell in self.thin):
+                continue
+            row = rows[z]
+            for j, s in wanted:
+                if row[j] != s:
+                    break
+            else:
                 yield z
 
     def face_determined(self, n: int) -> bool:

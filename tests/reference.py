@@ -2,11 +2,11 @@
 
 No command, suite item, demo or benchmark job calls these, so they live
 beside the tests rather than in ``src/complicial``: independent recomputations
-(operator words, the presheaf action composed through operators, tower
-replays, the recursive tower search, exhaustive map enumeration, the primed
-complicial simplices, the split of a path arrow into indecomposables, the
-nerve layers stacked from
-dimension 0, the witness search for thin nerve edges, the linear boundary
+(operator words, the presheaf action composed through operators, the
+opposite of a set, tower replays, the recursive tower search, exhaustive map
+enumeration, the primed complicial simplices, the split of a path arrow into
+indecomposables, the nerve layers stacked from dimension 0, the witness search
+for thin nerve edges, the linear boundary
 scan that the face index of ``fillers`` replaced, the directed cube built by
 testing every word and acting on every face, cube thinness tested on every
 pair of integers, the enrichment law loops run to
@@ -118,6 +118,19 @@ def act_by_operators(X: FiniteStratifiedSet, s: Simplex, alpha: Operator) -> Sim
     inner = Operator(beta.n, beta.m - 1, tuple(v - 1 if v > f else v for v in beta.values))
     return act_by_operators(X, X.faces[s.cell][f], inner)
 
+
+def reversed_simplex(s: Simplex, q: int) -> Simplex:
+    """The q-simplex s of X read in opposite(X): flat f of its word becomes q - 1 - f."""
+    return Simplex(s.cell, tuple(sorted((q - 1 - f for f in s.word), reverse=True)))
+
+
+def opposite(X: FiniteStratifiedSet) -> FiniteStratifiedSet:
+    """The opposite set, every simplex read with its vertices reversed: the same
+    cells and thin flags, a d-cell's face j being face d - j of the cell in X."""
+    faces = {
+        c: tuple(reversed_simplex(s, X.dims[c] - 1) for s in reversed(X.faces[c])) for c in X.dims
+    }
+    return FiniteStratifiedSet(X.dim_cap, X.dims, faces, X.thin)
 
 
 def is_subset_kind(h: SubsetHandle) -> frozenset[str]:

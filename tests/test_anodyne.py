@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -9,9 +10,11 @@ import pytest
 from complicial import anodyne
 from complicial.anodyne import (
     AnodyneCertificate,
+    _face_paths,
     _horn_problems,
     _thin_faces,
     _thinness_problems,
+    _unthin_face,
     builtin_certificates,
     certificate_from_json,
     certificate_to_json,
@@ -21,11 +24,12 @@ from complicial.anodyne import (
     search_tower,
     verify_certificate,
 )
-from complicial.enriched import from_category, suspension, walking_iso
+from complicial.enriched import from_category, suspension, validate_gray, walking_iso
 from complicial.errors import BadParams, StepViolation
 from complicial.nerve import build_nerve
 from complicial.operators import delta
 from complicial.shapes import (
+    C_dot,
     big_C,
     big_H,
     boundary,
@@ -43,11 +47,14 @@ from complicial.stratified import (
     regular_generated,
 )
 from reference import (
+    act_by_operators,
     complicial_dprimed,
     complicial_primed,
     enumerate_maps,
+    opposite,
     parse_vertex_chain,
     replay_members,
+    reversed_simplex,
     search_tower_dfs,
     v_tower_generators,
 )
@@ -83,16 +90,18 @@ def test_rlp_report_far_above_the_top_dimension_is_quick():
 @pytest.mark.parametrize(
     "shape, dmax, counts",
     [
-        (standard(1), 6, (300, 248, 2338, 735)),
-        (standard(1), 12, (1760, 1510, 47438, 8112)),
-        (boundary(2), 6, (745, 626, 6043, 1844)),
-        (boundary(2), 12, (4747, 4082, 130363, 22103)),
+        (standard(1), 6, (300, 0, 146, 735)),
+        (standard(1), 12, (1760, 0, 876, 8112)),
+        (boundary(2), 6, (745, 0, 363, 1844)),
+        (boundary(2), 12, (4747, 0, 2364, 22103)),
     ],
 )
 def test_rlp_report_call_counts(monkeypatch, shape, dmax, counts):
     # the cost of the report as (problems, act, face, fillers) calls, free of the
     # host: the horn and thinness searches stop at the top dimension of the set
-    # and never build a domain, so the counts grow polynomially in dmax
+    # and never build a domain, so the counts grow polynomially in dmax; they
+    # walk face rows instead of calling act or face, and the one face call per
+    # thinness problem is its verdict
     calls = Counter()
 
     def counted(name):
@@ -112,8 +121,10 @@ def test_rlp_report_call_counts(monkeypatch, shape, dmax, counts):
 
 
 def test_rlp_cube_four_is_pinned_and_quick():
-    # a fresh copy of cube(4), so neither its face index nor its act cache is built
-    X = make_thin(cube(4), ())
+    # a copy of cube(4) with a face index of its own, built inside the timed call;
+    # make_thin would share the index of the cached cube(4) that other tests build
+    C = cube(4)
+    X = FiniteStratifiedSet(C.dim_cap, C.dims, C.faces, C.thin)
     started = time.perf_counter()
     rep = rlp_report(X, 3, mode="all")
     elapsed = time.perf_counter() - started
@@ -153,6 +164,19 @@ def test_rlp_unknown_mode_is_bad_params():
             rlp_report(standard(1), dmax, "bogus")
     with pytest.raises(BadParams):
         rlp_report(standard(1), 1, mode="outer")
+
+
+def test_negative_dmax_is_bad_params():
+    # a negative dmax would check nothing and pass, though validate_gray fails
+    # the suspension of the 2-simplex at dmax 2; dmax 0 stays legal
+    with pytest.raises(BadParams, match="dmax must be at least 0"):
+        rlp_report(standard(2), -1, "inner")
+    E = suspension(standard(2))
+    assert not validate_gray(E, 2)["pass"]
+    with pytest.raises(BadParams, match="dmax must be at least 0"):
+        validate_gray(E, -1)
+    assert rlp_report(standard(2), 0, "inner").checked == []
+    assert validate_gray(E, 0)["pass"]
 
 
 def test_rlp_monotone_in_stratification():
@@ -369,7 +393,9 @@ def test_search_tower_checks_each_step_once_per_subset(monkeypatch):
 def test_search_tower_call_counts(monkeypatch):
     # the C^2_3 search at budget 2000 judges only steps that add a flag inside
     # finish - start and not yet set; the recursive search made 18,228 step
-    # checks and 803 act calls, and one that judged set flags too 1,078 and 389
+    # checks and 803 act calls, and one that judged set flags too 1,078 and 389;
+    # thin faces are read by walking face rows, so no step check calls act, where
+    # reading them through act made 164 calls
     start, finish = big_H(3, 2), full_handle(big_C(3, 2))
     calls = Counter()
     step_violation, act = anodyne._step_violation, FiniteStratifiedSet.act
@@ -385,7 +411,7 @@ def test_search_tower_call_counts(monkeypatch):
     monkeypatch.setattr(anodyne, "_step_violation", counted_step_violation)
     monkeypatch.setattr(FiniteStratifiedSet, "act", counted_act)
     assert search_tower(start, finish, 2000) is None
-    assert calls == {"step": 596, "act": 164}
+    assert (calls["step"], calls["act"]) == (596, 0)
 
 
 def test_search_tower_checks_each_step_of_a_path_once(monkeypatch):
@@ -555,3 +581,96 @@ def test_thinness_problems_are_the_maps_from_the_primed_simplex():
             assert Counter(thin) == Counter(f.assignment[top] for f in dprimed), (n, k)
             total += len(got)
     assert total == 945
+
+
+def _flipped(X, seed: int, flips: int):
+    """X with the thin flags of flips cells of positive dimension toggled, drawn
+    by a seeded generator from X.cells(), so the set does not change with the hash seed."""
+    cells = [c for c in X.cells() if X.dims[c]]
+    chosen = frozenset(random.Random(seed).sample(cells, flips))
+    return FiniteStratifiedSet(X.dim_cap, X.dims, X.faces, X.thin ^ chosen)
+
+
+def _instance(name: str, reverse: bool = False) -> tuple[str, int, int]:
+    """(kind, n, k) of an instance name; with reverse, of its mirror, at n - k."""
+    kind, n, k = re.fullmatch(r"(\w+)\[(\d+),(\d+)\]", name).groups()
+    return kind, int(n), int(n) - int(k) if reverse else int(k)
+
+
+def _failures(report, reverse: bool = False) -> set:
+    """The failures of a lifting report as hashable (kind, n, k, simplices); with
+    reverse, as the report on the opposite set states them: horn[n,k] is
+    horn[n,n-k] with face j at n - j, thinness[n,k] is thinness[n,n-k], and
+    every simplex is read reversed."""
+
+    def read(s: dict, q: int) -> Simplex:
+        z = Simplex(s["cell"], tuple(s["word"]))
+        return reversed_simplex(z, q) if reverse else z
+
+    found = set()
+    for failure in report.failures:
+        kind, n, k = _instance(failure["instance"], reverse)
+        if kind == "thinness":
+            found.add((kind, n, k, read(failure["simplex"], n)))
+        else:
+            faces = ((int(j), read(s, n - 1)) for j, s in failure["faces"].items())
+            found.add((kind, n, k, frozenset((n - j if reverse else j, s) for j, s in faces)))
+    return found
+
+
+def test_rlp_report_of_the_opposite_set_is_the_mirror():
+    # oracle: reversing the vertices turns the k-complicial n-simplex and its
+    # primed form into the (n-k)-complicial ones, and the k-horn into the
+    # (n-k)-horn, so the report on opposite(X) holds exactly the mirrored
+    # failures of the report on X, and as many problems per mirrored instance
+    sets = [
+        standard(3),
+        boundary(3),
+        complicial(3, 1),
+        cube(3),
+        big_C(3, 2),
+        horn(3, 1),
+        C_dot(3, 2),
+        _flipped(cube(3), 0, 4),
+        _flipped(complicial(3, 2), 1, 3),
+    ]
+    total = 0
+    for X in sets:
+        Y = opposite(X)
+        assert Y.validate() == []
+        rep, mirror = rlp_report(X, 3, "all"), rlp_report(Y, 3, "all")
+        assert _failures(mirror) == _failures(rep, reverse=True), X.cells()
+        assert len(mirror.failures) == len(rep.failures) == len(_failures(rep))
+        counts = {_instance(name, reverse=True): n for name, n in rep.checked}
+        assert {_instance(name): n for name, n in mirror.checked} == counts
+        total += len(rep.failures)
+    assert total == 97
+
+
+def test_face_walk_matches_the_action_by_operators():
+    # oracle: the first thin face whose image is unthin, read by walking face
+    # paths over the face rows, is the first found by act_by_operators, which
+    # reads no face index; on every simplex, degenerate ones included, for every
+    # thin-face list with n <= 4
+    targets = [
+        cube(4),
+        complicial(4, 2),
+        standard_thin(3),
+        build_nerve(suspension(standard(2)), 4),
+        _flipped(cube(3), 2, 5),
+    ]
+    compared = 0
+    for X in targets:
+        top = X.max_dim()
+        for n in range(1, 5):
+            rows = X._rows_up_to(n)
+            forms = (False, True) if n > 1 else (False,)  # thinness instances start at n = 2
+            for k, primed in ((k, primed) for k in range(n + 1) for primed in forms):
+                faces, paths = _thin_faces(n, k, top, primed), _face_paths(n, k, top, primed)
+                assert tuple(alpha for alpha, _ in paths) == faces
+                for s in X.simplices_of_dim(n):
+                    images = ((a, act_by_operators(X, s, a)) for a in faces)
+                    want = next((a for a, z in images if not z.word and z.cell not in X.thin), None)
+                    assert _unthin_face(rows, s, paths, X.thin) == want, (s, n, k, primed)
+                    compared += 1
+    assert compared == 27664
