@@ -8,6 +8,7 @@ of a cube cell prints as (a_n, ..., a_1).  A cell is degenerate exactly when w
 misses some integer below m.  A cube cell is a ``Coords``, the string
 ``w(1),...,w(n)`` alone, sorted and written to JSON as is; its w is read back
 from the spelling, and code that reads many cells reads each one's w once.
+``cube`` grows cells as one-letter codes and builds faces a column at a time.
 
 Thinness of the directed cube: a nondegenerate cell is thin iff there are
 integers u < v such that every w-position carrying u lies strictly below
@@ -22,8 +23,7 @@ simplex for the consistency check.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, compress, repeat
 
 from .errors import OutOfRange
 from .operators import (
@@ -119,13 +119,13 @@ _READ = {MINUS: MINUS, PLUS: PLUS} | {str(v): v for v in range(1, 10)}  # one-le
 
 
 class Coords(str):
-    """A cube or hom cell: the string w(1),...,w(n) of its coordinates w, each
-    spelled by ``str``; it holds no other state, and w is read back from it."""
+    """A cube or hom cell: the string w(1),...,w(n) of its coordinates w, each spelled
+    by ``str``, or of a code's letters; it holds no other state, and w is read back."""
 
     __slots__ = ()
 
     def __new__(cls, w):
-        return super().__new__(cls, ",".join(map(str, w)))
+        return str.__new__(cls, ",".join(w if w.__class__ is str else map(str, w)))
 
     @property
     def w(self) -> tuple[CubeCoordinate, ...]:
@@ -138,19 +138,23 @@ def is_partial_bijection(w: tuple[CubeCoordinate, ...], m: int) -> bool:
     return sorted(ints) == list(range(1, m + 1))
 
 
-def cube_thin(w: tuple[CubeCoordinate, ...], m: int) -> bool:
-    """Directed-cube thinness: some u < v with all u-positions below all v-positions.
-
-    One pass over the integers 1..m: thin iff the first position of some v
-    lies above the least last position of the integers u < v present in w.
-    """
-    least = len(w)  # the least last position of the integers below v
-    rev = w[::-1]
-    for v in range(1, m + 1):
-        if v in w:
-            if w.index(v) > least:
+def cube_thin(w: tuple[CubeCoordinate, ...] | str, m: int) -> bool:
+    """Directed-cube thinness of w, a word in -, +, 1..m (else OutOfRange) or its code:
+    some u < v with all u-positions below all v-positions, that is, the first position of
+    some v lies above the least last position of the integers below v present in w."""
+    letters = "123456789"[:m] if m <= 9 else "".join(map(chr, range(49, 49 + m)))
+    code = w if w.__class__ is str else "".join(  # "0" stands for a non-coordinate
+        [chr(48 + v) if v.__class__ is int and 0 < v <= m else v if v in (MINUS, PLUS) else "0"
+         for v in w]
+    )
+    if code.strip(MINUS + PLUS + letters):
+        raise OutOfRange(f"{w!r} is not a word in -, +, 1..{m}")
+    least = len(code)  # the least last position of the integers below v
+    for a in letters:
+        if (first := code.find(a)) >= 0:
+            if first > least:
                 return True
-            least = min(least, len(w) - 1 - rev.index(v))
+            least = min(least, code.rfind(a))
     return False
 
 
@@ -170,57 +174,53 @@ def cube_normal_form(
     return core, tuple(sorted((v - 1 for v in missing), reverse=True))
 
 
-def _surjective_words(n: int, m: int) -> Iterator[tuple[CubeCoordinate, ...]]:
-    """The words of length n in -, +, 1..m that take every integer value, in the
-    order ``itertools.product`` lists that alphabet; a prefix is dropped as soon
-    as the positions left are fewer than the integers it still misses."""
-    alphabet = [(MINUS, 0), (PLUS, 0)] + [(v, 1 << v) for v in range(1, m + 1)]
-
-    def grow(prefix, missing, left):
-        if not left:
-            yield prefix
-            return
-        for v, bit in alphabet:
-            rest = missing & ~bit
-            if rest.bit_count() < left:
-                yield from grow(prefix + (v,), rest, left - 1)
-
-    return grow((), sum(bit for _, bit in alphabet), n)
+def _codes(n: int, m: int) -> list[str]:
+    """The codes of the m-cells of cube(n), v written chr(48 + v): the words of length n
+    in -, +, 1..m that take every integer value, in ``itertools.product`` order, grown a
+    position at a time; a prefix goes once fewer positions are left than it misses integers."""
+    alphabet = [(MINUS, 0), (PLUS, 0)] + [(chr(48 + v), 1 << v) for v in range(1, m + 1)]
+    level = [("", sum(bit for _, bit in alphabet))]
+    for left in reversed(range(n)):
+        level = [
+            (p + a, rest)
+            for p, missing in level
+            for a, bit in alphabet
+            if (rest := missing & ~bit).bit_count() <= left
+        ]
+    return [p for p, _ in level]
 
 
 @lru_cache(maxsize=None)
 def cube(n: int) -> FiniteStratifiedSet:
     """The n-fold tensor power of the 1-simplex with its directed stratification.
 
-    Its m-cells are the surjective words, enumerated directly.  Every face of
-    one is nondegenerate, a cell itself: an inner face merges j and j + 1, an
-    outer face turns 1 or m into a sign and shifts the rest down.  So the jth
-    face is the (m-1)-cell whose one-letter-per-coordinate code is the cell's
-    code translated by a table that ``rho_precompose(v, delta(m, j))`` fills in
-    once per (m, j), letter by letter."""
+    Its m-cells are the surjective words, grown as codes, one letter per coordinate
+    (v is chr(48 + v), its digit for v <= 9, so a code spells its cell).  Every face of
+    one is nondegenerate, a cell itself: an inner face merges j and j + 1, an outer face
+    turns 1 or m into a sign and shifts the rest down.  So the jth face column is every
+    code translated by a table that ``rho_precompose(v, delta(m, j))`` fills in once per
+    (m, j), letter by letter, and read in the level below; thinness is read off the code."""
     if n < 0:
         raise OutOfRange("cube needs n >= 0")
     dims = {}
     faces = {}
     thin = []
-    level: dict[str, Simplex] = {}
+    below: dict[str, Simplex] = {}  # the level below: each (m-1)-cell's simplex, keyed by code
     for m in range(n + 1):
-        below, level = level, {}
-        # a sign is its own letter, v is chr(48 + v): its digit for v <= 9, so code spells cell
         letter = {MINUS: MINUS, PLUS: PLUS} | {v: chr(48 + v) for v in range(1, m + 1)}
         tables = [
             str.maketrans({a: letter[rho_precompose(v, d)] for v, a in letter.items()})
             for d in (delta(m, j) for j in range(m + 1))
         ]
-        for w in _surjective_words(n, m):
-            code = "".join(map(letter.__getitem__, w))
-            cell = Coords(code if m <= 9 else w)
-            level[code] = Simplex(cell)
-            dims[cell] = m
-            if m >= 1:
-                faces[cell] = tuple([below[code.translate(table)] for table in tables])
-                if cube_thin(w, m):
-                    thin.append(cell)
+        codes = _codes(n, m)
+        words = codes if m <= 9 else [[_READ.get(a) or ord(a) - 48 for a in c] for c in codes]
+        cells = list(map(Coords, words))
+        dims.update(zip(cells, repeat(m)))
+        if m:
+            columns = [map(below.__getitem__, map(str.translate, codes, repeat(t))) for t in tables]
+            faces.update(zip(cells, zip(*columns)))
+            thin += compress(cells, map(cube_thin, codes, repeat(m)))
+        below = dict(zip(codes, map(Simplex, cells)))
     return FiniteStratifiedSet(n, dims, faces, thin)
 
 

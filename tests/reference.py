@@ -70,7 +70,6 @@ from complicial.shapes import (
     Vertices,
     complicial,
     cube_normal_form,
-    cube_thin,
 )
 from complicial.stratified import (
     FiniteStratifiedSet,
@@ -330,7 +329,7 @@ def arrow_is_degenerate(a: tuple) -> bool:
 
 def arrow_thin(a: tuple) -> bool:
     _, w, m = a
-    return cube_thin(w, m)
+    return cube_thin_pairs(w, m)
 
 
 def split_at_zeros(r: int, w: tuple) -> list[tuple[int, tuple]]:

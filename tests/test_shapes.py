@@ -4,13 +4,14 @@ from math import comb
 
 import pytest
 
+from complicial import shapes
 from complicial.errors import OutOfRange
-from complicial.operators import MINUS, PLUS, rho_operator
+from complicial.operators import MINUS, PLUS, rho_operator, rho_precompose
 from complicial.shapes import (
     C_ddot,
     C_dot,
     Coords,
-    _surjective_words,
+    _codes,
     big_C,
     big_H,
     boundary,
@@ -157,18 +158,34 @@ def test_cube_census_formula():
             assert len(X.cells_of_dim(m)) == census
 
 
-def test_surjective_words_are_the_cells_and_nothing_more():
+def test_codes_are_the_cells_and_nothing_more():
     for n in range(7):
         X = cube(n)
         for m in range(n + 1):
-            words = list(_surjective_words(n, m))
-            assert sorted(map(Coords, words)) == list(X.cells_of_dim(m))
+            codes = _codes(n, m)
+            assert sorted(map(Coords, codes)) == list(X.cells_of_dim(m))
             if n <= 5:
                 alphabet = [MINUS, PLUS] + list(range(1, m + 1))
                 scan = product(alphabet, repeat=n)
-                assert words == [w for w in scan if is_integer_surjective(w, m)]
+                words = [w for w in scan if is_integer_surjective(w, m)]
+                assert [Coords(c).w for c in codes] == words
     # the word scan tests 446,963 words of length 6 to keep these
-    assert sum(1 for m in range(7) for _ in _surjective_words(6, m)) == 18731
+    assert sum(len(_codes(6, m)) for m in range(7)) == 18731
+
+
+def test_cube_builds_its_face_tables_once_per_dimension_and_face(monkeypatch):
+    """rho_precompose fills one table per (m, j), a letter at a time, never per cell."""
+    calls = []
+
+    def counted(v, alpha):
+        calls.append(v)
+        return rho_precompose(v, alpha)
+
+    monkeypatch.setattr(shapes, "rho_precompose", counted)
+    for n, expected in enumerate([2, 8, 20, 40, 70, 112, 168]):
+        calls.clear()
+        cube.__wrapped__(n)
+        assert len(calls) == expected, n
 
 
 def test_classify_examples():
@@ -354,3 +371,10 @@ def test_cube_normal_form_refuses_an_integer_above_q():
         with pytest.raises(OutOfRange, match="is not a word in"):
             cube_normal_form(w, q)
     assert cube_normal_form((1, PLUS, 1), 2) == ((1, PLUS, 1), (1,))
+
+
+def test_cube_thin_refuses_an_integer_outside_1_to_m():
+    for w, m in [((1, 5), 2), ((0, 1), 1), ((-3, 1), 1), ((1, "x"), 1), ("15", 2), ("1,2", 2)]:
+        with pytest.raises(OutOfRange, match="is not a word in"):
+            cube_thin(w, m)
+    assert cube_thin((1, 2), 2) and cube_thin("12", 2) and not cube_thin("2-1", 2)
