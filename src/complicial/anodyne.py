@@ -48,8 +48,7 @@ from .stratified import (
 
 
 class LiftingReport(NamedTuple):
-    """The instances checked, as (name, problem count), and the failures found:
-    ``rlp_report`` passes fresh lists and appends to them."""
+    """The instances checked, as (name, problem count), and the failures found."""
 
     checked: list[tuple[str, int]]
     failures: list[dict]
@@ -67,26 +66,20 @@ class LiftingReport(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _thin_faces(n: int, k: int, top: int, primed: bool = False) -> tuple[Operator, ...]:
-    """The proper faces of [n] up to dimension top that the k-complicial n-simplex
-    makes thin, those covering k-1, k, k+1, and with primed also d_{k-1}, d_{k+1}.
-    Above the top dimension of a set every simplex is degenerate, hence thin."""
+def _face_paths(n: int, k: int, top: int, primed: bool = False) -> tuple:
+    """The proper faces alpha of [n] up to dimension top that the k-complicial
+    n-simplex makes thin, those covering k-1, k, k+1, and with primed also d_{k-1},
+    d_{k+1}, each with its face path, the faces act takes: (d, v), face v of a
+    d-simplex, for each v alpha misses, largest first.  Above the top dimension of a
+    set every simplex is degenerate, hence thin."""
     needed = admissible_vertices(n, k)
     primed_missing = needed - {k} if primed else frozenset()
     return tuple(
-        alpha
+        (alpha, tuple(zip(range(n, 0, -1), reversed(ez_factorize(alpha)[0]))))
         for m in range(min(n, top + 1))
         for alpha in all_injections(m, n)
         if needed <= set(alpha.values) or (m == n - 1 and not primed_missing <= set(alpha.values))
     )
-
-
-@lru_cache(maxsize=None)
-def _face_paths(n: int, k: int, top: int, primed: bool = False) -> tuple:
-    """Each alpha of _thin_faces(n, k, top, primed) with its face path, the faces act
-    takes: (d, v), face v of a d-simplex, for each v alpha misses, largest first."""
-    faces = _thin_faces(n, k, top, primed)
-    return tuple((a, tuple(zip(range(n, 0, -1), reversed(ez_factorize(a)[0])))) for a in faces)
 
 
 def _unthin_face(rows: list[dict], s: Simplex, paths: tuple, thin) -> Operator | None:
@@ -147,7 +140,7 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
         raise BadParams(f"unknown mode {mode!r}")
     if dmax < 0:
         raise BadParams(f"dmax must be at least 0, got {dmax}")
-    report = LiftingReport([], [])
+    checked, failures = [], []
     for kind, low, search in (("horn", 1, _horn_problems), ("thinness", 2, _thinness_problems)):
         for n in range(low, dmax + 1):
             for k in range(1, n) if mode == "inner" else range(n + 1):
@@ -156,12 +149,12 @@ def rlp_report(X: FiniteStratifiedSet, dmax: int, mode: str = "inner") -> Liftin
                     count += 1
                     if kind == "horn" and next(X.fillers(n, problem, True), None) is None:
                         faces = {str(j): simplex_to_json(s) for j, s in sorted(problem.items())}
-                        report.failures.append({"instance": name, "faces": faces})
+                        failures.append({"instance": name, "faces": faces})
                     elif kind == "thinness" and not X.is_thin(X.face(problem, k)):
                         simplex = simplex_to_json(problem)
-                        report.failures.append({"instance": name, "simplex": simplex})
-                report.checked.append((name, count))
-    return report
+                        failures.append({"instance": name, "simplex": simplex})
+                checked.append((name, count))
+    return LiftingReport(checked, failures)
 
 
 # -- certificates -------------------------------------------------------------

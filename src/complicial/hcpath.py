@@ -117,14 +117,16 @@ def hom_action(
     column itself for a run of one, a column of + for an empty run, and the
     fiberwise minimum of the run's columns otherwise; the positions sent to
     alpha(r) drop out.  A w whose length is not s - r is refused with
-    OutOfRange, unless alpha(r) = alpha(s): then every image is the identity ()
-    and no column is read.
+    OutOfRange.  When alpha(r) = alpha(s) every image is the identity () and no
+    column is read.
     """
     if not (0 <= r <= s <= alpha.n):
         raise OutOfRange(f"arrow ({r},{s}] does not live over [{alpha.n}]")
     lo = alpha.values[r]
     runs: list[list] = [[] for _ in range(alpha.values[s] - lo)]
     if not (ws and runs):
+        if not {s - r}.issuperset(map(len, ws)):
+            raise OutOfRange(f"an arrow of hom({r},{s}) has length {s - r}")
         return lo, [()] * len(ws)
     try:
         for t, column in zip(alpha.values[r + 1 : s + 1], zip(*ws, strict=True), strict=True):

@@ -3,18 +3,19 @@
 Runs, in order: cube censuses, stratifiedness of the comparison maps, a
 seeded functoriality sample for the path action, the builtin certificate
 towers, nerve censuses, the faithfulness probes, and the inner lifting
-reports on the example nerves.  Each item reports pass/fail independently;
-the bundle is the machine-checkable content of the main theorem at this
-scale.
+reports on the example nerves.  Each ``check_*`` yields its items, each
+reporting pass/fail independently, and ``paper_suite`` builds the report from
+them in one pass; the bundle is the machine-checkable content of the main
+theorem at this scale.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import ne
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .anodyne import builtin_certificates, rlp_report, verify_certificate
 from .enriched import (
@@ -37,16 +38,13 @@ class SuiteItem(NamedTuple):
 
 
 class SuiteReport(NamedTuple):
-    """The suite's items in order; ``add`` appends to the list ``paper_suite`` passes."""
+    """The suite's items, in the order of the checks that yield them."""
 
     items: list[SuiteItem]
 
     @property
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.items.append(SuiteItem(name, ok, detail))
 
     def to_json(self) -> dict:
         return {
@@ -57,20 +55,20 @@ class SuiteReport(NamedTuple):
         }
 
 
-def check_cube_census(report: SuiteReport) -> None:
+def check_cube_census() -> Iterator[SuiteItem]:
     for n in (2, 3, 4):
         X = cube(n)
         tops = X.cells_of_dim(n)
         nonthin = [c for c in tops if c not in X.thin]
         ok = len(tops) == math.factorial(n) and len(nonthin) == 1
         ok = ok and nonthin == [special_top(n)]
-        report.add(f"cube-census[{n}]", ok, f"{len(tops)} tops, non-thin {nonthin}")
+        yield SuiteItem(f"cube-census[{n}]", ok, f"{len(tops)} tops, non-thin {nonthin}")
 
 
-def check_c_map(report: SuiteReport) -> None:
+def check_c_map() -> Iterator[SuiteItem]:
     for n in range(5):
         problems = c_map(n).validate()
-        report.add(f"c-map-stratified[{n}]", not problems, "; ".join(problems[:2]))
+        yield SuiteItem(f"c-map-stratified[{n}]", not problems, "; ".join(problems[:2]))
 
 
 _PAIRS = 200
@@ -104,15 +102,16 @@ def functoriality_sample(seed: int = 0) -> int:
     return failures
 
 
-def check_functoriality(report: SuiteReport, seed: int = 0) -> None:
+def check_functoriality(seed: int = 0) -> tuple[SuiteItem]:
+    # eager, not a generator, so that a timer wrapped around this call times the sample
     failures = functoriality_sample(seed=seed)
-    report.add("path-action-functoriality", failures == 0, f"{failures} failures")
+    return (SuiteItem("path-action-functoriality", failures == 0, f"{failures} failures"),)
 
 
-def check_certificates(report: SuiteReport) -> None:
+def check_certificates() -> Iterator[SuiteItem]:
     for cert in builtin_certificates():
         problems = verify_certificate(cert)
-        report.add(f"certificate[{cert.note}]", not problems, "; ".join(problems[:2]))
+        yield SuiteItem(f"certificate[{cert.note}]", not problems, "; ".join(problems[:2]))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +129,7 @@ def desk_nerves():
     return tuple((name, build_nerve(E, 3)) for name, E in desk_examples())
 
 
-def check_nerve_censuses(report: SuiteReport) -> None:
+def check_nerve_censuses() -> Iterator[SuiteItem]:
     expected = {
         "susp-point": {0: 2, 1: 1},
         "susp-arrow": {0: 2, 1: 2, 2: 2, 3: 2},
@@ -140,10 +139,10 @@ def check_nerve_censuses(report: SuiteReport) -> None:
     for name, N in desk_nerves():
         census = N.count_nondegenerate()
         ok = census == expected[name] and not N.validate()
-        report.add(f"nerve-census[{name}]", ok, str(census))
+        yield SuiteItem(f"nerve-census[{name}]", ok, str(census))
 
 
-def check_faithfulness(report: SuiteReport) -> None:
+def check_faithfulness() -> Iterator[SuiteItem]:
     for name, E in desk_examples():
         if name == "group-z2":
             continue
@@ -153,26 +152,24 @@ def check_faithfulness(report: SuiteReport) -> None:
             for x in X.simplices_of_dim(m):
                 if recover_arrow(yoneda_composite(E, x, m)) != x:
                     ok = False
-        report.add(f"faithfulness[{name}]", ok)
+        yield SuiteItem(f"faithfulness[{name}]", ok)
 
 
-def check_nerve_rlp(report: SuiteReport) -> None:
+def check_nerve_rlp() -> Iterator[SuiteItem]:
     for name, N in desk_nerves():
         rep = rlp_report(N, 3, mode="inner")
-        report.add(
-            f"nerve-inner-rlp[{name}]",
-            rep.ok,
-            f"{sum(c for _, c in rep.checked)} problems",
-        )
+        problems = sum(c for _, c in rep.checked)
+        yield SuiteItem(f"nerve-inner-rlp[{name}]", rep.ok, f"{problems} problems")
 
 
 def paper_suite(seed: int = 0) -> SuiteReport:
-    report = SuiteReport([])
-    check_cube_census(report)
-    check_c_map(report)
-    check_functoriality(report, seed=seed)
-    check_certificates(report)
-    check_nerve_censuses(report)
-    check_faithfulness(report)
-    check_nerve_rlp(report)
-    return report
+    checks = (
+        check_cube_census,
+        check_c_map,
+        partial(check_functoriality, seed=seed),
+        check_certificates,
+        check_nerve_censuses,
+        check_faithfulness,
+        check_nerve_rlp,
+    )
+    return SuiteReport([item for check in checks for item in check()])

@@ -10,9 +10,9 @@ import pytest
 from complicial import anodyne
 from complicial.anodyne import (
     AnodyneCertificate,
+    Step,
     _face_paths,
     _horn_problems,
-    _thin_faces,
     _thinness_problems,
     _unthin_face,
     builtin_certificates,
@@ -25,7 +25,7 @@ from complicial.anodyne import (
     verify_certificate,
 )
 from complicial.enriched import from_category, suspension, validate_gray, walking_iso
-from complicial.errors import BadParams, StepViolation
+from complicial.errors import BadParams, StepViolation, UnknownCell
 from complicial.nerve import build_nerve
 from complicial.operators import delta
 from complicial.shapes import (
@@ -262,6 +262,66 @@ def test_start_that_is_not_face_closed_is_refused():
         with pytest.raises(BadParams, match="start is not face-closed"):
             list(replay_states(mutant))
         assert search_tower(start, cert.finish, 50) is None
+
+
+def test_start_outside_the_ambient_is_refused():
+    # negative controls for the other start invariants: its cells are cells of
+    # the ambient, and its flags are thin there
+    cert = builtin_certificates()[0]
+    start = cert.start
+    vertex = next(c for c in cert.ambient.cells_of_dim(0) if c in start.members)
+    cases = [
+        (start._replace(members=start.members | {"nope"}), "start names unknown cell 'nope'"),
+        (
+            start._replace(thin_members=start.thin_members | {vertex}),
+            "start thin flags exceed the ambient stratification",
+        ),
+    ]
+    for bad, message in cases:
+        mutant = cert._replace(start=bad)
+        with pytest.raises(BadParams) as exc:
+            list(replay_states(mutant))
+        assert str(exc.value) == message
+        assert verify_certificate(mutant) == [message]
+
+
+def test_step_naming_no_cell_of_its_shape_is_refused():
+    # negative controls: the first step of the square tower, a horn step on a
+    # 2-cell, with its kind, its cell or its dimension broken
+    cert = builtin_certificates()[0]
+    step = cert.steps[0]
+    cases = [
+        (step._replace(kind="bogus"), "unknown step kind 'bogus'"),
+        (step._replace(attach="nope"), "attach cell 'nope' not in ambient"),
+        (step._replace(n=3), "attach cell has dimension 2, expected 3"),
+    ]
+    for bad, reason in cases:
+        mutant = cert._replace(steps=(bad,) + cert.steps[1:])
+        with pytest.raises(StepViolation) as exc:
+            list(replay_states(mutant))
+        assert (exc.value.index, exc.value.reason) == (0, reason)
+
+
+def test_horn_step_whose_face_through_k_is_degenerate_is_refused():
+    # the thin 2-cell t over the thin edge e from a to b has d0 t = s0 b: its
+    # 0-horn (e, e) is present and flagged, but the face it would add is no cell
+    a, b, e = Simplex("a"), Simplex("b"), Simplex("e")
+    faces = {"e": (b, a), "t": (Simplex("b", (0,)), e, e)}
+    Z = FiniteStratifiedSet(2, {"a": 0, "b": 0, "e": 1, "t": 2}, faces, ["e", "t"])
+    assert Z.validate() == []
+    start = SubsetHandle(Z, frozenset({"a", "b", "e"}), frozenset({"e"}))
+    cert = AnodyneCertificate(Z, start, full_handle(Z), (Step("horn", 2, 0, "t"),))
+    with pytest.raises(StepViolation) as exc:
+        list(replay_states(cert))
+    assert (exc.value.index, exc.value.reason) == (0, "face through k is degenerate")
+
+
+def test_search_tower_refuses_subsets_of_two_ambients():
+    start = big_H(2, 1)
+    finish = full_handle(make_thin(start.ambient, []))
+    with pytest.raises(UnknownCell) as exc:
+        search_tower(start, finish, 10)
+    assert str(exc.value) == "start and finish live in different ambient sets"
 
 
 def test_hatted_cube_extra_thin_cell():
@@ -518,7 +578,7 @@ def oracle_runs(least_n):
 
 
 def test_thin_faces_are_those_of_the_complicial_simplex():
-    # the faces _thin_faces lists are the proper thin faces of the
+    # the faces _face_paths lists are the proper thin faces of the
     # k-complicial n-simplex, or of its primed form, and none twice
     for n in range(1, 7):
         for k in range(n + 1):
@@ -526,7 +586,7 @@ def test_thin_faces_are_those_of_the_complicial_simplex():
             if n >= 2:
                 simplices.append((True, complicial_primed(n, k)))
             for primed, X in simplices:
-                got = [alpha.values for alpha in _thin_faces(n, k, n, primed)]
+                got = [alpha.values for alpha, _ in _face_paths(n, k, n, primed)]
                 assert len(got) == len(set(got))
                 assert set(got) == {tuple(c) for c in X.thin if X.dims[c] < n}, (n, k, primed)
 
@@ -666,8 +726,12 @@ def test_face_walk_matches_the_action_by_operators():
             rows = X._rows_up_to(n)
             forms = (False, True) if n > 1 else (False,)  # thinness instances start at n = 2
             for k, primed in ((k, primed) for k in range(n + 1) for primed in forms):
-                faces, paths = _thin_faces(n, k, top, primed), _face_paths(n, k, top, primed)
-                assert tuple(alpha for alpha, _ in paths) == faces
+                paths = _face_paths(n, k, top, primed)
+                faces = [alpha for alpha, _ in paths]
+                # each path deletes the vertices alpha misses, largest first, from [n] down
+                for alpha, path in paths:
+                    missed = sorted(set(range(n + 1)) - set(alpha.values), reverse=True)
+                    assert path == tuple(zip(range(n, 0, -1), missed)), (alpha, path)
                 for s in X.simplices_of_dim(n):
                     images = ((a, act_by_operators(X, s, a)) for a in faces)
                     want = next((a for a, z in images if not z.word and z.cell not in X.thin), None)

@@ -561,6 +561,11 @@ MALFORMED = {
         dict(walking_arrow_json(), objects=["x", "y", "x"]),
         "category.objects[2]: duplicate object 'x'",
     ),
+    "from-category-table-key-without-separator": (
+        ["from-category", "--dmax", "2"],
+        dict(walking_arrow_json(), table={**WALKING_ARROW["table"], "fix": "f"}),
+        "category.table.fix: expected a key g;f",
+    ),
     "from-category-separator-in-arrow-name": (
         ["from-category", "--dmax", "2"],
         with_separator_in_arrow_name(),

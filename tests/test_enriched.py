@@ -1,7 +1,7 @@
 import pytest
 
 from complicial.anodyne import rlp_report
-from complicial.errors import BadParams, IllFormedCategory, LawViolation
+from complicial.errors import BadParams, CapExceeded, IllFormedCategory, LawViolation
 from complicial.enriched import (
     EnrichedCategory,
     Path,
@@ -19,7 +19,7 @@ from complicial.enriched import (
     walking_iso,
 )
 from complicial.nerve import build_nerve
-from complicial.shapes import standard
+from complicial.shapes import standard, standard_thin
 from complicial.stratified import (
     FiniteStratifiedSet,
     Simplex,
@@ -127,6 +127,36 @@ def test_from_category_rejects_bad_table():
     )
     with pytest.raises(IllFormedCategory):
         from_category(broken, 2)
+
+
+def test_finite_category_validate_names_each_broken_law():
+    # negative controls, one broken law each, from the walking arrow or a one-object
+    # table with the unit e
+    arrow = walking_arrow()
+    parallel = arrow._replace(
+        arrows={**arrow.arrows, "g": ("x", "y")},
+        table={**arrow.table, ("g", "ix"): "g", ("iy", "f"): "g", ("iy", "g"): "g"},
+    )
+    # a unital table on e, a, b that is not associative: (a a) a = b a = a, a (a a) = a b = e
+    products = {"ee": "e", "ea": "a", "eb": "b", "ae": "a", "be": "b"}
+    products.update({"aa": "b", "ab": "e", "ba": "a", "bb": "e"})
+    magma = FiniteCategory(
+        ("*",),
+        {u: ("*", "*") for u in "eab"},
+        {"*": "e"},
+        {tuple(gf): h for gf, h in products.items()},
+    )
+    stray = arrow._replace(arrows={**arrow.arrows, "h": ("x", "z")})
+    cases = [
+        (stray, "arrow h does not run between declared objects"),
+        (arrow._replace(table={**arrow.table, ("f", "ix"): "iy"}), "composite f . ix ill-typed"),
+        (parallel, "left unit fails at f"),
+        (magma, "associativity fails"),
+    ]
+    for cat, message in cases:
+        with pytest.raises(IllFormedCategory) as exc:
+            cat.validate()
+        assert str(exc.value) == message
 
 
 def test_from_category_rejects_path_separators_in_names():
@@ -419,6 +449,42 @@ def test_make_enriched_refuses_a_key_of_no_objects():
     homs = {**E.homs, ("0", "2"): point_set()}
     with pytest.raises(LawViolation, match=r"hom \('0', '2'\) is not a pair of objects"):
         make_enriched(E.objects, homs, E.identities, E.comp, E.dim_cap)
+
+
+def test_make_enriched_refuses_an_identity_that_is_not_a_0_cell():
+    E = suspension(standard(1))
+    for ident in ("nope", None):
+        identities = {**E.identities, "0": ident}
+        with pytest.raises(LawViolation, match=r"identity of '0' is not a 0-cell of hom\(0,0\)"):
+            make_enriched(E.objects, E.homs, identities, E.comp, E.dim_cap)
+
+
+def test_make_enriched_refuses_a_composition_that_unthins_a_thin_pair():
+    # the suspension of the thin 1-simplex, its hom(0, 1) swapped for the plain
+    # 1-simplex: every map still commutes with faces, but the thin pair cells of
+    # the products land on the non-thin edge
+    E = suspension(standard_thin(1))
+    homs = {**E.homs, ("0", "1"): standard(1)}
+    comp = {key: cmap._replace(target=homs[(key[0], key[2])]) for key, cmap in E.comp.items()}
+    message = (
+        r"composition \('0', '0', '1'\) is not a stratified map: "
+        r"thin cell \(0\.1\|\)\(\*\|0\) maps to non-thin simplex"
+    )
+    with pytest.raises(LawViolation, match=message):
+        make_enriched(E.objects, homs, E.identities, comp, E.dim_cap)
+
+
+def test_compose_beyond_the_dimension_cap_is_refused():
+    # (s0 g, s1 g) shares no flat, so it is a nondegenerate 2-cell of the product,
+    # which the composition map of a category capped at 1 does not hold
+    E = one_object_group_enriched(2, 1)
+    g = Path(("*", ("g1",)))
+    # (s0 g, s0 g) is a degeneracy of (g, g), a cell below the cap
+    unit = Simplex(Path(("*", ())), (1, 0))
+    assert E.compose("*", "*", "*", Simplex(g, (0,)), Simplex(g, (0,))) == unit
+    message = r"composition at \('\*', '\*', '\*'\) undefined beyond the dimension cap"
+    with pytest.raises(CapExceeded, match=message):
+        E.compose("*", "*", "*", Simplex(g, (0,)), Simplex(g, (1,)))
 
 
 def test_unit_check_composes_each_cell_twice():

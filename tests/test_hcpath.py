@@ -219,6 +219,21 @@ def test_hom_action_refuses_an_arrow_of_the_wrong_length():
             hom_action(a, 0, 2, ws)
 
 
+def test_hom_action_refuses_a_wrong_length_where_alpha_collapses_the_hom():
+    # alpha(r) = alpha(s) reads no column, so the lengths are checked on their own;
+    # the first case once returned (0, [(), ()]), and each first arrow alone is fine
+    cases = [
+        (sigma(1, 0), 0, 1, [(MINUS,), (PLUS, 1, MINUS)]),
+        (sigma(1, 0), 0, 1, [(MINUS,), ()]),
+        (delta(3, 1), 2, 2, [(), (MINUS,)]),
+    ]
+    for alpha, r, s, ws in cases:
+        message = re.escape(f"an arrow of hom({r},{s}) has length {s - r}")
+        with pytest.raises(OutOfRange, match=message):
+            hom_action(alpha, r, s, ws)
+        assert hom_action(alpha, r, s, ws[:1]) == (alpha(r), [()])
+
+
 def test_every_face_row_of_a_cube_or_hom_holds_cells():
     # every face of a nondegenerate cube cell is a cell, so the nerve reads the
     # face arrows of each generator off the stored rows

@@ -9,6 +9,7 @@ from complicial.operators import delta, sigma, word_operator
 from complicial.enriched import (
     cyclic_group_category,
     from_category,
+    make_enriched,
     walking_arrow,
     one_object_group_enriched,
     point_set,
@@ -20,6 +21,7 @@ from complicial.nerve import (
     NerveSimplex,
     build_nerve,
     nerve_act,
+    nerve_simplices,
     recover_arrow,
     yoneda_composite,
 )
@@ -47,6 +49,13 @@ from reference import (
     split_at_zeros,
     terminal_enriched,
 )
+
+
+def test_the_nerve_of_the_category_with_no_objects_is_empty():
+    # no 0-simplices, so no layer above them
+    E = make_enriched([], {}, {}, {}, 0)
+    assert nerve_simplices(E, []) == []
+    assert set_to_json(build_nerve(E, 3)) == {"dim_cap": 3, "cells": []}
 
 
 def test_counts_susp_point():

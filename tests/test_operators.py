@@ -75,6 +75,23 @@ def test_elementary_out_of_range():
         elementary("delta", 2, 3)
 
 
+def test_make_operator_refuses_a_wrong_length_or_ordinal():
+    # negative controls: n + 1 values, over ordinals no smaller than [-1]
+    for n, m, values in ((1, 2, (0,)), (1, 2, (0, 1, 2)), (-2, 0, ())):
+        with pytest.raises(OutOfRange) as exc:
+            make_operator(n, m, values)
+        assert str(exc.value) == f"bad ordinals/length for ({n},{m},{values})"
+
+
+def test_sigma_and_rho_refuse_an_index_out_of_range():
+    for j in (-1, 3):
+        with pytest.raises(OutOfRange, match=re.escape(f"sigma index {j} not in [2]")):
+            sigma(2, j)
+    for v, r in ((0, 2), (3, 2), (1, 0)):
+        with pytest.raises(OutOfRange, match=re.escape(f"step index {v} not in 1..{r}")):
+            rho_operator(v, r)
+
+
 def test_ez_identity():
     assert ez_factorize(identity(3)) == ((), ())
 

@@ -89,6 +89,21 @@ def test_complicial_out_of_range():
         complicial(2, 3)
 
 
+def test_shape_builders_refuse_a_dimension_out_of_range():
+    # negative controls for the builders' own checks, which the CLI's argument
+    # checks otherwise reach first
+    cases = [
+        (standard, (-1,), "standard simplex needs n >= 0"),
+        (cube, (-1,), "cube needs n >= 0"),
+        (big_C, (1, 1), "C^k_n needs n >= 2, 1 <= k <= n; got (1, 1)"),
+        (big_C, (3, 4), "C^k_n needs n >= 2, 1 <= k <= n; got (3, 4)"),
+    ]
+    for build, args, message in cases:
+        with pytest.raises(OutOfRange) as exc:
+            build(*args)
+        assert str(exc.value) == message
+
+
 def test_cube_two():
     X = cube(2)
     assert X.count_nondegenerate() == {0: 4, 1: 5, 2: 2}

@@ -119,6 +119,27 @@ def test_validate_rejects_thin_vertex():
     assert any("0-cell" in p for p in broken.validate())
 
 
+def test_validate_reports_a_dimension_out_of_range_and_an_unknown_thin_flag():
+    # negative controls: each set breaks one invariant, and validate names it alone
+    dims, edge = {"a": 0, "b": 0, "e": 1}, {"e": (Simplex("b"), Simplex("a"))}
+    cases = [
+        (FiniteStratifiedSet(0, {"a": -1}, {}), "cell a: negative dimension"),
+        (FiniteStratifiedSet(0, dims, edge), "cell e: dimension 1 exceeds cap 0"),
+        (FiniteStratifiedSet(0, {"a": 0}, {}, ["z"]), "thin flag on unknown cell z"),
+    ]
+    for X, problem in cases:
+        assert X.validate() == [problem]
+
+
+def test_stratified_map_refuses_a_thin_cell_sent_to_a_non_thin_simplex():
+    # the identity on cells from the thin 1-simplex to the plain one commutes with
+    # every face but does not keep the stratification
+    source, target = standard_thin(1), standard(1)
+    f = StratifiedMap(source, target, {c: Simplex(c) for c in source.cells()})
+    assert f.validate() == ["thin cell 0.1 maps to non-thin simplex"]
+    assert StratifiedMap(target, source, f.assignment).validate() == []
+
+
 def test_act_identity():
     X = standard(2)
     s = Simplex((0, 1, 2))
